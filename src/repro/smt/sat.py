@@ -41,20 +41,27 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   deterministic VSIDS activity seeding, Luby vs geometric restarts) so a
   portfolio can race structurally different searches over one encoding.
 
-Literals use the DIMACS convention: variables are positive integers and a
-negated literal is the negated integer.
+The public interface speaks DIMACS: variables are positive integers and a
+negated literal is the negated integer.  Inside the solver a literal is a
+*code*, ``2v`` for ``v`` and ``2v + 1`` for ``-v``, so negation is
+``code ^ 1`` and every per-literal table (values, watch lists) is a flat
+list indexed by code.  The layout is chosen for CPython's interpreter
+overhead; the search it runs (every decision, propagation order, learned
+clause, counter, core and model) is pinned by the trajectory-lock test.
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 UNASSIGNED = 0
 TRUE = 1
 FALSE = -1
+
+_NO_LITERAL = -1
 
 
 class SatResult(Enum):
@@ -79,6 +86,16 @@ def luby(index: int) -> int:
         seq -= 1
         index %= size
     return 1 << seq
+
+
+def _code(lit: int) -> int:
+    """Internal code of a DIMACS literal."""
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
+
+
+def _dimacs(code: int) -> int:
+    """DIMACS literal of an internal code."""
+    return -(code >> 1) if code & 1 else code >> 1
 
 
 @dataclass
@@ -131,13 +148,17 @@ class SolverConfig:
     var_decay: float = 0.95
 
 
-@dataclass
 class _Clause:
-    literals: list[int]
-    learned: bool = False
-    activity: float = field(default=0.0)
-    #: literal block distance at learn time (eviction quality signal)
-    lbd: int = 0
+    """A stored clause.  ``lits`` holds literal codes; positions 0 and 1
+    are the watched literals."""
+
+    __slots__ = ("lits", "learned", "lbd")
+
+    def __init__(self, lits: list[int], learned: bool = False, lbd: int = 0):
+        self.lits = lits
+        self.learned = learned
+        #: literal block distance at learn time (eviction quality signal)
+        self.lbd = lbd
 
 
 class SatSolver:
@@ -147,30 +168,43 @@ class SatSolver:
         self._config = config or SolverConfig()
         self._num_vars = 0
         self._clauses: list[_Clause] = []
-        # watches[lit] = clauses watching literal `lit` (encoded index below)
-        self._watches: dict[int, list[_Clause]] = {}
-        self._assign: list[int] = [UNASSIGNED]  # 1-indexed by variable
+        self._num_learned = 0
+        #: per code: the clauses to visit when that literal becomes true
+        #: (they watch its negation)
+        self._watches: list[list[_Clause]] = [[], []]
+        #: per code: TRUE, FALSE or UNASSIGNED
+        self._values: list[int] = [UNASSIGNED, UNASSIGNED]
+        # Per-variable tables, 1-indexed.
         self._level: list[int] = [0]
         self._reason: list[_Clause | None] = [None]
+        self._activity: list[float] = [0.0]
+        #: saved phase as a code's sign bit: 0 positive, 1 negative
+        self._phase: list[int] = [0]
+        self._default_phase = 0 if self._config.default_polarity else 1
+        #: conflict-analysis marks, all False between analyses
+        self._seen: list[bool] = [False]
+        #: the heap holds an entry at the variable's current activity.
+        #: Invariant: every unassigned variable is queued.
+        self._queued: list[bool] = [False]
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._prop_head = 0
-        self._activity: list[float] = [0.0]
         self._var_inc = 1.0
         self._var_decay = self._config.var_decay
+        #: lazy VSIDS order: ``(-activity, var)``; entries whose activity
+        #: is no longer current are skipped when popped
         self._heap: list[tuple[float, int]] = []
-        self._polarity: list[bool] = [self._config.default_polarity]
         self._ok = True
         #: set once elimination inprocessing has run: the clause database is
         #: then only equisatisfiable with the original problem, so adding
         #: further external clauses would be unsound.
         self._sealed = False
         #: model-reconstruction records for eliminated/blocked clauses:
-        #: ``(witness_literal, literals)`` in elimination order.
+        #: ``(witness_code, codes)`` in elimination order.
         self._elim_stack: list[tuple[int, list[int]]] = []
-        #: unit clauses received while the trail was not at the root level
-        #: (e.g. a caller encoding a new goal right after a SAT answer);
-        #: flushed at the next root visit so no constraint is ever lost.
+        #: unit clauses (codes) received while the trail was not at the root
+        #: level (e.g. a caller encoding a new goal right after a SAT
+        #: answer); flushed at the next root visit so no constraint is lost.
         self._pending_units: list[int] = []
         #: after an UNSAT answer: the subset of the call's assumptions the
         #: refutation actually used (empty when the clause set itself is
@@ -180,20 +214,28 @@ class SatSolver:
 
     # -- problem construction ------------------------------------------------
 
+    @property
+    def num_vars(self) -> int:
+        """Variables allocated so far (they are numbered 1..num_vars)."""
+        return self._num_vars
+
     def new_var(self) -> int:
-        self._num_vars += 1
-        self._assign.append(UNASSIGNED)
+        var = self._num_vars = self._num_vars + 1
+        self._values += (UNASSIGNED, UNASSIGNED)
+        self._watches += ([], [])
         self._level.append(0)
         self._reason.append(None)
         activity = 0.0
         if self._config.activity_seed:
-            crc = zlib.crc32(b"%d:%d" % (self._config.activity_seed, self._num_vars))
+            crc = zlib.crc32(b"%d:%d" % (self._config.activity_seed, var))
             activity = (crc & 0xFFFF) * 1e-9
         self._activity.append(activity)
-        self._polarity.append(self._config.default_polarity)
-        heapq.heappush(self._heap, (-activity, self._num_vars))
-        self.stats.max_vars = self._num_vars
-        return self._num_vars
+        self._phase.append(self._default_phase)
+        self._seen.append(False)
+        self._queued.append(True)
+        heapq.heappush(self._heap, (-activity, var))
+        self.stats.max_vars = var
+        return var
 
     def ensure_vars(self, count: int) -> None:
         while self._num_vars < count:
@@ -214,21 +256,30 @@ class SatSolver:
             )
         if not self._ok:
             return
+        values = self._values
+        level = self._level
         seen: set[int] = set()
         unique: list[int] = []
         for lit in literals:
-            self.ensure_vars(abs(lit))
-            if lit in seen:
+            if lit > 0:
+                var = lit
+                code = lit << 1
+            else:
+                var = -lit
+                code = (var << 1) | 1
+            if var > self._num_vars:
+                self.ensure_vars(var)
+            if code in seen:
                 continue
-            if -lit in seen:
+            if code ^ 1 in seen:
                 return  # tautology
-            value = self._value(lit)
-            if value != UNASSIGNED and self._level[abs(lit)] == 0:
+            value = values[code]
+            if value != UNASSIGNED and level[var] == 0:
                 if value == TRUE:
                     return  # satisfied at the root forever
                 continue  # root-falsified literal: drop it
-            seen.add(lit)
-            unique.append(lit)
+            seen.add(code)
+            unique.append(code)
         if not unique:
             self._ok = False
             return
@@ -240,8 +291,8 @@ class SatSolver:
             return
         clause = _Clause(unique)
         self._clauses.append(clause)
-        self._watch(clause, unique[0])
-        self._watch(clause, unique[1])
+        self._watches[unique[0] ^ 1].append(clause)
+        self._watches[unique[1] ^ 1].append(clause)
 
     def reset_to_root(self) -> None:
         """Backtrack to decision level 0 and flush pending unit clauses.
@@ -256,7 +307,15 @@ class SatSolver:
     @property
     def num_learned(self) -> int:
         """Learned clauses currently in the database (evictions deducted)."""
-        return sum(1 for clause in self._clauses if clause.learned)
+        return self._num_learned
+
+    def learned_clauses(self) -> list[list[int]]:
+        """The learned clauses currently in the database, as DIMACS lists."""
+        return [
+            [_dimacs(code) for code in clause.lits]
+            for clause in self._clauses
+            if clause.learned
+        ]
 
     def _store_learned(self, learned: list[int]) -> _Clause | None:
         """Record a learned clause in the database; units are parked so the
@@ -266,15 +325,15 @@ class SatSolver:
         if len(learned) == 1:
             self._pending_units.append(learned[0])
             return None
+        level = self._level
         clause = _Clause(
-            learned,
-            learned=True,
-            lbd=len({self._level[abs(lit)] for lit in learned}),
+            learned, learned=True, lbd=len({level[code >> 1] for code in learned})
         )
         self._clauses.append(clause)
+        self._num_learned += 1
         self.stats.learned += 1
-        self._watch(clause, learned[0])
-        self._watch(clause, learned[1])
+        self._watches[learned[0] ^ 1].append(clause)
+        self._watches[learned[1] ^ 1].append(clause)
         return clause
 
     # -- learned-clause store maintenance -------------------------------------
@@ -292,23 +351,22 @@ class SatSolver:
         learned = [clause for clause in self._clauses if clause.learned]
         if len(learned) <= cap:
             return 0
+        reason = self._reason
         locked = {
-            id(self._reason[abs(lit)])
-            for lit in self._trail
-            if self._reason[abs(lit)] is not None
+            reason[code >> 1]
+            for code in self._trail
+            if reason[code >> 1] is not None
         }
-        ranked = sorted(learned, key=lambda c: (c.lbd, len(c.literals)))
-        keep: set[int] = set()
+        ranked = sorted(learned, key=lambda c: (c.lbd, len(c.lits)))
+        keep: set[_Clause] = set()
         for clause in ranked:
-            if len(keep) < cap or clause.lbd <= 2 or id(clause) in locked:
-                keep.add(id(clause))
+            if len(keep) < cap or clause.lbd <= 2 or clause in locked:
+                keep.add(clause)
         evicted = len(learned) - len(keep)
         if evicted == 0:
             return 0
         self._clauses = [
-            clause
-            for clause in self._clauses
-            if not clause.learned or id(clause) in keep
+            clause for clause in self._clauses if not clause.learned or clause in keep
         ]
         self.stats.evicted += evicted
         self._rebuild_watches()
@@ -320,11 +378,18 @@ class SatSolver:
         Only valid when every in-database clause has its first two literals
         unassigned at the root (guaranteed after :meth:`_simplify_db`, and
         preserved by clause deletion/strengthening at the root level).
+        Every removal of clauses ends here, so the learned count is
+        recounted too.
         """
-        self._watches = {}
+        watches: list[list[_Clause]] = [[] for _ in range(2 * self._num_vars + 2)]
+        learned = 0
         for clause in self._clauses:
-            self._watch(clause, clause.literals[0])
-            self._watch(clause, clause.literals[1])
+            lits = clause.lits
+            watches[lits[0] ^ 1].append(clause)
+            watches[lits[1] ^ 1].append(clause)
+            learned += clause.learned
+        self._watches = watches
+        self._num_learned = learned
 
     def _simplify_db(self) -> None:
         """Remove root-satisfied clauses and root-falsified literals.
@@ -333,18 +398,20 @@ class SatSolver:
         pass every stored clause contains only root-unassigned literals, so
         watching positions 0/1 is always valid.
         """
+        values = self._values
+        level = self._level
         kept: list[_Clause] = []
         for clause in self._clauses:
             new_lits: list[int] = []
             satisfied = False
-            for lit in clause.literals:
-                value = self._value(lit)
-                if value != UNASSIGNED and self._level[abs(lit)] == 0:
+            for code in clause.lits:
+                value = values[code]
+                if value != UNASSIGNED and level[code >> 1] == 0:
                     if value == TRUE:
                         satisfied = True
                         break
                     continue  # root-falsified: drop the literal
-                new_lits.append(lit)
+                new_lits.append(code)
             if satisfied:
                 continue
             if not new_lits:
@@ -353,7 +420,7 @@ class SatSolver:
             if len(new_lits) == 1:
                 self._pending_units.append(new_lits[0])
                 continue
-            clause.literals = new_lits
+            clause.lits = new_lits
             kept.append(clause)
         self._clauses = kept
         self._rebuild_watches()
@@ -420,73 +487,77 @@ class SatSolver:
         and any D containing all of C but with one literal negated is
         strengthened by removing that literal (the resolvent of C and D
         subsumes D).  Each subset test costs one budget unit; returns the
-        unspent budget.
+        unspent budget.  Clauses are addressed by their index in the
+        candidate list, and each keeps a literal set in step with its
+        literal list.
         """
         short = [
             clause
             for clause in self._clauses
-            if len(clause.literals) <= self._SUBSUME_MAX_LEN
+            if len(clause.lits) <= self._SUBSUME_MAX_LEN
         ]
-        occurrences: dict[int, list[_Clause]] = {}
-        signatures: dict[int, int] = {}
-        for clause in short:
+        lit_sets = [set(clause.lits) for clause in short]
+        occurrences: dict[int, list[int]] = {}
+        signatures: list[int] = []
+        for index, clause in enumerate(short):
             signature = 0
-            for lit in clause.literals:
-                signature |= 1 << (abs(lit) & 63)
-                occurrences.setdefault(lit, []).append(clause)
-            signatures[id(clause)] = signature
-        removed: set[int] = set()
-
-        def subset(small: list[int], big: list[int]) -> bool:
-            return set(small) <= set(big)
-
+            for code in clause.lits:
+                signature |= 1 << ((code >> 1) & 63)
+                occurrences.setdefault(code, []).append(index)
+            signatures.append(signature)
+        removed = [False] * len(short)
+        stats = self.stats
         changed = False
-        for clause in sorted(short, key=lambda c: len(c.literals)):
+        for index in sorted(range(len(short)), key=lambda i: len(short[i].lits)):
             if budget <= 0:
                 break
-            if id(clause) in removed:
+            if removed[index]:
                 continue
-            lits = clause.literals
-            signature = signatures[id(clause)]
-            pivot = min(lits, key=lambda l: len(occurrences.get(l, ())))
-            for other in occurrences.get(pivot, ()):
+            lits = short[index].lits
+            lit_set = lit_sets[index]
+            signature = signatures[index]
+            pivot = min(lits, key=lambda code: len(occurrences[code]))
+            for other in occurrences[pivot]:
                 if budget <= 0:
                     break
-                if other is clause or id(other) in removed:
+                if other == index or removed[other]:
                     continue
-                if len(other.literals) < len(lits):
+                if len(short[other].lits) < len(lits):
                     continue
-                if signature & ~signatures[id(other)]:
+                if signature & ~signatures[other]:
                     continue
                 budget -= 1
-                if subset(lits, other.literals):
-                    removed.add(id(other))
-                    self.stats.subsumed += 1
-            for lit in lits:
+                if lit_set <= lit_sets[other]:
+                    removed[other] = True
+                    stats.subsumed += 1
+            for code in lits:
                 if budget <= 0:
                     break
-                rest = [l for l in lits if l != lit]
-                for other in occurrences.get(-lit, ()):
+                negated = code ^ 1
+                rest = lit_set - {code}
+                for other in occurrences.get(negated, ()):
                     if budget <= 0:
                         break
-                    if other is clause or id(other) in removed:
+                    if other == index or removed[other]:
                         continue
-                    if len(other.literals) < len(lits):
+                    other_lits = short[other].lits
+                    if len(other_lits) < len(lits):
                         continue
-                    if signature & ~signatures[id(other)]:
+                    if signature & ~signatures[other]:
                         continue
                     budget -= 1
-                    if -lit in other.literals and subset(rest, other.literals):
-                        other.literals.remove(-lit)
-                        self.stats.strengthened += 1
+                    other_set = lit_sets[other]
+                    if negated in other_set and rest <= other_set:
+                        other_lits.remove(negated)
+                        other_set.discard(negated)
+                        stats.strengthened += 1
                         changed = True
-                        if len(other.literals) == 1:
-                            self._pending_units.append(other.literals[0])
-                            removed.add(id(other))
-        if removed or changed:
-            self._clauses = [
-                clause for clause in self._clauses if id(clause) not in removed
-            ]
+                        if len(other_lits) == 1:
+                            self._pending_units.append(other_lits[0])
+                            removed[other] = True
+        if changed or any(removed):
+            gone = {clause for clause, dead in zip(short, removed) if dead}
+            self._clauses = [clause for clause in self._clauses if clause not in gone]
             self._rebuild_watches()
         self._flush_pending_units()
         if self._ok and self._propagate() is not None:
@@ -508,25 +579,25 @@ class SatSolver:
             return budget
         occurrences: dict[int, list[_Clause]] = {}
         for clause in self._clauses:
-            for lit in clause.literals:
-                occurrences.setdefault(lit, []).append(clause)
-        removed: set[int] = set()
+            for code in clause.lits:
+                occurrences.setdefault(code, []).append(clause)
+        removed: set[_Clause] = set()
         for clause in self._clauses:
             if budget <= 0:
                 break
-            if clause.learned or len(clause.literals) > self._SUBSUME_MAX_LEN:
+            if clause.learned or len(clause.lits) > self._SUBSUME_MAX_LEN:
                 continue
-            if id(clause) in removed:
+            if clause in removed:
                 continue
-            for lit in clause.literals:
+            for code in clause.lits:
                 blocked = True
-                for other in occurrences.get(-lit, ()):
-                    if other is clause or id(other) in removed:
+                for other in occurrences.get(code ^ 1, ()):
+                    if other is clause or other in removed:
                         continue
                     budget -= 1
-                    other_set = set(other.literals)
+                    other_set = set(other.lits)
                     if not any(
-                        k != lit and -k in other_set for k in clause.literals
+                        k != code and k ^ 1 in other_set for k in clause.lits
                     ):
                         blocked = False
                         break
@@ -536,8 +607,8 @@ class SatSolver:
                         blocked = False
                         break
                 if blocked:
-                    removed.add(id(clause))
-                    self._elim_stack.append((lit, list(clause.literals)))
+                    removed.add(clause)
+                    self._elim_stack.append((code, list(clause.lits)))
                     self.stats.clauses_blocked += 1
                     self._sealed = True
                     break
@@ -545,7 +616,7 @@ class SatSolver:
                     break
         if removed:
             self._clauses = [
-                clause for clause in self._clauses if id(clause) not in removed
+                clause for clause in self._clauses if clause not in removed
             ]
             self._rebuild_watches()
         return budget
@@ -571,29 +642,30 @@ class SatSolver:
         for clause in self._clauses:
             if clause.learned:
                 continue
-            for lit in clause.literals:
-                occurrences.setdefault(lit, []).append(clause)
-        removed: set[int] = set()
+            for code in clause.lits:
+                occurrences.setdefault(code, []).append(clause)
+        removed: set[_Clause] = set()
         fresh: list[_Clause] = []
         eliminated: set[int] = set()
         #: variables pinned by a unit resolvent: the unit lives in
         #: ``_pending_units`` where the occurrence structure cannot see
         #: it, so the variable must not be eliminated afterwards.
         frozen: set[int] = set()
+        values = self._values
         for var in range(1, self._num_vars + 1):
             if budget <= 0:
                 break
-            if self._assign[var] != UNASSIGNED or var in frozen:
+            if values[var << 1] != UNASSIGNED or var in frozen:
                 continue
-            pos = [c for c in occurrences.get(var, ()) if id(c) not in removed]
-            neg = [c for c in occurrences.get(-var, ()) if id(c) not in removed]
+            positive = var << 1
+            negative = positive | 1
+            pos = [c for c in occurrences.get(positive, ()) if c not in removed]
+            neg = [c for c in occurrences.get(negative, ()) if c not in removed]
             if not pos or not neg:
                 continue
             if len(pos) * len(neg) > self._ELIM_MAX_RESOLUTIONS:
                 continue
-            if any(
-                len(c.literals) > self._SUBSUME_MAX_LEN for c in pos + neg
-            ):
+            if any(len(c.lits) > self._SUBSUME_MAX_LEN for c in pos + neg):
                 continue
             resolvents: list[list[int]] = []
             abort = False
@@ -603,7 +675,7 @@ class SatSolver:
                     if budget < 0:
                         abort = True
                         break
-                    resolvent = self._resolve(p.literals, n.literals, var)
+                    resolvent = self._resolve(p.lits, n.lits, positive)
                     if resolvent is None:
                         continue
                     resolvents.append(resolvent)
@@ -615,23 +687,23 @@ class SatSolver:
             if abort:
                 continue
             for clause in pos:
-                self._elim_stack.append((var, list(clause.literals)))
-                removed.add(id(clause))
+                self._elim_stack.append((positive, list(clause.lits)))
+                removed.add(clause)
             for clause in neg:
-                self._elim_stack.append((-var, list(clause.literals)))
-                removed.add(id(clause))
-            for literals in resolvents:
-                if not literals:
+                self._elim_stack.append((negative, list(clause.lits)))
+                removed.add(clause)
+            for lits in resolvents:
+                if not lits:
                     self._ok = False
                     break
-                if len(literals) == 1:
-                    self._pending_units.append(literals[0])
-                    frozen.add(abs(literals[0]))
+                if len(lits) == 1:
+                    self._pending_units.append(lits[0])
+                    frozen.add(lits[0] >> 1)
                     continue
-                clause = _Clause(literals)
+                clause = _Clause(lits)
                 fresh.append(clause)
-                for lit in literals:
-                    occurrences.setdefault(lit, []).append(clause)
+                for code in lits:
+                    occurrences.setdefault(code, []).append(clause)
             eliminated.add(var)
             self.stats.vars_eliminated += 1
             self._sealed = True
@@ -642,15 +714,13 @@ class SatSolver:
         kept = [
             clause
             for clause in self._clauses
-            if id(clause) not in removed
+            if clause not in removed
             and not (
                 clause.learned
-                and any(abs(lit) in eliminated for lit in clause.literals)
+                and any(code >> 1 in eliminated for code in clause.lits)
             )
         ]
-        kept.extend(
-            clause for clause in fresh if id(clause) not in removed
-        )
+        kept.extend(clause for clause in fresh if clause not in removed)
         self._clauses = kept
         self._rebuild_watches()
         if not self._ok:
@@ -662,27 +732,29 @@ class SatSolver:
 
     @staticmethod
     def _resolve(
-        plits: list[int], nlits: list[int], var: int
+        plits: list[int], nlits: list[int], positive: int
     ) -> list[int] | None:
-        """Resolvent of two clauses on ``var``; None when tautological."""
+        """Resolvent of two clauses on the variable whose positive code is
+        ``positive``; None when tautological."""
+        negative = positive | 1
         seen: set[int] = set()
         out: list[int] = []
-        for lit in plits:
-            if lit == var:
+        for code in plits:
+            if code == positive:
                 continue
-            if -lit in seen:
+            if code ^ 1 in seen:
                 return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        for lit in nlits:
-            if lit == -var:
+            if code not in seen:
+                seen.add(code)
+                out.append(code)
+        for code in nlits:
+            if code == negative:
                 continue
-            if -lit in seen:
+            if code ^ 1 in seen:
                 return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
+            if code not in seen:
+                seen.add(code)
+                out.append(code)
         return out
 
     def _extend_model(self) -> None:
@@ -695,11 +767,12 @@ class SatSolver:
         satisfied, so at most one polarity group of an eliminated variable
         can be in need).
         """
-        for lit, literals in reversed(self._elim_stack):
-            if any(self._value(other) == TRUE for other in literals):
+        values = self._values
+        for witness, lits in reversed(self._elim_stack):
+            if any(values[code] == TRUE for code in lits):
                 continue
-            var = abs(lit)
-            self._assign[var] = TRUE if lit > 0 else FALSE
+            values[witness] = TRUE
+            values[witness ^ 1] = FALSE
 
     def _probe_failed_literals(self, budget: int) -> None:
         """Probe high-activity variables for failed literals.
@@ -709,29 +782,31 @@ class SatSolver:
         """
         if budget <= 0 or not self._ok:
             return
+        activity = self._activity
+        values = self._values
         candidates = sorted(
             range(1, self._num_vars + 1),
-            key=lambda var: (-self._activity[var], var),
+            key=lambda var: (-activity[var], var),
         )[:64]
         for var in candidates:
             if budget <= 0 or not self._ok:
                 return
-            if self._assign[var] != UNASSIGNED:
+            if values[var << 1] != UNASSIGNED:
                 continue
-            for lit in (var, -var):
+            for code in (var << 1, (var << 1) | 1):
                 if budget <= 0:
                     return
-                if self._assign[var] != UNASSIGNED:
+                if values[var << 1] != UNASSIGNED:
                     break
                 self._trail_lim.append(len(self._trail))
-                self._assign_lit(lit, None)
+                self._assign(code, None)
                 before = self.stats.propagations
                 conflict = self._propagate()
                 budget -= self.stats.propagations - before + 1
                 self._backtrack(0)
                 if conflict is not None:
                     self.stats.probe_failed += 1
-                    if not self._enqueue_root(-lit):
+                    if not self._enqueue_root(code ^ 1):
                         self._ok = False
                         return
                     if self._propagate() is not None:
@@ -740,143 +815,195 @@ class SatSolver:
 
     def _flush_pending_units(self) -> None:
         while self._pending_units:
-            lit = self._pending_units.pop()
-            if not self._enqueue_root(lit):
+            code = self._pending_units.pop()
+            if not self._enqueue_root(code):
                 self._ok = False
                 return
 
-    def _enqueue_root(self, lit: int) -> bool:
+    def _enqueue_root(self, code: int) -> bool:
         """Assert a unit clause at decision level 0."""
-        value = self._value(lit)
+        value = self._values[code]
         if value == TRUE:
             return True
         if value == FALSE:
             return False
-        self._assign_lit(lit, None)
+        self._assign(code, None)
         return True
 
     # -- assignment primitives ------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        if value == UNASSIGNED:
-            return UNASSIGNED
-        return value if lit > 0 else -value
-
-    def _assign_lit(self, lit: int, reason: _Clause | None) -> None:
-        var = abs(lit)
-        self._assign[var] = TRUE if lit > 0 else FALSE
+    def _assign(self, code: int, reason: _Clause | None) -> None:
+        var = code >> 1
+        values = self._values
+        values[code] = TRUE
+        values[code ^ 1] = FALSE
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._polarity[var] = lit > 0
-        self._trail.append(lit)
-
-    def _watch(self, clause: _Clause, lit: int) -> None:
-        self._watches.setdefault(-lit, []).append(clause)
+        self._phase[var] = code & 1
+        self._trail.append(code)
 
     # -- propagation ------------------------------------------------------------
 
     def _propagate(self) -> _Clause | None:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._prop_head < len(self._trail):
-            lit = self._trail[self._prop_head]
-            self._prop_head += 1
-            self.stats.propagations += 1
-            watchers = self._watches.get(lit)
+        trail = self._trail
+        head = self._prop_head
+        if head == len(trail):
+            return None
+        start = head
+        watches = self._watches
+        values = self._values
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        depth = len(self._trail_lim)
+        conflict: _Clause | None = None
+        while head < len(trail):
+            code = trail[head]
+            head += 1
+            watchers = watches[code]
             if not watchers:
                 continue
+            false_code = code ^ 1
             kept: list[_Clause] = []
-            conflict: _Clause | None = None
             index = 0
             total = len(watchers)
             while index < total:
                 clause = watchers[index]
                 index += 1
-                lits = clause.literals
+                lits = clause.lits
                 # Ensure the falsified literal is at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == TRUE:
+                if first == false_code:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_code
+                value = values[first]
+                if value == TRUE:
                     kept.append(clause)
                     continue
                 # Search a new literal to watch.
-                moved = False
                 for slot in range(2, len(lits)):
-                    if self._value(lits[slot]) != FALSE:
-                        lits[1], lits[slot] = lits[slot], lits[1]
-                        self._watch(clause, lits[1])
-                        moved = True
+                    other = lits[slot]
+                    if values[other] != FALSE:
+                        lits[1] = other
+                        lits[slot] = false_code
+                        watches[other ^ 1].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._value(first) == FALSE:
-                    conflict = clause
-                    kept.extend(watchers[index:total])
-                    break
-                self._assign_lit(first, clause)
-            self._watches[lit] = kept
+                else:
+                    kept.append(clause)
+                    if value == FALSE:
+                        conflict = clause
+                        kept.extend(watchers[index:total])
+                        break
+                    var = first >> 1
+                    values[first] = TRUE
+                    values[first ^ 1] = FALSE
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = first & 1
+                    trail.append(first)
+            watches[code] = kept
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.stats.propagations += head - start
+        self._prop_head = head
+        return conflict
 
     # -- conflict analysis --------------------------------------------------------
 
+    def _rescale_activity(self) -> None:
+        """Scale every activity down by 1e-100 and rebuild the heap with
+        one entry per unassigned variable (every old entry is stale)."""
+        activity = self._activity
+        for var in range(1, self._num_vars + 1):
+            activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        values = self._values
+        queued = self._queued
+        heap: list[tuple[float, int]] = []
+        for var in range(1, self._num_vars + 1):
+            free = values[var << 1] == UNASSIGNED
+            queued[var] = free
+            if free:
+                heap.append((-activity[var], var))
+        heapq.heapify(heap)
+        self._heap = heap
+
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[var], var))
+        """Raise an assigned variable's activity.  Its heap entry goes stale;
+        the variable is queued again when backtracking unassigns it."""
+        activity = self._activity
+        activity[var] += self._var_inc
+        self._queued[var] = False
+        if activity[var] > 1e100:
+            self._rescale_activity()
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         """First-UIP analysis: learned clause + backjump level."""
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        seen = self._seen
+        activity = self._activity
+        queued = self._queued
+        var_inc = self._var_inc
         current_level = len(self._trail_lim)
         learned: list[int] = [0]  # slot 0 holds the asserting literal
-        seen: set[int] = set()
         counter = 0
-        lit = 0
-        reason: _Clause | None = conflict
-        trail_index = len(self._trail) - 1
+        # The trail literal being resolved; the reason clause that
+        # propagated it contains it, and it is skipped there.
+        code = _NO_LITERAL
+        clause: _Clause | None = conflict
+        index = len(trail) - 1
         while True:
-            assert reason is not None, "conflict analysis reached a decision"
-            for other in reason.literals:
-                # Skip the literal this reason clause propagated (it is the
-                # negation of `lit`, i.e. the trail literal being resolved).
-                if other == -lit:
+            assert clause is not None, "conflict analysis reached a decision"
+            for other in clause.lits:
+                if other == code:
                     continue
-                var = abs(other)
-                if var in seen or self._level[var] == 0:
+                var = other >> 1
+                if seen[var]:
                     continue
-                seen.add(var)
-                self._bump_var(var)
-                if self._level[var] == current_level:
+                var_level = level[var]
+                if var_level == 0:
+                    continue
+                seen[var] = True
+                # _bump_var inlined: every variable here is assigned.
+                activity[var] += var_inc
+                queued[var] = False
+                if activity[var] > 1e100:
+                    self._rescale_activity()
+                    var_inc = self._var_inc
+                if var_level == current_level:
                     counter += 1
                 else:
                     learned.append(other)
             # Find the next seen literal on the trail.
-            while abs(self._trail[trail_index]) not in seen:
-                trail_index -= 1
-            lit = -self._trail[trail_index]
-            var = abs(lit)
-            seen.discard(var)
-            trail_index -= 1
+            while not seen[trail[index] >> 1]:
+                index -= 1
+            code = trail[index]
+            var = code >> 1
+            seen[var] = False
+            index -= 1
             counter -= 1
             if counter == 0:
-                learned[0] = lit
+                learned[0] = code ^ 1
                 break
-            reason = self._reason[var]
+            clause = reason[var]
+        for other in learned[1:]:
+            seen[other >> 1] = False
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest level in the learned clause.
         best = 1
+        best_level = level[learned[1] >> 1]
         for slot in range(2, len(learned)):
-            if self._level[abs(learned[slot])] > self._level[abs(learned[best])]:
+            slot_level = level[learned[slot] >> 1]
+            if slot_level > best_level:
                 best = slot
+                best_level = slot_level
         learned[1], learned[best] = learned[best], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, best_level
 
     def _analyze_prefix(self, conflict: _Clause, assumed: set[int]) -> list[int]:
         """Resolve a prefix conflict into a learnable clause.
@@ -888,25 +1015,28 @@ class SatSolver:
         negated, as clause literals; parked units are dropped — they are
         implied by the clause database, so resolving them away keeps the
         result database-implied and valid under any later assumptions.
+        ``assumed`` holds the assumptions' codes.
         """
-        seen = {
-            abs(lit) for lit in conflict.literals if self._level[abs(lit)] > 0
-        }
+        level = self._level
+        reason = self._reason
+        seen = {code >> 1 for code in conflict.lits if level[code >> 1] > 0}
         learned: list[int] = []
-        for trail_lit in reversed(self._trail):
-            var = abs(trail_lit)
+        for code in reversed(self._trail):
+            if not seen:
+                break
+            var = code >> 1
             if var not in seen:
                 continue
             seen.discard(var)
             self._bump_var(var)
-            reason = self._reason[var]
-            if reason is None:
-                if trail_lit in assumed:
-                    learned.append(-trail_lit)
+            clause = reason[var]
+            if clause is None:
+                if code in assumed:
+                    learned.append(code ^ 1)
                 continue
-            for other in reason.literals:
-                if other != trail_lit and self._level[abs(other)] > 0:
-                    seen.add(abs(other))
+            for other in clause.lits:
+                if other != code and level[other >> 1] > 0:
+                    seen.add(other >> 1)
         return learned
 
     def _analyze_final(self, conflict: _Clause, assumed: set[int]) -> list[int]:
@@ -917,64 +1047,86 @@ class SatSolver:
         assumptions are root-implied learned units parked at an assumption
         level — implied by the clause database alone, hence not in the core.
         """
-        seeds = [abs(lit) for lit in conflict.literals if self._level[abs(lit)] > 0]
+        level = self._level
+        seeds = [code >> 1 for code in conflict.lits if level[code >> 1] > 0]
         return self._trace_core(seeds, assumed)
 
-    def _analyze_final_lit(self, lit: int, assumed: set[int]) -> list[int]:
+    def _analyze_final_lit(self, code: int, assumed: set[int]) -> list[int]:
         """Core for an assumption whose negation is already on the trail."""
-        core = [lit] if lit in assumed else []
-        if self._level[abs(lit)] == 0:
+        core = [_dimacs(code)] if code in assumed else []
+        if self._level[code >> 1] == 0:
             return core
-        return core + self._trace_core([abs(lit)], assumed)
+        return core + self._trace_core([code >> 1], assumed)
 
     def _trace_core(self, seeds: list[int], assumed: set[int]) -> list[int]:
+        """The assumptions (DIMACS, in assumption order) the seed
+        variables' assignments depend on."""
+        level = self._level
+        reason = self._reason
         seen = set(seeds)
         core: list[int] = []
-        for trail_lit in reversed(self._trail):
-            var = abs(trail_lit)
+        for code in reversed(self._trail):
+            if not seen:
+                break
+            var = code >> 1
             if var not in seen:
                 continue
             seen.discard(var)
-            reason = self._reason[var]
-            if reason is None:
-                if trail_lit in assumed:
-                    core.append(trail_lit)
+            clause = reason[var]
+            if clause is None:
+                if code in assumed:
+                    core.append(_dimacs(code))
                 continue
-            for other in reason.literals:
-                if other != trail_lit and self._level[abs(other)] > 0:
-                    seen.add(abs(other))
+            for other in clause.lits:
+                if other != code and level[other >> 1] > 0:
+                    seen.add(other >> 1)
         core.reverse()  # assumption order, for deterministic reporting
         return core
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for lit in reversed(self._trail[boundary:]):
-            var = abs(lit)
-            self._assign[var] = UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._prop_head = len(self._trail)
+        trail = self._trail
+        boundary = trail_lim[level]
+        values = self._values
+        queued = self._queued
+        activity = self._activity
+        heap = self._heap
+        for code in trail[boundary:]:
+            values[code] = UNASSIGNED
+            values[code ^ 1] = UNASSIGNED
+            var = code >> 1
+            if not queued[var]:
+                queued[var] = True
+                heapq.heappush(heap, (-activity[var], var))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._prop_head = len(trail)
 
     # -- branching ------------------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        while self._heap:
-            neg_activity, var = heapq.heappop(self._heap)
-            if self._assign[var] != UNASSIGNED:
+        """The unassigned variable of highest activity (ties: the smallest
+        variable) in its saved phase, or _NO_LITERAL when all are assigned.
+
+        Every unassigned variable is queued at its current activity, so
+        the first popped entry that is current and unassigned is the
+        maximum.
+        """
+        heap = self._heap
+        activity = self._activity
+        values = self._values
+        queued = self._queued
+        while heap:
+            neg_activity, var = heapq.heappop(heap)
+            if -neg_activity != activity[var]:
+                continue  # stale: a current entry exists if one is needed
+            queued[var] = False
+            if values[var << 1] != UNASSIGNED:
                 continue
-            if -neg_activity != self._activity[var]:
-                # Stale entry; re-push with the fresh activity.
-                heapq.heappush(self._heap, (-self._activity[var], var))
-                continue
-            return var if self._polarity[var] else -var
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == UNASSIGNED:
-                return var if self._polarity[var] else -var
-        return 0
+            return (var << 1) | self._phase[var]
+        return _NO_LITERAL
 
     # -- main loop -------------------------------------------------------------------
 
@@ -999,10 +1151,12 @@ class SatSolver:
         refutation used (empty when the clause set alone is unsatisfiable);
         on SAT/UNKNOWN it is None.
         """
-        self.stats.solve_calls += 1
+        stats = self.stats
+        stats.solve_calls += 1
         self.core = None
-        assumptions = assumptions or []
-        assumed = set(assumptions)
+        codes = [_code(lit) for lit in assumptions or ()]
+        assumed = set(codes)
+        prefix = len(codes)
         if not self._ok:
             self.core = []
             return SatResult.UNSAT
@@ -1016,6 +1170,9 @@ class SatSolver:
             self._ok = False
             self.core = []
             return SatResult.UNSAT
+        values = self._values
+        trail = self._trail
+        trail_lim = self._trail_lim
         budget_left = conflict_budget
         restart_index = 0
         restart_limit = self._restart_limit(restart_index)
@@ -1023,17 +1180,17 @@ class SatSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_since_restart += 1
                 if budget_left is not None:
                     budget_left -= 1
                     if budget_left <= 0:
                         self._backtrack(0)
                         return SatResult.UNKNOWN
-                if len(self._trail_lim) == 0:
+                if not trail_lim:
                     self.core = []
                     return SatResult.UNSAT
-                if len(self._trail_lim) <= len(assumptions):
+                if len(trail_lim) <= prefix:
                     # Conflict inside the assumption prefix: the clause set
                     # refutes a subset of the assumptions.  Learn a clause
                     # anyway — the prefix analysis resolves the conflict
@@ -1049,72 +1206,68 @@ class SatSolver:
                     self._backtrack(0)
                     return SatResult.UNSAT
                 learned, backjump = self._analyze(conflict)
-                backjump = max(backjump, len(assumptions))
-                self._backtrack(backjump)
+                self._backtrack(max(backjump, prefix))
                 if len(learned) == 1:
                     # A unit learned clause is implied by the clause database
                     # alone (assumption literals would have survived the
                     # resolution).  When the trail is inside the assumption
                     # prefix the unit is parked so it is re-asserted at the
                     # next root visit and survives into later solve calls.
-                    lit = learned[0]
-                    if self._trail_lim:
-                        self._pending_units.append(lit)
-                    value = self._value(lit)
+                    code = learned[0]
+                    if trail_lim:
+                        self._pending_units.append(code)
+                    value = values[code]
                     if value == FALSE:
-                        self.core = self._analyze_final_lit(lit, assumed)
+                        self.core = self._analyze_final_lit(code, assumed)
                         self._backtrack(0)
                         return SatResult.UNSAT
                     if value == UNASSIGNED:
-                        self._assign_lit(lit, None)
+                        self._assign(code, None)
                 else:
                     clause = self._store_learned(learned)
-                    assert clause is not None
-                    self._assign_lit(learned[0], clause)
+                    self._assign(learned[0], clause)
                 self._var_inc /= self._var_decay
                 continue
-            if conflicts_since_restart >= restart_limit and len(
-                self._trail_lim
-            ) > len(assumptions):
-                self.stats.restarts += 1
+            if conflicts_since_restart >= restart_limit and len(trail_lim) > prefix:
+                stats.restarts += 1
                 restart_index += 1
                 restart_limit = self._restart_limit(restart_index)
                 conflicts_since_restart = 0
-                self._backtrack(len(assumptions))
+                self._backtrack(prefix)
                 continue
             # Apply pending assumptions as decisions.
-            depth = len(self._trail_lim)
-            if depth < len(assumptions):
-                lit = assumptions[depth]
-                value = self._value(lit)
+            depth = len(trail_lim)
+            if depth < prefix:
+                code = codes[depth]
+                value = values[code]
                 if value == FALSE:
                     # An earlier assignment (root fact, or a consequence of
                     # the assumptions already applied) falsifies this
                     # assumption: its negation's derivation is the core.
-                    self.core = self._analyze_final_lit(lit, assumed)
+                    self.core = self._analyze_final_lit(code, assumed)
                     self._backtrack(0)
                     return SatResult.UNSAT
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 if value == UNASSIGNED:
-                    self._assign_lit(lit, None)
+                    self._assign(code, None)
                 continue
             branch = self._pick_branch()
-            if branch == 0:
+            if branch == _NO_LITERAL:
                 if self._elim_stack:
                     self._extend_model()
                 return SatResult.SAT
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            self._assign_lit(branch, None)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            self._assign(branch, None)
 
     # -- models ------------------------------------------------------------------------
 
     def model_value(self, var: int) -> bool:
         """Value of a variable in the satisfying assignment (after SAT)."""
-        value = self._assign[var]
-        return value == TRUE
+        return self._values[var << 1] == TRUE
 
     def model(self) -> dict[int, bool]:
+        values = self._values
         return {
-            var: self._assign[var] == TRUE for var in range(1, self._num_vars + 1)
+            var: values[var << 1] == TRUE for var in range(1, self._num_vars + 1)
         }

@@ -337,6 +337,10 @@ def _comparison_lemmas(goal: Term) -> Term:
     thousands of conflicts.  Injecting the (valid) trichotomy clauses over
     the atoms that already occur makes such queries propositionally easy;
     the bit-level encoding still guarantees soundness.
+
+    Lemmas are emitted in operand-serial order: term hashes mix in sort
+    identities (memory addresses), so hash order would change the CNF,
+    and with it the search, from one interpreter to the next.
     """
     atoms: set[Term] = set()
     seen: set[Term] = set()
@@ -349,20 +353,19 @@ def _comparison_lemmas(goal: Term) -> Term:
         if node.op in ("slt", "ult"):
             atoms.add(node)
         stack.extend(node.args)
-    pairs: set[frozenset[Term]] = set()
-    signedness: dict[frozenset[Term], set[str]] = {}
+    signedness: dict[tuple[Term, Term], set[str]] = {}
     for atom in atoms:
         lhs, rhs = atom.args
-        key = frozenset((lhs, rhs))
-        if len(key) < 2:
+        if lhs is rhs:
             continue
-        pairs.add(key)
-        signedness.setdefault(key, set()).add(atom.op)
+        pair = (lhs, rhs) if lhs.serial < rhs.serial else (rhs, lhs)
+        signedness.setdefault(pair, set()).add(atom.op)
     lemmas: list[Term] = []
-    for key in pairs:
-        x, y = sorted(key, key=lambda term: term.serial)
+    for x, y in sorted(
+        signedness, key=lambda pair: (pair[0].serial, pair[1].serial)
+    ):
         equal = t.eq(x, y)
-        for op in signedness[key]:
+        for op in sorted(signedness[(x, y)]):
             builder = t.slt if op == "slt" else t.ult
             forward = builder(x, y)
             backward = builder(y, x)

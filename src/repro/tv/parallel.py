@@ -358,7 +358,10 @@ def run_batch_parallel(
                         message = worker.conn.recv()
                     except (EOFError, OSError):
                         # The worker died mid-task (crash, OOM-kill, ...).
+                        # The pipe closes before the process is reaped.
+                        worker.process.join(timeout=1.0)
                         exitcode = worker.process.exitcode
+                        worker.kill()
                         outcomes[task.index] = TvOutcome(
                             task.name,
                             Category.OTHER,

@@ -170,7 +170,7 @@ class TestEliminationInprocessing:
 
     def _fresh(self, nvars, clauses):
         solver = SatSolver()
-        while solver._num_vars < nvars:
+        while solver.num_vars < nvars:
             solver.new_var()
         for clause in clauses:
             solver.add_clause(list(clause))

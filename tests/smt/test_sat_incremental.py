@@ -194,9 +194,9 @@ class TestPrefixConflictLearning:
         solver.add_clause([-a, -c, -d])
         assert solver.solve(assumptions=[a, b]) is SatResult.UNSAT
         assert solver.stats.decisions == 0
-        learned = [cl for cl in solver._clauses if cl.learned]
+        learned = solver.learned_clauses()
         assert len(learned) == 1  # the assumption-core clause (-a or -b)
-        assert set(learned[0].literals) == {-a, -b}
+        assert set(learned[0]) == {-a, -b}
         # The learned clause is DB-implied: dropping either assumption
         # must still be SAT, and re-running the hostile set stays UNSAT.
         assert solver.solve(assumptions=[a, b]) is SatResult.UNSAT
@@ -216,9 +216,7 @@ class TestPrefixConflictLearning:
         # reason-less root unit entirely (it is DB-implied), leaving the
         # unit clause (-b) — parked, then asserted at the next root visit.
         assert all(
-            set(cl.literals) <= {-a, -b}
-            for cl in solver._clauses
-            if cl.learned
+            set(clause) <= {-a, -b} for clause in solver.learned_clauses()
         )
         assert solver.solve(assumptions=[a]) is SatResult.SAT
         assert solver.model_value(b) is False  # the parked unit stuck

@@ -1,9 +1,15 @@
 """Regression tests for solver/cache bugs found by inspection (ISSUE 2).
 
-Each test documents a bug that the differential fuzzing harness
-(:mod:`repro.fuzz`) now guards against systematically; all three failed
-before their fixes.
+Each test documents a bug and failed before its fix.  The differential
+fuzzing harness (:mod:`repro.fuzz`) now guards the cache and model bugs
+systematically; the lemma-order test guards determinism across
+interpreters, which no fuzz oracle observes.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -142,6 +148,75 @@ class TestStoreRefreshesRecency:
         cache.store(goal, Result.SAT, 2)
         cache.store(goal, Result.SAT, 900)
         assert cache.lookup(goal, 2) is Result.SAT
+
+
+class TestLemmaOrderIsInterpreterIndependent:
+    """Comparison lemmas used to be emitted in hash order.  Term hashes mix
+    in sort identities (memory addresses) and string hashes, so the CNF,
+    and with it every SAT counter, changed from one interpreter to the
+    next even for the same query."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import hashlib
+        from repro.smt import Solver, t
+        from repro.smt.sat import SatSolver
+
+        clauses = []
+        add_clause = SatSolver.add_clause
+
+        def recording(self, literals):
+            clauses.append(tuple(literals))
+            return add_clause(self, literals)
+
+        SatSolver.add_clause = recording
+
+        def shift_add(x, factor, width):
+            acc, bit = t.bv_const(0, width), 0
+            while factor:
+                if factor & 1:
+                    acc = t.add(acc, t.shl(x, t.bv_const(bit, width)))
+                factor >>= 1
+                bit += 1
+            return acc
+
+        # x*c and its shift-add form are equal, so no y fits strictly
+        # between them: UNSAT, but only through the bit-level circuits.
+        x, y = t.bv_var("x", 6), t.bv_var("y", 6)
+        sandwiches = []
+        for factor in (0x2D, 0x1B, 0x35):
+            product = t.mul(x, t.bv_const(factor, 6))
+            expanded = shift_add(x, factor, 6)
+            sandwiches.append(t.and_(t.slt(product, y), t.slt(y, expanded)))
+            sandwiches.append(t.and_(t.ult(expanded, y), t.ult(y, product)))
+        solver = Solver()
+        result = solver.check_sat(t.or_(*sandwiches))
+        stats = solver.stats
+        digest = hashlib.sha256(repr(clauses).encode()).hexdigest()
+        print(result, stats.conflicts, stats.decisions, stats.propagations, digest)
+        """
+    )
+
+    def _run(self, hash_seed: str) -> str:
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(
+            os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED=hash_seed
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_same_cnf_and_counters_under_different_hash_seeds(self):
+        first = self._run("1")
+        second = self._run("2")
+        assert first.startswith("Result.UNSAT"), first
+        assert first == second
 
 
 if __name__ == "__main__":

@@ -201,6 +201,8 @@ class TestHardKill:
         by_name = {o.function: o for o in result.outcomes}
         assert by_name["die_hard"].category == Category.OTHER
         assert "worker process died" in by_name["die_hard"].detail
+        # The worker is reaped before its exit status is read.
+        assert "exitcode=17" in by_name["die_hard"].detail
         assert by_name["ok_one"].category == Category.SUCCEEDED
         assert by_name["ok_two"].category == Category.SUCCEEDED
 
