@@ -9,8 +9,12 @@ with asserts, per the reproduction contract.
 
 import json
 import os
+import platform
+import subprocess
 
 import pytest
+
+from repro.util import available_cpus
 
 #: Records accumulated by the ``bench_json`` fixture, flushed to
 #: ``BENCH_<name>.json`` files in the repo root at session end so CI and
@@ -29,12 +33,32 @@ def bench_json():
     return record
 
 
+def _git_sha(root: str) -> str:
+    """The checked-out commit, or ``"none"`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "none"
+
+
 def pytest_sessionfinish(session, exitstatus):
+    """Write every record, stamped with the machine and the commit."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    stamp = {
+        "cores": available_cpus(),
+        "python": platform.python_version(),
+        "git_sha": _git_sha(root),
+    }
     for name, payload in _BENCH_RECORDS.items():
         path = os.path.join(root, f"BENCH_{name}.json")
         with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump({**payload, **stamp}, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 

@@ -20,7 +20,6 @@ scale and varies per box.  What is asserted is the contract: identical
 function tables in every mode and a clean recovery.
 """
 
-import os
 import time
 
 import pytest
@@ -35,6 +34,7 @@ from repro.campaign import (
 from repro.campaign.hooks import KILL_DIR_ENV, KILL_ONCE_ENV, sigkill_injector
 from repro.tv.batch import run_corpus
 from repro.tv.driver import TvOptions
+from repro.util import available_cpus
 from repro.workloads import gcc_like_corpus
 
 SCALE = 24
@@ -78,7 +78,7 @@ def test_bench_campaign_overhead(tmp_path_factory, bench_json):
     assert report.complete
     assert _table(report.batch) == sorted(_table(plain))
 
-    cores = os.cpu_count() or 1
+    cores = available_cpus()
     print(f"\ndurable campaign overhead (scale {SCALE}, {cores} cores):")
     print(f"  run_corpus pool: {t_plain:.2f}s")
     print(
@@ -90,7 +90,6 @@ def test_bench_campaign_overhead(tmp_path_factory, bench_json):
         "campaign",
         {
             "scale": SCALE,
-            "cores": cores,
             "jobs": JOBS,
             "functions": len(report.batch.outcomes),
             "dedup_classes": report.batch.dedup_classes,

@@ -170,7 +170,7 @@ def test_bench_keq_incremental_end_to_end(bench_json):
         base,
         isel=dataclasses.replace(base.isel, mul_decompose=True),
         keq=dataclasses.replace(
-            base.keq, incremental_solving=True, session_scope="function"
+            base.keq, incremental_solving=True
         ),
     )
     disabled = dataclasses.replace(

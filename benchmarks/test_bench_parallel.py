@@ -15,12 +15,12 @@ overhead.  What is asserted is the correctness contract: every mode
 produces outcome-identical results, and the warm cache actually hits.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.tv.batch import run_corpus
+from repro.util import available_cpus
 from repro.workloads import gcc_like_corpus
 
 SCALE = 24
@@ -50,7 +50,7 @@ def test_bench_parallel_wall_time(corpus, bench_json):
     assert _keys(jobs2) == _keys(sequential)
     assert _keys(jobs4) == _keys(sequential)
 
-    cores = os.cpu_count() or 1
+    cores = available_cpus()
     print(f"\ncampaign wall time (scale {SCALE}, {cores} cores):")
     print(f"  sequential: {t_seq:.2f}s")
     print(f"  jobs=2:     {t_2:.2f}s ({t_seq / t_2:.2f}x)")
@@ -60,7 +60,6 @@ def test_bench_parallel_wall_time(corpus, bench_json):
         "parallel",
         {
             "scale": SCALE,
-            "cores": cores,
             "functions": len(sequential.outcomes),
             "wall_seconds": {
                 "sequential": round(t_seq, 3),

@@ -1,45 +1,42 @@
-"""Experiment: portfolio SAT solving on hard UNKNOWN-prone queries.
+"""Experiment: the portfolio escalation on hard UNKNOWN-prone queries.
 
-A single CDCL configuration is hostage to its tie-breaking: a validation
-query that conjoins a genuinely hard obligation with an easily refutable
-one is decided in under a hundred conflicts if the solver happens to
-look at the refutable conjunct first — and after thousands if it locks
-onto the hard one (VSIDS starts from encoding order, so the conjunct
-order of the query decides the search landscape).  The portfolio
-(:mod:`repro.smt.portfolio`) races diverse configurations — including
-one that encodes the conjunction *reversed* — and takes the first
-definitive answer, so whichever orientation is lucky wins the race.
+A single CDCL search is hostage to its tie-breaking: a validation query
+that conjoins a genuinely hard obligation with an easily refutable one is
+decided in under a hundred conflicts if the solver happens to look at the
+refutable conjunct first — and after thousands if it locks onto the hard
+one (VSIDS starts from encoding order, so the conjunct order of the query
+decides the search landscape).  The portfolio (:mod:`repro.smt.portfolio`)
+probes the baseline first and, when the probe cannot decide, races it
+against the *reversed* conjunction, taking the first definitive answer —
+so whichever orientation is lucky wins.
 
 Three experiments:
 
 - *hard-query suite*: miter conjunctions whose refutable member sits
   last in encoding order, with heads hard enough that every query
-  survives the default triage probe and escalates to the race.
-  ``--portfolio 4`` must return byte-identical verdicts at a wall-clock
-  speedup >= 1.2x (observed ~2-3x: the reversed-form member refutes in
-  its first slice while the single solver grinds the hard head; the
-  probe's spend caps the margin) with nonzero win counters.
+  survives the default triage probe and escalates.  ``--portfolio`` must
+  return byte-identical verdicts at a wall-clock speedup >= 1.2x
+  (observed ~3x: the reversed form refutes in its first slice while the
+  single solver grinds the hard head; the probe's spend caps the margin)
+  with nonzero reversed-form wins.
 - *UNKNOWN refinement*: the same shape under a starved conflict budget.
   The single solver burns the whole budget on the hard head and returns
-  UNKNOWN; the always-race portfolio decides UNSAT — strictly refining
-  the verdict — and does so faster than the single solver took to give
-  up.  The triaged portfolio spends the budget probing first, so it
-  pays more wall time, but the escalation still refines the verdict.
+  UNKNOWN; racing both runners from the first slice (``probe=0``)
+  decides UNSAT — strictly refining the verdict — and does so faster
+  than the single solver took to give up.  The triaged escalation spends
+  the budget probing first, so it pays more wall time, but it still
+  refines the verdict.
 - *end to end*: the solver-bound corpus (plus one heavy function whose
-  queries dominate the wall time) through the full validator three ways
-  — single solver, always-race (``portfolio_probe=0``), and triaged
-  (the default probe).  Verdicts and campaign summaries must be
-  byte-identical modulo timing/counter lines for both raced variants.
-  These queries are baseline-friendly, so always-racing them is pure
-  overhead (the recorded ``always_race`` wall time documents exactly
-  that); adaptive triage probes the baseline first and escalates only
-  probe-exhausted queries, and must keep the raced campaign at least as
-  fast as the single solver (``speedup >= 1.0``, asserted in CI).  The
-  parity claim is asserted twice: deterministically on solver work (the
-  probe replays the baseline's own slice schedule, so triaged conflict
-  counts match the single solver's within the ~1% slice-boundary
-  restart churn) and on wall clock quoted at the one-decimal precision
-  a busy one-core box supports.  Single and triaged passes alternate
+  queries dominate the wall time) through the full validator two ways —
+  single solver and ``--portfolio`` (the default probe).  Verdicts and
+  campaign summaries must be byte-identical modulo timing/counter lines.
+  These queries are baseline-friendly, so triage probe-decides them and
+  must keep the campaign at least as fast as the single solver
+  (``speedup >= 1.0``, asserted in CI).  The parity claim is asserted
+  twice: deterministically on solver work (the probe replays the
+  baseline's own slice schedule, so triaged conflict counts match the
+  single solver's within the ~1% slice-boundary restart churn) and on
+  wall clock quoted at one decimal.  Single and triaged passes alternate
   within each measurement round so process warm-up drift cannot favour
   either side.
 
@@ -50,15 +47,17 @@ import dataclasses
 import gc
 import time
 
-from repro.smt import DEFAULT_PROBE_CONFLICTS
+from repro.smt import run_portfolio
 from repro.smt import terms as t
+from repro.smt.portfolio import REVERSED
+from repro.smt.sat import SatResult
+from repro.smt.simplify import simplify
 from repro.smt.solver import Result, Solver
 from repro.tv import TvOptions
 from repro.tv.batch import run_corpus
 from repro.workloads import solver_bound_corpus
 from repro.workloads.corpus import FunctionSpec
 
-PORTFOLIO_WIDTH = 4
 FULL_BUDGET = 100_000
 #: starved budget for the refinement leg: far above what the reversed
 #: orientation needs (~75 conflicts) and far below the hard head.
@@ -106,19 +105,13 @@ def _hard_queries():
     ]
 
 
-def _timed_suite(
-    queries, portfolio, budget=FULL_BUDGET, probe=DEFAULT_PROBE_CONFLICTS
-):
+def _timed_suite(queries, portfolio, budget=FULL_BUDGET):
     """Best of two passes: (min wall seconds, last verdicts, last stats)."""
     best = float("inf")
     verdicts = None
     stats = None
     for _ in range(2):
-        solver = Solver(
-            conflict_budget=budget,
-            portfolio=portfolio,
-            portfolio_probe=probe,
-        )
+        solver = Solver(conflict_budget=budget, portfolio=portfolio)
         started = time.perf_counter()
         verdicts = [solver.check_sat(query) for query in queries]
         best = min(best, time.perf_counter() - started)
@@ -126,27 +119,41 @@ def _timed_suite(
     return best, verdicts, stats
 
 
+def _timed_race(query, budget):
+    """Best of two passes racing both runners from the first slice (no
+    triage probe): (min wall seconds, last outcome).  The miters carry no
+    comparison or select atoms, so their simplified form is exactly the
+    goal the solver facade would hand the escalation."""
+    goal = simplify(query)
+    best = float("inf")
+    outcome = None
+    for _ in range(2):
+        started = time.perf_counter()
+        outcome = run_portfolio(goal, budget, probe=0)
+        best = min(best, time.perf_counter() - started)
+    return best, outcome
+
+
 def test_bench_portfolio_vs_single(bench_json):
     queries = _hard_queries()
-    t_single, single, _ = _timed_suite(queries, portfolio=1)
-    t_portfolio, raced, stats = _timed_suite(queries, PORTFOLIO_WIDTH)
+    t_single, single, _ = _timed_suite(queries, portfolio=False)
+    t_portfolio, raced, stats = _timed_suite(queries, portfolio=True)
 
     # Soundness first: identical verdicts, all decided.
     assert raced == single
     assert all(verdict is Result.UNSAT for verdict in raced)
     assert stats.portfolio_queries == len(queries)
     # Every hard head survives the default probe, so every query
-    # escalates to the full race and the wins table covers them all.
+    # escalates and races the reversed form.
     assert stats.portfolio_escalations == len(queries)
     assert stats.portfolio_probe_decided == 0
-    wins = dict(stats.portfolio_wins_by_config)
-    assert sum(wins.values()) == len(queries)
-    assert wins.get("reversed-form", 0) > 0
+    wins = {REVERSED: stats.portfolio_reversed_wins}
+    assert wins[REVERSED] > 0
 
     speedup = t_single / t_portfolio
-    print(f"\nportfolio race ({len(queries)} hard-head conjunctions):")
+    print(f"\nportfolio escalation ({len(queries)} hard-head conjunctions):")
     print(f"  single:    {t_single:.3f}s")
-    print(f"  portfolio: {t_portfolio:.3f}s ({PORTFOLIO_WIDTH} members)")
+    print(f"  portfolio: {t_portfolio:.3f}s")
     print(f"  speedup:   {speedup:.2f}x  wins={wins}")
 
     # The reproduction contract: first-answer-wins beats the single
@@ -159,7 +166,6 @@ def test_bench_portfolio_vs_single(bench_json):
         {
             "hard_suite": {
                 "queries": len(queries),
-                "width": PORTFOLIO_WIDTH,
                 "wall_seconds": {
                     "single": round(t_single, 4),
                     "portfolio": round(t_portfolio, 4),
@@ -175,19 +181,18 @@ def test_bench_portfolio_vs_single(bench_json):
 def test_bench_portfolio_refines_unknown(bench_json):
     query = _hard_queries()[0]
 
-    t_single, single, _ = _timed_suite([query], 1, budget=STARVED_BUDGET)
-    t_portfolio, raced, stats = _timed_suite(
-        [query], PORTFOLIO_WIDTH, budget=STARVED_BUDGET, probe=0
-    )
+    t_single, single, _ = _timed_suite([query], False, budget=STARVED_BUDGET)
+    t_portfolio, raced = _timed_race(query, STARVED_BUDGET)
     _, refined, triaged_stats = _timed_suite(
-        [query], PORTFOLIO_WIDTH, budget=STARVED_BUDGET
+        [query], True, budget=STARVED_BUDGET
     )
 
     # The starved single solver burns its budget on the hard head; the
-    # portfolio's reversed-form member refutes the tail inside its first
-    # slice.  Strict refinement: UNKNOWN -> UNSAT, never a flip.
+    # reversed form refutes the tail inside its first slice.  Strict
+    # refinement: UNKNOWN -> UNSAT, never a flip.
     assert single == [Result.UNKNOWN]
-    assert raced == [Result.UNSAT]
+    assert raced.result is SatResult.UNSAT
+    assert raced.winner == REVERSED
     assert t_portfolio < t_single
     # Triage probes the baseline under the same starved budget first, so
     # it pays the give-up cost before racing — slower, but the escalation
@@ -211,7 +216,7 @@ def test_bench_portfolio_refines_unknown(bench_json):
                     "single": round(t_single, 4),
                     "portfolio": round(t_portfolio, 4),
                 },
-                "wins_by_config": dict(stats.portfolio_wins_by_config),
+                "wins_by_config": {raced.winner: 1},
             }
         },
     )
@@ -288,45 +293,31 @@ def test_bench_portfolio_end_to_end(bench_json):
     corpus = _heavy_corpus()
     base = TvOptions()
     # Fresh (non-session) solving: sessions keep their scoped solver and
-    # only escalate to the portfolio on UNKNOWN, so the race engages on
-    # every query only along the fresh path.
+    # only escalate on UNKNOWN, so the escalation engages on every query
+    # only along the fresh path.
     single = dataclasses.replace(
         base,
         isel=dataclasses.replace(base.isel, mul_decompose=True),
-        keq=dataclasses.replace(
-            base.keq, incremental_solving=False, portfolio=1
-        ),
-    )
-    always = dataclasses.replace(
-        single,
-        keq=dataclasses.replace(
-            single.keq, portfolio=PORTFOLIO_WIDTH, portfolio_probe=0
-        ),
+        keq=dataclasses.replace(base.keq, incremental_solving=False),
     )
     triaged = dataclasses.replace(
-        single, keq=dataclasses.replace(single.keq, portfolio=PORTFOLIO_WIDTH)
+        single, keq=dataclasses.replace(single.keq, portfolio=True)
     )
 
-    _, raced = _timed_corpus(corpus, always)
-    # Same per-function metric as the raced variants below (one pass).
-    t_always = sum(o.seconds for o in raced.outcomes)
     walls, results = _race_corpus(
         corpus, {"single": single, "triaged": triaged}
     )
     t_single, off = walls["single"], results["single"]
     t_triaged, on = walls["triaged"], results["triaged"]
 
-    # The portfolio campaign report is verdict-identical to --portfolio 1
-    # whether the race is triaged or unconditional: byte-identical
-    # summaries once timing/counter lines are filtered.
-    for variant in (raced, on):
-        assert [(o.function, o.category) for o in variant.outcomes] == [
-            (o.function, o.category) for o in off.outcomes
-        ]
-        assert _stable_summary(variant) == _stable_summary(off)
+    # The portfolio campaign report is verdict-identical to the single
+    # solver's: byte-identical summaries once timing/counter lines are
+    # filtered.
+    assert [(o.function, o.category) for o in on.outcomes] == [
+        (o.function, o.category) for o in off.outcomes
+    ]
+    assert _stable_summary(on) == _stable_summary(off)
     assert off.solver_stats.portfolio_queries == 0
-    assert raced.solver_stats.portfolio_queries > 0
-    assert raced.solver_stats.portfolio_probe_decided == 0
     # Baseline-friendly queries probe-decide without ever racing.
     stats = on.solver_stats
     assert stats.portfolio_queries > 0
@@ -340,8 +331,7 @@ def test_bench_portfolio_end_to_end(bench_json):
     # schedule, so the triaged campaign does the *same solver work* as
     # the single solver — conflict counts match up to the slice-boundary
     # restart churn (measured ~1%).  This is the noise-free form of
-    # "racing never costs a baseline-friendly campaign its wall time";
-    # unconditional racing pays ~width× (the recorded always_race wall).
+    # "escalation never costs a baseline-friendly campaign its wall time".
     assert stats.portfolio_escalations == 0
     conflicts_single = off.solver_stats.conflicts
     conflicts_triaged = stats.conflicts
@@ -349,17 +339,15 @@ def test_bench_portfolio_end_to_end(bench_json):
         0.02 * conflicts_single
     )
 
-    # Wall clock corroborates at the precision a busy one-core box
-    # supports (per-function best-of-rounds still jitters a few
-    # percent): quote one decimal.  Parity rounds to 1.0 and passes;
-    # the always-race regression this PR removes measured ~0.4x and
-    # fails loudly.
+    # Wall clock corroborates at the precision a busy box supports
+    # (per-function best-of-rounds still jitters a few percent): quote
+    # one decimal.  Parity rounds to 1.0 and passes; racing every query
+    # from the first slice once measured ~0.4x and would fail loudly.
     speedup_raw = t_single / t_triaged
     speedup = round(speedup_raw, 1)
     print(
         f"\nKEQ campaign (solver-bound corpus): single {t_single:.2f}s, "
-        f"always-race({PORTFOLIO_WIDTH}) {t_always:.2f}s, "
-        f"triaged({PORTFOLIO_WIDTH}) {t_triaged:.2f}s "
+        f"portfolio {t_triaged:.2f}s "
         f"(speedup vs single {speedup_raw:.2f}x ~ {speedup:.1f}x, "
         f"conflicts {conflicts_single} vs {conflicts_triaged}, "
         f"probe_decided={stats.portfolio_probe_decided}, "
@@ -373,10 +361,8 @@ def test_bench_portfolio_end_to_end(bench_json):
             "keq_campaign": {
                 "corpus": "solver_bound+heavy",
                 "functions": len(on.outcomes),
-                "width": PORTFOLIO_WIDTH,
                 "wall_seconds": {
                     "single": round(t_single, 3),
-                    "always_race": round(t_always, 3),
                     "triaged": round(t_triaged, 3),
                 },
                 "speedup": speedup,
@@ -388,12 +374,7 @@ def test_bench_portfolio_end_to_end(bench_json):
                 "portfolio_queries": stats.portfolio_queries,
                 "probe_decided": stats.portfolio_probe_decided,
                 "escalations": stats.portfolio_escalations,
-                "wins_by_config_always": dict(
-                    raced.solver_stats.portfolio_wins_by_config
-                ),
-                "wins_by_config_triaged": dict(
-                    stats.portfolio_wins_by_config
-                ),
+                "reversed_wins": stats.portfolio_reversed_wins,
             }
         },
     )

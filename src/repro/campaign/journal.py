@@ -64,13 +64,8 @@ JOURNAL_VERSION = 1
 
 # -- outcome (de)serialization -------------------------------------------------
 
-#: QueryStats fields carried through the journal (``per_query_conflicts``
-#: is dropped: it is unbounded and only the benchmarks read it).
-_SCALAR_STATS = tuple(
-    f.name
-    for f in dataclasses.fields(QueryStats)
-    if f.name != "per_query_conflicts"
-)
+#: QueryStats fields carried through the journal (every one of them).
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(QueryStats))
 
 
 def outcome_to_json(outcome: TvOutcome) -> dict:
@@ -83,8 +78,7 @@ def outcome_to_json(outcome: TvOutcome) -> dict:
     stats = None
     if outcome.solver_stats is not None:
         stats = {
-            name: getattr(outcome.solver_stats, name)
-            for name in _SCALAR_STATS
+            name: getattr(outcome.solver_stats, name) for name in _STATS_FIELDS
         }
     return {
         "function": outcome.function,
@@ -104,10 +98,12 @@ def outcome_to_json(outcome: TvOutcome) -> dict:
 def outcome_from_json(payload: dict) -> TvOutcome:
     stats = None
     if payload.get("solver_stats") is not None:
+        # Fields this version no longer has (journals written by older
+        # versions) are skipped; fields it added default to zero.
         stats = QueryStats(
             **{
                 name: payload["solver_stats"][name]
-                for name in _SCALAR_STATS
+                for name in _STATS_FIELDS
                 if name in payload["solver_stats"]
             }
         )

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 from repro.campaign.journal import JournalState
 from repro.keq.report import FAILURE_CLASS_CRASH, FAILURE_CLASSES
-from repro.tv.batch import BatchResult, merge_results, replay_outcomes
+from repro.smt import QueryStats
+from repro.tv.batch import (
+    BatchResult,
+    merge_results,
+    replay_outcomes,
+    solver_counter_lines,
+)
 from repro.tv.driver import Category, TvOutcome
 
 
@@ -196,13 +202,8 @@ class CampaignStatus:
     worker_deaths: int = 0
     #: duplicate results dropped by first-write-wins acceptance.
     duplicates: int = 0
-    #: merged incremental-solving counters (None when no function used a
-    #: solver session): scope label, checks, clauses_reused, subsumed,
-    #: strengthened, evicted, probe_failed_literals.
-    session_counters: dict | None = None
-    #: merged portfolio counters (None when no portfolio race ran):
-    #: queries, wins-by-config, vars_eliminated, clauses_blocked.
-    portfolio_counters: dict | None = None
+    #: solver counters merged over every journaled outcome.
+    solver_stats: QueryStats = field(default_factory=QueryStats)
     #: the target ISA recorded in the campaign manifest.
     target: str = "vx86"
 
@@ -232,32 +233,7 @@ class CampaignStatus:
             f" duplicate-results={self.duplicates}"
             f" quarantined={self.quarantined}",
         ]
-        if self.session_counters:
-            counters = self.session_counters
-            lines.append(
-                f"session: scope={counters['scope'] or 'point'}"
-                f" checks={counters['checks']}"
-                f" clauses_reused={counters['clauses_reused']}"
-                f" subsumed={counters['subsumed']}"
-                f" strengthened={counters['strengthened']}"
-                f" evicted={counters['evicted']}"
-                f" probe_failed_literals={counters['probe_failed_literals']}"
-            )
-        if self.portfolio_counters:
-            counters = self.portfolio_counters
-            wins = " ".join(
-                f"{name}={count}"
-                for name, count in sorted(counters["wins"].items())
-            )
-            lines.append(
-                f"portfolio: mode={counters['mode'] or 'interleave'}"
-                f" queries={counters['queries']}"
-                f" probe_decided={counters['probe_decided']}"
-                f" escalations={counters['escalations']}"
-                f" wins=[{wins}]"
-                f" vars_eliminated={counters['vars_eliminated']}"
-                f" clauses_blocked={counters['clauses_blocked']}"
-            )
+        lines.extend(solver_counter_lines(self.solver_stats))
         if self.halts:
             lines.append(f"halts: {self.halts}")
         lines.extend(shard.render() for shard in self.shards)
@@ -290,39 +266,6 @@ def build_status(manifest: dict, state: JournalState) -> CampaignStatus:
         retries=state.retries,
         worker_deaths=state.worker_deaths,
         duplicates=state.duplicates,
-        session_counters=session_counters(report.batch.solver_stats),
-        portfolio_counters=portfolio_counters(report.batch.solver_stats),
+        solver_stats=report.batch.solver_stats,
         target=manifest.get("target", "vx86"),
     )
-
-
-def session_counters(stats) -> dict | None:
-    """Render-ready incremental-solving counters, or None when the merged
-    stats show no session activity (e.g. ``--no-incremental`` runs)."""
-    if not stats or not stats.incremental_checks:
-        return None
-    return {
-        "scope": stats.session_scope,
-        "checks": stats.incremental_checks,
-        "clauses_reused": stats.clauses_reused,
-        "subsumed": stats.clauses_subsumed,
-        "strengthened": stats.clauses_strengthened,
-        "evicted": stats.clauses_evicted,
-        "probe_failed_literals": stats.probe_failed_literals,
-    }
-
-
-def portfolio_counters(stats) -> dict | None:
-    """Render-ready portfolio-race counters, or None when the merged stats
-    show no portfolio activity (``--portfolio 1`` runs)."""
-    if not stats or not stats.portfolio_queries:
-        return None
-    return {
-        "mode": stats.portfolio_mode,
-        "queries": stats.portfolio_queries,
-        "probe_decided": stats.portfolio_probe_decided,
-        "escalations": stats.portfolio_escalations,
-        "wins": dict(sorted(stats.portfolio_wins_by_config.items())),
-        "vars_eliminated": stats.vars_eliminated,
-        "clauses_blocked": stats.clauses_blocked,
-    }

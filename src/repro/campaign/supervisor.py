@@ -27,6 +27,7 @@ persistent ``cache_dir`` is the layer shards share.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import logging
 import multiprocessing as mp
@@ -54,12 +55,11 @@ from repro.campaign.merge import (
 )
 from repro.campaign.shard import ShardItem, plan_shards
 from repro.keq.report import FAILURE_CLASS_TIMEOUT
-from repro.smt import DEFAULT_PROBE_CONFLICTS
 from repro.targets import DEFAULT_TARGET
 from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
 from repro.tv.driver import Category, TvOptions, TvOutcome
-from repro.tv.parallel import Worker, hard_budget, racer_slots
+from repro.tv.parallel import Worker, hard_budget
 from repro.util import available_cpus
 from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
 
@@ -105,21 +105,9 @@ class CampaignConfig:
     validate: object | None = None
     #: assumption-based incremental solving (see repro.smt.SolverSession).
     incremental: bool = True
-    #: solver-session reuse scope: "point" (per sync point), "function"
-    #: (one session per function pair), or "campaign" (one
-    #: :class:`repro.smt.SessionCore` per worker process).
-    session_scope: str = "function"
-    #: solver portfolio width: 1 = single solver (historical behaviour),
-    #: N > 1 races that many diverse configurations per fresh/escalated
-    #: query, 0 = auto (one member per available CPU).
-    portfolio: int = 1
-    #: portfolio execution mode: "interleave", "threads", or "processes"
-    #: (racer subprocesses on real CPUs; pool slots shared with ``jobs``).
-    portfolio_mode: str = "interleave"
-    #: triage probe conflicts — the baseline member alone gets this many
-    #: conflicts per portfolio query before the full race runs (0 =
-    #: always race).
-    portfolio_probe: int = DEFAULT_PROBE_CONFLICTS
+    #: decide fresh and session-UNKNOWN queries through the reversed-form
+    #: escalation (see repro.smt.portfolio).
+    portfolio: bool = False
     #: target ISA every function of the campaign validates against.
     target: str = DEFAULT_TARGET
 
@@ -127,23 +115,43 @@ class CampaignConfig:
 def _base_options(
     wall_budget: float | None,
     incremental: bool = True,
-    session_scope: str = "function",
-    portfolio: int = 1,
-    portfolio_mode: str = "interleave",
-    portfolio_probe: int = DEFAULT_PROBE_CONFLICTS,
+    portfolio: bool = False,
     target: str = DEFAULT_TARGET,
 ) -> TvOptions:
     if wall_budget is None:
         options = TvOptions()
     else:
         options = TvOptions.for_campaign(wall_budget_seconds=wall_budget)
-    options.keq.incremental_solving = incremental
-    options.keq.session_scope = session_scope
-    options.keq.portfolio = portfolio
-    options.keq.portfolio_mode = portfolio_mode
-    options.keq.portfolio_probe = portfolio_probe
+    options.keq = dataclasses.replace(
+        options.keq, incremental_solving=incremental, portfolio=portfolio
+    )
     options.target = target
     return options
+
+
+def manifest_portfolio(manifest: dict) -> bool:
+    """The manifest's portfolio flag, refusing solver settings that are gone.
+
+    Older manifests store a portfolio *width* (1 meant off) and a session
+    scope.  Only width 1 and the ``"function"`` scope still search as they
+    did, so a resumed run could not match the uninterrupted one under any
+    other value.
+    """
+    scope = manifest.get("session_scope", "function")
+    if scope != "function":
+        raise CampaignError(
+            f"manifest field 'session_scope' is {scope!r}; only 'function'"
+            " sessions remain, so this campaign cannot be resumed"
+        )
+    portfolio = manifest.get("portfolio", False)
+    if isinstance(portfolio, bool):  # before the width test: True == 1
+        return portfolio
+    if portfolio == 1:
+        return False
+    raise CampaignError(
+        f"manifest field 'portfolio' is {portfolio!r}; portfolio widths"
+        " other than 1 are gone, so this campaign cannot be resumed"
+    )
 
 
 def _validate_ref(validate) -> str | None:
@@ -224,13 +232,7 @@ def prepare_campaign(
         }
     module = corpus.build_module()
     base = _base_options(
-        config.wall_budget,
-        config.incremental,
-        config.session_scope,
-        config.portfolio,
-        config.portfolio_mode,
-        config.portfolio_probe,
-        config.target,
+        config.wall_budget, config.incremental, config.portfolio, config.target
     )
     overrides = corpus_overrides(corpus, base)
     names = list(module.functions)
@@ -273,10 +275,7 @@ def prepare_campaign(
         "halt_on_worker_death": config.halt_on_worker_death,
         "validate": _validate_ref(config.validate),
         "incremental": config.incremental,
-        "session_scope": config.session_scope,
         "portfolio": config.portfolio,
-        "portfolio_mode": config.portfolio_mode,
-        "portfolio_probe": config.portfolio_probe,
         "target": config.target,
         "functions": names,
         "run_names": run_names,
@@ -335,6 +334,7 @@ def prepare_resume(
             f"campaign in {directory!r} targets {campaign_target!r};"
             f" refusing to resume with target {target!r}"
         )
+    portfolio = manifest_portfolio(manifest)
     if corpus is None:
         desc = manifest["corpus"]
         if desc.get("kind") != "gcc_like":
@@ -348,10 +348,7 @@ def prepare_resume(
     base = _base_options(
         manifest["wall_budget"],
         manifest.get("incremental", True),
-        manifest.get("session_scope", "function"),
-        manifest.get("portfolio", 1),
-        manifest.get("portfolio_mode", "interleave"),
-        manifest.get("portfolio_probe", DEFAULT_PROBE_CONFLICTS),
+        portfolio,
         campaign_target,
     )
     overrides = corpus_overrides(corpus, base)
@@ -535,7 +532,6 @@ def _drive(
         pool_size = cores
     pool_size = max(1, min(pool_size, len(jobs)))
     ctx = mp.get_context("spawn")
-    pool_slots = racer_slots(base, overrides, pool_size, cores)
 
     #: per-shard queues, drained round-robin so every shard progresses.
     shard_ids = sorted({job.shard for job in jobs})
@@ -548,15 +544,7 @@ def _drive(
     rotation = 0
 
     def spawn() -> Worker:
-        return Worker(
-            ctx,
-            module_text,
-            base,
-            overrides,
-            cache_dir,
-            validate,
-            pool_slots=pool_slots,
-        )
+        return Worker(ctx, module_text, base, overrides, cache_dir, validate)
 
     def next_ready(now: float) -> Job | None:
         nonlocal rotation

@@ -31,7 +31,6 @@ import sys
 from repro.isel import BugMode, IselOptions
 from repro.keq import KeqOptions
 from repro.llvm import parse_module
-from repro.smt import DEFAULT_PROBE_CONFLICTS, PORTFOLIO_MODES
 from repro.targets import DEFAULT_TARGET, TARGET_NAMES, get_target
 from repro.tv import TvOptions, validate_function
 from repro.tv.batch import run_corpus
@@ -53,47 +52,13 @@ def _isel_options(args) -> IselOptions:
     )
 
 
-def _portfolio_settings(args) -> tuple[str, int]:
-    """Resolve and validate ``--portfolio-mode`` / ``--portfolio-probe``.
-
-    Both flags only make sense alongside a real portfolio; rejecting the
-    dead combinations loudly beats silently ignoring them.
-    """
-    width = getattr(args, "portfolio", 1)
-    mode = getattr(args, "portfolio_mode", None)
-    probe = getattr(args, "portfolio_probe", None)
-    if width == 1 and mode is not None:
-        raise SystemExit(
-            f"--portfolio-mode {mode} has no effect with --portfolio 1;"
-            " pass --portfolio N (N > 1, or 0 = auto width) to race"
-        )
-    if width == 1 and probe is not None:
-        raise SystemExit(
-            "--portfolio-probe has no effect with --portfolio 1;"
-            " pass --portfolio N (N > 1, or 0 = auto width) to race"
-        )
-    if probe is not None and probe < 0:
-        raise SystemExit(
-            f"--portfolio-probe must be >= 0 (got {probe});"
-            " 0 disables triage and always races"
-        )
-    return (
-        mode or "interleave",
-        DEFAULT_PROBE_CONFLICTS if probe is None else probe,
-    )
-
-
 def _tv_options(args) -> TvOptions:
-    portfolio_mode, portfolio_probe = _portfolio_settings(args)
     return TvOptions(
         isel=_isel_options(args),
         keq=KeqOptions(
             max_steps=args.max_steps,
             incremental_solving=not getattr(args, "no_incremental", False),
-            session_scope=getattr(args, "session_scope", "function"),
-            portfolio=getattr(args, "portfolio", 1),
-            portfolio_mode=portfolio_mode,
-            portfolio_probe=portfolio_probe,
+            portfolio=getattr(args, "portfolio", False),
         ),
         imprecise_liveness=args.imprecise_liveness,
         target=getattr(args, "target", DEFAULT_TARGET),
@@ -193,7 +158,6 @@ def _campaign_injection(args) -> object | None:
 
 def cmd_campaign_run(args) -> int:
     jobs = args.jobs if args.jobs is not None else 1
-    portfolio_mode, portfolio_probe = _portfolio_settings(args)
     if args.dir is None:
         if args.inject_kill_once or args.inject_kill_always:
             raise SystemExit("--inject-kill-* requires --dir (a campaign)")
@@ -206,10 +170,7 @@ def cmd_campaign_run(args) -> int:
         )
         options = TvOptions.for_campaign(wall_budget_seconds=args.wall_budget)
         options.keq.incremental_solving = not args.no_incremental
-        options.keq.session_scope = args.session_scope
         options.keq.portfolio = args.portfolio
-        options.keq.portfolio_mode = portfolio_mode
-        options.keq.portfolio_probe = portfolio_probe
         options.target = args.target
         result = run_corpus(
             corpus,
@@ -238,10 +199,7 @@ def cmd_campaign_run(args) -> int:
         halt_on_worker_death=args.halt_on_worker_death,
         validate=_campaign_injection(args),
         incremental=not args.no_incremental,
-        session_scope=args.session_scope,
         portfolio=args.portfolio,
-        portfolio_mode=portfolio_mode,
-        portfolio_probe=portfolio_probe,
         target=args.target,
     )
     print(
@@ -288,7 +246,6 @@ def cmd_service_coordinate(args) -> int:
     from repro.campaign import CampaignConfig, CampaignError
     from repro.service import ServiceConfig, serve_campaign
 
-    portfolio_mode, portfolio_probe = _portfolio_settings(args)
     config = CampaignConfig(
         scale=args.scale,
         seed=args.seed,
@@ -299,8 +256,6 @@ def cmd_service_coordinate(args) -> int:
         dedup=not args.no_dedup,
         strategy=args.strategy,
         portfolio=args.portfolio,
-        portfolio_mode=portfolio_mode,
-        portfolio_probe=portfolio_probe,
         target=args.target,
     )
     service = ServiceConfig(
@@ -404,30 +359,17 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_portfolio_tuning(p):
-    p.add_argument(
-        "--portfolio-mode",
-        choices=list(PORTFOLIO_MODES),
-        default=None,
-        help="portfolio execution: interleave (deterministic round-robin,"
-        " default), threads, or processes (racer subprocesses on real"
-        " CPUs); requires --portfolio N > 1 or 0",
-    )
-    p.add_argument(
-        "--portfolio-probe",
-        type=int,
-        default=None,
-        metavar="N",
-        help="triage: the baseline solver alone gets N conflicts per query"
-        " before the full race runs (default:"
-        f" {DEFAULT_PROBE_CONFLICTS}; 0 = always race);"
-        " requires --portfolio N > 1 or 0",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def _add_portfolio(p):
+        p.add_argument(
+            "--portfolio",
+            action="store_true",
+            help="when the baseline solver cannot decide a query within"
+            " a small probe, race it against the reversed conjunction",
+        )
 
     def _add_target(p):
         p.add_argument(
@@ -455,21 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable assumption-based incremental solving",
         )
-        p.add_argument(
-            "--session-scope",
-            choices=["point", "function", "campaign"],
-            default="function",
-            help="solver-session reuse scope (default: function)",
-        )
-        p.add_argument(
-            "--portfolio",
-            type=int,
-            default=1,
-            metavar="N",
-            help="race N diverse solver configurations per query"
-            " (default: 1 = single solver; 0 = one per available CPU)",
-        )
-        _add_portfolio_tuning(p)
+        _add_portfolio(p)
         p.add_argument(
             "--proof",
             action="store_true",
@@ -542,22 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable assumption-based incremental solving",
     )
-    run.add_argument(
-        "--session-scope",
-        choices=["point", "function", "campaign"],
-        default="function",
-        help="solver-session reuse scope (default: function;"
-        " campaign = one long-lived solver core per worker)",
-    )
-    run.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="N",
-        help="race N diverse solver configurations per fresh/escalated"
-        " query (default: 1 = single solver; 0 = one per available CPU)",
-    )
-    _add_portfolio_tuning(run)
+    _add_portfolio(run)
     run.add_argument(
         "--halt-on-worker-death",
         action="store_true",
@@ -628,15 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="size_balanced",
     )
     coordinate.add_argument("--no-dedup", action="store_true")
-    coordinate.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="N",
-        help="solver portfolio width advertised to workers (default: 1;"
-        " 0 = each worker auto-sizes to its available CPUs)",
-    )
-    _add_portfolio_tuning(coordinate)
+    _add_portfolio(coordinate)
     coordinate.add_argument("--host", default="127.0.0.1")
     coordinate.add_argument(
         "--port",

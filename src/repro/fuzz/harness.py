@@ -195,10 +195,10 @@ def run_fuzz(
                 iteration,
             )
 
-        # 7. portfolio race vs single solver on the iteration's formula.
-        #    Every fourth iteration (sharing the odd slots with oracle 9,
-        #    both off oracle 6's even cadence) — the race solves the
-        #    formula up to PORTFOLIO_WIDTH + 1 times.
+        # 7. portfolio escalation vs single solver on the iteration's
+        #    formula.  Every fourth iteration (sharing the odd slots with
+        #    oracle 9, both off oracle 6's even cadence) — the oracle
+        #    solves the formula up to five times.
         if iteration % 4 == 1:
             ran("portfolio-vs-single")
             record(check_portfolio_vs_single(formula), iteration)

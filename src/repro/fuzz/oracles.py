@@ -23,12 +23,12 @@ on mutated witnesses.  The layers cross-checked:
 - *function-scoped* sessions — one session spanning several sync-point
   assumption sets, with retraction, revisits, and permuted assumption
   order — against fresh solving on the plain conjunctions;
-- portfolio races (:mod:`repro.smt.portfolio`) against single-solver
-  runs — decided verdicts must agree, portfolio models must replay, and
-  a portfolio UNKNOWN requires every member exhausted;
-- triaged portfolio races (probe-the-baseline-first) against always-race
-  portfolios — exact verdict identity, including UNKNOWN and the
-  per-member exhausted set.
+- the portfolio escalation (:mod:`repro.smt.portfolio`) against
+  single-solver runs — decided verdicts must agree, portfolio models must
+  replay, and a portfolio UNKNOWN requires both runners exhausted;
+- triaged escalations (probe-the-baseline-first) against races of both
+  runners from the start — exact verdict identity, including UNKNOWN and
+  the exhausted set.
 
 Oracles never raise on stack bugs — they return violations — but they are
 allowed to raise on harness bugs (e.g. mis-sorted generated terms), which
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from repro.fuzz.generator import deterministic_env, deterministic_select
 from repro.smt import terms as t
 from repro.smt.eval import EvalError, evaluate
-from repro.smt.portfolio import run_portfolio
+from repro.smt.portfolio import BASELINE, REVERSED, run_portfolio
 from repro.smt.printer import to_str
 from repro.smt.sat import SatResult
 from repro.smt.simplify import simplify
@@ -541,33 +541,26 @@ def check_function_session_vs_fresh(
 
 
 # ---------------------------------------------------------------------------
-# Oracle 8: portfolio races agree with single-solver runs
+# Oracle 8: the portfolio escalation agrees with single-solver runs
 # ---------------------------------------------------------------------------
-
-#: portfolio width for the oracle — the baseline plus two diverse members
-#: exercises polarity and restart-policy diversification cheaply.
-PORTFOLIO_WIDTH = 3
 
 
 def _portfolio_disagreement(formula: Term) -> str | None:
     """Portfolio vs single-solver differential on one formula.
 
-    Decided verdicts must agree (every member is a sound decider).  A
+    Decided verdicts must agree (both runners are sound deciders).  A
     portfolio SAT model must replay through the reference interpreter — a
-    win by a diversified encoding (reversed form, eliminated variables)
-    with a corrupt model would surface here.  A portfolio UNKNOWN must
-    mean *every* member exhausted its budget (first-answer-wins may never
-    give up early).  UNKNOWN-vs-decided divergence is not a defect —
-    sliced member searches and the monolithic single run may give up at
-    different points — so those comparisons are skipped, mirroring the
-    other budget-sensitive oracles.
+    win by the reversed encoding with a corrupt model would surface here.
+    A portfolio UNKNOWN must mean *both* runners exhausted their budget
+    (first-answer-wins may never give up early).  UNKNOWN-vs-decided
+    divergence is not a defect — sliced searches and the monolithic single
+    run may give up at different points — so those comparisons are
+    skipped, mirroring the other budget-sensitive oracles.
     """
     if formula.sort is not BOOL:
         return None
     single = Solver(conflict_budget=ORACLE_BUDGET).check_sat(formula)
-    portfolio_solver = Solver(
-        conflict_budget=ORACLE_BUDGET, portfolio=PORTFOLIO_WIDTH
-    )
+    portfolio_solver = Solver(conflict_budget=ORACLE_BUDGET, portfolio=True)
     raced = portfolio_solver.check_sat(formula, need_model=True)
     if Result.UNKNOWN not in (single, raced) and single is not raced:
         return f"single solver {single.value}, portfolio {raced.value}"
@@ -579,15 +572,14 @@ def _portfolio_disagreement(formula: Term) -> str | None:
         if detail is not None:
             return f"portfolio {detail}"
     if raced is Result.UNKNOWN:
-        outcome = run_portfolio(
-            simplify(formula), ORACLE_BUDGET, width=PORTFOLIO_WIDTH
-        )
-        if outcome.result is SatResult.UNKNOWN and len(
-            outcome.exhausted
-        ) != PORTFOLIO_WIDTH:
+        outcome = run_portfolio(simplify(formula), ORACLE_BUDGET)
+        if outcome.result is SatResult.UNKNOWN and set(outcome.exhausted) != {
+            BASELINE,
+            REVERSED,
+        }:
             return (
                 f"portfolio UNKNOWN with only {sorted(outcome.exhausted)}"
-                f" exhausted (width {PORTFOLIO_WIDTH})"
+                " exhausted"
             )
     return None
 
@@ -606,7 +598,7 @@ def check_portfolio_vs_single(formula: Term) -> Violation | None:
 
 
 # ---------------------------------------------------------------------------
-# Oracle 9: triaged portfolio races agree with always-race portfolios
+# Oracle 9: triaged escalations agree with races from the start
 # ---------------------------------------------------------------------------
 
 #: probe budget for the triage oracle.  Probe slices are ``INITIAL_SLICE``
@@ -620,24 +612,20 @@ def _triage_disagreement(formula: Term) -> str | None:
     """Triaged vs always-race differential on one formula.
 
     Adaptive triage (probe the baseline first, race only probe-exhausted
-    queries) must be *verdict-invisible*: in interleave mode the probe
-    runner is reused by the escalation race, so the baseline's slice
-    schedule, learned clauses, and budget accounting are identical to the
-    always-race run — the verdict must match exactly, **including**
-    UNKNOWN and the per-member exhausted set.  This is strictly stronger
-    than the portfolio-vs-single oracle's refinement check.
+    queries) must be *verdict-invisible*: the probe runner is reused by
+    the escalation race, so the baseline's slice schedule, learned
+    clauses, and budget accounting are identical to the always-race run —
+    the verdict must match exactly, **including** UNKNOWN and the
+    exhausted set.  This is strictly stronger than the portfolio-vs-single
+    oracle's refinement check.
     """
     if formula.sort is not BOOL:
         return None
     goal = simplify(formula)
     if goal.sort is not BOOL:
         return None
-    always = run_portfolio(
-        goal, ORACLE_BUDGET, width=PORTFOLIO_WIDTH, probe=0
-    )
-    triaged = run_portfolio(
-        goal, ORACLE_BUDGET, width=PORTFOLIO_WIDTH, probe=TRIAGE_PROBE
-    )
+    always = run_portfolio(goal, ORACLE_BUDGET, probe=0)
+    triaged = run_portfolio(goal, ORACLE_BUDGET, probe=TRIAGE_PROBE)
     if triaged.result is not always.result:
         return (
             f"always-race {always.result.value},"

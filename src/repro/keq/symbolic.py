@@ -45,13 +45,7 @@ from repro.semantics.state import (
     Value,
     value_term,
 )
-from repro.smt import (
-    DEFAULT_PROBE_CONFLICTS,
-    Result,
-    SessionCore,
-    Solver,
-    canonical_assumption_order,
-)
+from repro.smt import Result, Solver, canonical_assumption_order
 from repro.smt import terms as t
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -63,39 +57,34 @@ class KeqOptions:
     max_pair_checks: int = 2500  # successor-pair budget per check()
     mode: str = "bisimulation"  # or "simulation" (refinement)
     use_positive_form: bool = True  # the paper's SMT query optimization
-    #: route obligations through an incremental solver session so the
-    #: Tseitin encodings and learned clauses carry across queries.
+    #: route obligations through one incremental solver session per
+    #: function pair: each sync point's instantiated prefix rides as a
+    #: swappable assumption set, so every feasibility/path/constraint/
+    #: memory obligation of the function shares one clause database.
     incremental_solving: bool = True
-    #: session lifetime when incremental solving is on —
-    #: ``"point"``: one session per sync point (the legacy scope);
-    #: ``"function"``: one session per function pair — each point's
-    #: instantiated prefix rides as a swappable assumption set, so every
-    #: feasibility/path/constraint/memory obligation of the function
-    #: shares one clause database;
-    #: ``"campaign"``: reuse a caller-provided :class:`SessionCore` that
-    #: outlives this checker (one per campaign worker); falls back to
-    #: function scope when no core is supplied.
+    #: the session lifetime: only ``"function"`` is accepted (the field
+    #: stays for callers that still pass it).
     session_scope: str = "function"
     solver_conflict_budget: int = 100_000
-    #: solver portfolio width — 1 keeps the historical single solver,
-    #: N > 1 races that many diverse CDCL configurations on fresh and
-    #: session-escalated queries (first definitive answer wins), 0 = auto
-    #: (one member per available CPU).  See :mod:`repro.smt.portfolio`.
-    portfolio: int = 1
-    #: portfolio execution mode: ``"interleave"`` (deterministic, one
-    #: core), ``"threads"``, or ``"processes"`` (real CPUs via a
-    #: persistent racer pool).  Ignored when ``portfolio == 1``.
-    portfolio_mode: str = "interleave"
-    #: triage probe conflicts: the baseline member alone gets this many
-    #: conflicts per portfolio query before it escalates to the full
-    #: race (0 = always race).
-    portfolio_probe: int = DEFAULT_PROBE_CONFLICTS
+    #: decide fresh and session-UNKNOWN queries through the reversed-form
+    #: escalation instead of one baseline solve (see repro.smt.portfolio).
+    portfolio: bool = False
     record_proof: bool = False  # build a machine-checkable witness
     #: wall-clock budget per function — the paper's actual mechanism (a
     #: 3-hour limit per verification run).  None disables it; the batch
     #: campaign sets one so pathological solver workloads land in the
     #: timeout row exactly as in the paper.
     wall_budget_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.session_scope != "function":
+            raise ValueError(
+                f"session_scope {self.session_scope!r} is not supported;"
+                " sessions are function-scoped"
+            )
+        if not isinstance(self.portfolio, bool):
+            # Portfolio widths were integers once, and ``1`` meant off.
+            raise TypeError(f"portfolio is a bool, got {self.portfolio!r}")
 
 
 class _StepBudgetExceeded(Exception):
@@ -120,7 +109,6 @@ class Keq:
         acceptability: Acceptability | None = None,
         options: KeqOptions | None = None,
         solver: Solver | None = None,
-        session_core: SessionCore | None = None,
     ):
         self.left = left
         self.right = right
@@ -129,20 +117,13 @@ class Keq:
         self.solver = solver or Solver(
             conflict_budget=self.options.solver_conflict_budget,
             portfolio=self.options.portfolio,
-            portfolio_mode=self.options.portfolio_mode,
-            portfolio_probe=self.options.portfolio_probe,
         )
-        #: campaign-scoped solver state shared across functions (owned by
-        #: the batch/service worker; only used when
-        #: ``options.session_scope == "campaign"``).
-        self._session_core = session_core
         #: the witness of the last VALIDATED check (when record_proof).
         self.last_proof: EquivalenceProof | None = None
         self._proof: EquivalenceProof | None = None
         self._obligation_context: tuple[str, str] = ("?", "?")
         #: the active incremental session (None when disabled); opened per
-        #: function in :meth:`check_equivalence` for function/campaign
-        #: scope, per sync point in :meth:`_check_point` for point scope.
+        #: function in :meth:`check_equivalence`.
         self._session = None
 
     # ------------------------------------------------------------------ driver --
@@ -186,22 +167,13 @@ class Keq:
             else None
         )
         self._deadline = deadline
-        # Function-scoped (or campaign-scoped) incremental session: one
-        # clause database serves every sync point of this function.  Each
-        # point's instantiated prefix enters as per-check assumptions
-        # (indicator literals), retracted automatically between points —
-        # only DB-implied learned clauses persist, so retracted points
-        # cannot constrain later ones.
+        # Function-scoped incremental session: one clause database serves
+        # every sync point of this function.  Each point's instantiated
+        # prefix enters as per-check assumptions (indicator literals),
+        # retracted automatically between points — only DB-implied learned
+        # clauses persist, so retracted points cannot constrain later ones.
         if self.options.incremental_solving:
-            if (
-                self.options.session_scope == "campaign"
-                and self._session_core is not None
-            ):
-                self._session = self.solver.session(core=self._session_core)
-            elif self.options.session_scope in ("function", "campaign"):
-                self._session = self.solver.session(
-                    core=SessionCore(scope="function")
-                )
+            self._session = self.solver.session()
         try:
             verdict = self._run_points(
                 points, left_cuts, right_cuts, stats, failures, verdict
@@ -392,33 +364,6 @@ class Keq:
 
     # ------------------------------------------------------------------ checking --
 
-    def _check_point(
-        self,
-        point: SyncPoint,
-        points: list[SyncPoint],
-        left_cuts: set,
-        right_cuts: set,
-        stats: KeqStats,
-        failures: list[CheckFailure],
-    ) -> bool:
-        # Point scope: one session per sync point (the legacy lifetime).
-        # Function/campaign scope sessions are opened by check_equivalence
-        # and must not be clobbered here.
-        if (
-            self.options.incremental_solving
-            and self.options.session_scope == "point"
-        ):
-            self._session = self.solver.session(core=SessionCore(scope="point"))
-            try:
-                return self._check_point_obligations(
-                    point, points, left_cuts, right_cuts, stats, failures
-                )
-            finally:
-                self._session = None
-        return self._check_point_obligations(
-            point, points, left_cuts, right_cuts, stats, failures
-        )
-
     def _check_sat_conditional(self, delta: Term, assumptions=()) -> Result:
         """SAT(assumptions ∧ delta) via the active session, if any.
 
@@ -433,7 +378,7 @@ class Keq:
         ordered = canonical_assumption_order(assumptions)
         return self.solver.check_sat(t.conj([*ordered, delta]))
 
-    def _check_point_obligations(
+    def _check_point(
         self,
         point: SyncPoint,
         points: list[SyncPoint],

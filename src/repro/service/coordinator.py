@@ -55,7 +55,6 @@ from repro.campaign.supervisor import (
     prepare_resume,
 )
 from repro.service.leases import LeaseTable
-from repro.smt import DEFAULT_PROBE_CONFLICTS
 from repro.service.protocol import (
     MessageChannel,
     ProtocolError,
@@ -274,12 +273,7 @@ class Coordinator:
             "module_text": self.prepared.module_text,
             "wall_budget": manifest["wall_budget"],
             "incremental": manifest.get("incremental", True),
-            "session_scope": manifest.get("session_scope", "function"),
-            "portfolio": manifest.get("portfolio", 1),
-            "portfolio_mode": manifest.get("portfolio_mode", "interleave"),
-            "portfolio_probe": manifest.get(
-                "portfolio_probe", DEFAULT_PROBE_CONFLICTS
-            ),
+            "portfolio": self.prepared.base.keq.portfolio,
             "target": manifest.get("target", "vx86"),
             "imprecise": self._imprecise,
             "cache_dir": manifest["cache_dir"],

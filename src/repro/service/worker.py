@@ -46,9 +46,8 @@ from repro.service.protocol import (
     ProtocolTimeout,
     connect,
 )
-from repro.smt import DEFAULT_PROBE_CONFLICTS
 from repro.tv.driver import Category, TvOutcome
-from repro.tv.parallel import Worker, hard_budget, racer_slots
+from repro.tv.parallel import Worker, hard_budget
 from repro.util import available_cpus
 
 logger = logging.getLogger(__name__)
@@ -229,10 +228,7 @@ class ServiceWorker:
         base = _base_options(
             welcome.get("wall_budget"),
             welcome.get("incremental", True),
-            welcome.get("session_scope", "function"),
-            welcome.get("portfolio", 1),
-            welcome.get("portfolio_mode", "interleave"),
-            welcome.get("portfolio_probe", DEFAULT_PROBE_CONFLICTS),
+            welcome.get("portfolio", False),
             welcome.get("target", "vx86"),
         )
         overrides = {
@@ -260,18 +256,9 @@ class ServiceWorker:
             jobs = cores
 
         ctx = mp.get_context("spawn")
-        pool_slots = racer_slots(base, overrides, jobs, cores)
 
         def spawn() -> Worker:
-            return Worker(
-                ctx,
-                module_text,
-                base,
-                overrides,
-                cache_dir,
-                validate,
-                pool_slots=pool_slots,
-            )
+            return Worker(ctx, module_text, base, overrides, cache_dir, validate)
 
         def send_result(unit: _Unit, outcome: TvOutcome) -> None:
             reply = self._request(

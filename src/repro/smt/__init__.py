@@ -12,8 +12,9 @@ Section 2).  It provides:
 - :mod:`repro.smt.bitblast` — a Tseitin bit-blaster from terms to CNF.
 - :mod:`repro.smt.solver` — the solver façade used by KEQ, including the
   paper's positive-form query optimization (Section 3).
-- :mod:`repro.smt.portfolio` — a first-answer-wins race of diverse solver
-  configurations (``Solver(portfolio=N)``).
+- :mod:`repro.smt.portfolio` — the escalation that races the reversed
+  conjunction against a baseline that cannot decide cheaply
+  (``Solver(portfolio=True)``).
 """
 
 from repro.smt.terms import (
@@ -32,16 +33,12 @@ from repro.smt import terms as t
 from repro.smt.simplify import simplify, substitute
 from repro.smt.portfolio import (
     DEFAULT_PROBE_CONFLICTS,
-    MODES as PORTFOLIO_MODES,
-    PortfolioMember,
     PortfolioResult,
-    portfolio_members,
     run_portfolio,
 )
 from repro.smt.solver import (
     QueryStats,
     Result,
-    SessionCore,
     Solver,
     canonical_assumption_order,
 )
@@ -50,14 +47,10 @@ from repro.smt.cache import CacheStats, QueryCache
 __all__ = [
     "CacheStats",
     "DEFAULT_PROBE_CONFLICTS",
-    "PORTFOLIO_MODES",
-    "PortfolioMember",
     "PortfolioResult",
     "QueryCache",
     "QueryStats",
-    "SessionCore",
     "canonical_assumption_order",
-    "portfolio_members",
     "run_portfolio",
     "BOOL",
     "BV1",

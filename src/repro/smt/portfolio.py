@@ -1,72 +1,42 @@
-"""Portfolio SAT solving: race diverse solver configurations per query.
+"""Portfolio escalation: race the reversed conjunction against a baseline
+that could not decide cheaply.
 
-One CDCL configuration is rarely best for every query: a phase choice that
-cracks one multiplier equality in fifty conflicts can flounder for the
-whole budget on the next.  A portfolio runs N *diverse* configurations of
-the same (sound) solver over the same goal and takes the first definitive
-answer — a SAT whose model survives replay through the reference
-evaluator, or an UNSAT — cancelling the rest.  UNKNOWN is returned only
-when **every** member exhausts its conflict budget, so a portfolio run can
-only refine UNKNOWNs relative to a single-solver run, never flip a decided
-verdict (each member is sound, and sound deciders agree).
+One CDCL search is hostage to its encoding order: VSIDS starts from the
+order in which the Tseitin encoding meets the goal's conjuncts, so a query
+that conjoins a hard obligation with an easily refuted one decides in a
+few dozen conflicts when the refutable conjunct comes first, and after
+thousands when it comes last.  Of the diversified configurations this
+reproduction once raced, the only one that ever won for a structural
+reason was the baseline configuration on the *reversed* conjunction
+(EXPERIMENTS.md), so that is the one escalation kept.
 
-Diversification axes (see :data:`DIVERSE_MEMBERS`):
+:func:`run_portfolio` runs the baseline alone until it decides or has spent
+``probe`` conflicts (*triage*: most obligations decide well inside
+:data:`DEFAULT_PROBE_CONFLICTS`).  A query still undecided escalates: the
+reversed form joins, and the two interleave in doubling conflict slices
+until one decides or both exhaust the caller's budget.  A SAT answer only
+wins once its model replays through the reference evaluator, and UNKNOWN
+needs both runners exhausted, so escalation can refine a single-solver
+UNKNOWN but never flip a decided verdict.  Everything is deterministic —
+the winner, the verdict and every counter are a function of the query
+alone — as the campaign layers' byte-identical reports require.
 
-- initial phase (``SolverConfig.default_polarity``);
-- deterministic VSIDS activity seeding (``activity_seed``);
-- restart policy — Luby vs geometric;
-- query form — the goal conjunction reversed, which reorders the Tseitin
-  traversal and hence the whole variable/clause layout;
-- inprocessing aggressiveness — one member preprocesses with blocked-clause
-  elimination and bounded variable elimination before searching.
-
-Execution modes:
-
-- ``"interleave"`` (default): members run round-robin in one thread with
-  doubling conflict-budget slices; the first decision encountered wins.
-  Fully deterministic — the winner, the verdict, and every counter are a
-  function of the query alone, which the campaign layers' byte-identical
-  report discipline requires.
-- ``"threads"``: members race on real threads with an event-based
-  first-answer-wins cancellation.  The verdict is still deterministic
-  (soundness), but the *winner attribution* and conflict totals are
-  scheduling-dependent, so this mode is reserved for interactive use;
-  win counters only ever surface on timing-filtered report lines.
-- ``"processes"``: members race as subprocesses of a persistent
-  :class:`repro.smt.procpool.PortfolioPool`, one racer per CPU, with
-  first-answer-wins cancellation over pipes.  The Python GIL never
-  serializes the search, so this is the mode where a width-N portfolio
-  actually uses N cores.  Verdicts keep the same contract (a SAT model is
-  shipped back over the pipe and replayed in the parent before it is
-  trusted); winner attribution and conflict totals are racing-dependent,
-  exactly like ``"threads"``.
-
-The per-member budget equals the caller's full conflict budget, so "every
-member exhausted" is never cheaper than the single-solver UNKNOWN it
-replaces; slicing just lets a lucky configuration decide long before the
-unlucky ones finish burning theirs.
-
-The solver façade pairs any of these modes with *adaptive triage*
-(:data:`DEFAULT_PROBE_CONFLICTS`): the baseline member alone probes every
-query under a small conflict budget, and only probe-exhausted queries
-escalate to a race.  The probe budget is a constant — a pure function of
-the query — so triage preserves the byte-identical report discipline.
+Each runner's budget equals the caller's full conflict budget, so "both
+exhausted" is never cheaper than the single-solver UNKNOWN it replaces.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.eval import EvalError, evaluate
-from repro.smt.sat import SatResult, SatSolver, SolverConfig
+from repro.smt.sat import SatResult, SatSolver
 from repro.smt.terms import Term
-from repro.util import available_cpus
 
-#: conflicts granted to a member in its first slice; doubles every round.
-#: A slice is a cap, not a fixed spend — a member that decides sooner
+#: conflicts granted to a runner in its first slice; doubles every round.
+#: A slice is a cap, not a fixed spend — a runner that decides sooner
 #: returns immediately.  Each new slice restarts the restart schedule
 #: from its base, which measurably helps heavy queries (fresh early
 #: restarts re-aim the search) at the price of mild re-descent churn on
@@ -75,121 +45,48 @@ INITIAL_SLICE = 256
 #: slice doubling stops here (keeps ``give`` bounded for huge budgets)
 _MAX_SLICE_SHIFT = 16
 
-#: recognized execution modes for :func:`run_portfolio`
-MODES = ("interleave", "threads", "processes")
-
-#: default triage probe: conflicts the baseline member alone gets before a
-#: query is declared hard and escalated to the full race.  Most KEQ
-#: obligations decide in well under this (the keq-campaign median is tens
-#: of conflicts, the p99 well under a thousand), so easy queries cost
-#: exactly one baseline run while the genuinely hard tail — thousands of
-#: conflicts and UNKNOWN-prone — still reaches the portfolio.  Tuned on
-#: the solver-bound keq corpus: 512 let borderline queries (decided just
-#: past the probe) escalate and pay for diverse members' opening slices,
-#: costing the campaign its wall-time parity with ``--portfolio 1``.  A
+#: default triage probe: conflicts the baseline alone gets before a query
+#: escalates.  Most KEQ obligations decide in well under this (the
+#: keq-campaign median is tens of conflicts, the p99 well under a
+#: thousand), so easy queries cost exactly one baseline run while the
+#: genuinely hard tail still reaches the reversed form.  Tuned on the
+#: solver-bound keq corpus: 512 let borderline queries (decided just past
+#: the probe) escalate and pay for the reversed form's opening slices.  A
 #: constant — never derived from wall clock or load — so campaign resume
 #: and byte-identity hold.
 DEFAULT_PROBE_CONFLICTS = 2048
 
-
-@dataclass(frozen=True)
-class PortfolioMember:
-    """One racer: a solver configuration plus encoding-level variations."""
-
-    name: str
-    sat: SolverConfig = SolverConfig()
-    #: encode the goal conjunction in reverse order (different Tseitin
-    #: traversal, hence a structurally different search problem)
-    reversed_form: bool = False
-    #: run elimination inprocessing (BCE + BVE) before searching
-    preprocess: bool = False
-    preprocess_budget: int = 20_000
-
-
-#: member 0 of every portfolio: the exact historical single-solver setup
-BASELINE = PortfolioMember(name="baseline")
-
-#: the diversification ladder; ``--portfolio N`` takes the first N - 1
-DIVERSE_MEMBERS = (
-    PortfolioMember("polarity-true", SolverConfig(default_polarity=True)),
-    PortfolioMember(
-        "geometric",
-        SolverConfig(restart_policy="geometric", restart_base=64),
-    ),
-    # Pure form diversity: the baseline configuration on the reversed
-    # conjunction.  Adding a seed nudge here would wash out the win on
-    # queries whose refutable conjunct sits late in encoding order.
-    PortfolioMember("reversed-form", reversed_form=True),
-    PortfolioMember("eliminate", preprocess=True),
-    PortfolioMember(
-        "polarity-geometric",
-        SolverConfig(
-            default_polarity=True, restart_policy="geometric", activity_seed=2
-        ),
-    ),
-    PortfolioMember("seeded-vsids", SolverConfig(activity_seed=3, var_decay=0.9)),
-    PortfolioMember(
-        "reversed-polarity",
-        SolverConfig(default_polarity=True, activity_seed=4),
-        reversed_form=True,
-    ),
-)
-
-#: widest useful portfolio: baseline plus every distinct diverse member
-MAX_WIDTH = 1 + len(DIVERSE_MEMBERS)
-
-
-def default_width() -> int:
-    """Auto width (``--portfolio 0``): one member per available CPU.
-
-    Uses :func:`repro.util.available_cpus` (cpuset/affinity aware), clamped
-    to the distinct configurations we actually have.
-    """
-    return max(2, min(MAX_WIDTH, available_cpus()))
-
-
-def portfolio_members(width: int) -> list[PortfolioMember]:
-    """The first ``width`` members; member 0 is always the baseline."""
-    width = max(1, min(MAX_WIDTH, width))
-    return [BASELINE, *DIVERSE_MEMBERS[: width - 1]]
+#: runner names (the winner attribution of :class:`PortfolioResult`)
+BASELINE = "baseline"
+REVERSED = "reversed-form"
 
 
 @dataclass
 class PortfolioResult:
-    """Outcome of one race plus aggregated member counters."""
+    """Outcome of one escalation plus the runners' summed counters."""
 
     result: SatResult
     winner: str | None = None
-    #: blaster of the winning member (model reads) — SAT in-process modes
+    #: blaster of the winning runner (model reads) — SAT only
     winner_blaster: BitBlaster | None = None
-    #: ``(env, selects)`` shipped back by a racer subprocess — SAT in
-    #: ``"processes"`` mode, already replay-verified by the parent
-    winner_model: "tuple[dict, dict] | None" = None
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    vars_eliminated: int = 0
-    clauses_blocked: int = 0
-    #: members that ran out of budget (every member, on UNKNOWN)
+    #: runners that ran out of budget (both of them, on UNKNOWN)
     exhausted: tuple[str, ...] = ()
-    #: the baseline probe alone decided the query (no race was run)
+    #: the baseline probe alone decided the query
     probe_decided: bool = False
-    #: the probe exhausted its budget and the full race ran
+    #: the probe exhausted and the reversed form joined
     escalated: bool = False
 
 
-def model_values(
-    goal: Term, blaster: BitBlaster
-) -> tuple[dict[str, int | bool], dict[tuple[str, int, int], int]]:
-    """Extract a member's SAT model as plain values.
+def verify_model(goal: Term, blaster: BitBlaster) -> bool:
+    """Replay a runner's SAT model through the reference evaluator.
 
-    Returns ``(env, selects)``: free-variable assignments plus values for
-    the uninterpreted ``select`` atoms, keyed by (array, evaluated offset,
-    width).  Both are picklable builtins, so a racer subprocess can ship
-    its model over a pipe without shipping :class:`Term` objects (terms
-    are per-process interned and must never cross a process boundary).
-    May raise :class:`EvalError` when an offset fails to evaluate — the
-    caller treats that as a failed model.
+    The runners' encodings differ, so this is the cheap cross-check that
+    an encoding-level bug can never corrupt a verdict.  Select atoms are
+    uninterpreted: their values are read back from the blaster keyed by
+    the evaluated offset, mirroring the fuzz oracles.
     """
     env: dict[str, int | bool] = {}
     for var in t.free_vars(goal):
@@ -197,88 +94,51 @@ def model_values(
             env[var.name] = blaster.model_bool(var)
         else:
             env[var.name] = blaster.model_bv(var)
-    select_values: dict[tuple[str, int, int], int] = {}
+    selects: dict[tuple[str, int, int], int] = {}
     stack = [goal]
     seen: set[Term] = set()
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.op == "select":
-            offset = evaluate(node.args[0], env)  # offsets are select-free
-            key = (node.attr[0], offset, node.attr[1])
-            select_values.setdefault(key, blaster.model_bv(node))
-        stack.extend(node.args)
-    return env, select_values
-
-
-def replay_model(
-    goal: Term,
-    env: dict[str, int | bool],
-    selects: dict[tuple[str, int, int], int],
-) -> bool:
-    """True iff the extracted model actually satisfies ``goal``."""
-
-    def handler(array: str, offset: int, width: int) -> int:
-        return selects.get((array, offset, width), 0)
-
     try:
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if node.op == "select":
+                offset = evaluate(node.args[0], env)  # offsets are select-free
+                key = (node.attr[0], offset, node.attr[1])
+                selects.setdefault(key, blaster.model_bv(node))
+            stack.extend(node.args)
+
+        def handler(array: str, offset: int, width: int) -> int:
+            return selects.get((array, offset, width), 0)
+
         return evaluate(goal, env, handler) is True
     except EvalError:
         return False
 
 
-def verify_model(goal: Term, blaster: BitBlaster) -> bool:
-    """Replay a member's SAT model through the reference evaluator.
-
-    A portfolio SAT answer is only *definitive* once the model checks out
-    (the members' encodings differ, so this is the cheap cross-check that
-    an encoding-level diversification bug can never corrupt a verdict).
-    Select atoms are uninterpreted: their values are read back from the
-    blaster keyed by the evaluated offset, mirroring the fuzz oracles.
-    """
-    try:
-        env, selects = model_values(goal, blaster)
-    except EvalError:
-        return False
-    return replay_model(goal, env, selects)
-
-
 class _Runner:
-    """One member's live solver state during a race."""
+    """One search's live solver state."""
 
-    def __init__(
-        self,
-        member: PortfolioMember,
-        goal: Term,
-        max_slice_shift: int = _MAX_SLICE_SHIFT,
-    ):
-        self.member = member
-        self.max_slice_shift = max_slice_shift
-        self.sat = SatSolver(member.sat)
+    def __init__(self, name: str, goal: Term, reversed_form: bool = False):
+        self.name = name
+        self.sat = SatSolver()
         self.blaster = BitBlaster(self.sat)
         encoded = goal
-        if member.reversed_form and goal.op == "and":
+        if reversed_form and goal.op == "and":
             encoded = t.conj(list(reversed(goal.args)))
         self.blaster.assert_term(encoded)
-        if member.preprocess:
-            self.sat.inprocess(member.preprocess_budget, eliminate=True)
         self.spent = 0
         self.rounds = 0
         self.exhausted = False
 
-    def slice_budget(self, conflict_budget: int | None) -> int | None:
-        give = INITIAL_SLICE << min(self.rounds, self.max_slice_shift)
-        if conflict_budget is None:
-            return give
-        return min(give, conflict_budget - self.spent)
-
     def run_slice(self, conflict_budget: int | None) -> SatResult:
-        give = self.slice_budget(conflict_budget)
-        if give is not None and give <= 0:
-            self.exhausted = True
-            return SatResult.UNKNOWN
+        give = INITIAL_SLICE << min(self.rounds, _MAX_SLICE_SHIFT)
+        if conflict_budget is not None:
+            give = min(give, conflict_budget - self.spent)
+            if give <= 0:
+                self.exhausted = True
+                return SatResult.UNKNOWN
         self.rounds += 1
         before = self.sat.stats.conflicts
         outcome = self.sat.solve(conflict_budget=give)
@@ -293,144 +153,67 @@ class _Runner:
 
 
 def run_portfolio(
-    goal: Term,
-    conflict_budget: int | None,
-    width: int,
-    verify: bool = True,
-    mode: str = "interleave",
-    probe: int = 0,
+    goal: Term, conflict_budget: int | None, probe: int = DEFAULT_PROBE_CONFLICTS
 ) -> PortfolioResult:
-    """Race ``width`` diverse configurations on ``goal``.
+    """Decide ``goal`` with the baseline, escalating to the reversed form.
 
     ``goal`` is the full bit-blasting goal (simplified formula plus theory
-    lemmas) exactly as the single-solver path would assert it.  See the
-    module docstring for the execution modes and the verdict contract.
+    lemmas) exactly as the single-solver path would assert it.
 
-    ``probe > 0`` enables adaptive triage: the baseline member runs alone
-    under its normal slice schedule until it decides or has spent at
-    least ``probe`` conflicts.  A probe decision is returned directly
-    (``probe_decided``); a probe exhaustion escalates to the full race
-    (``escalated``), with the probe's solver state carried into the race
-    for the in-process modes so the baseline's search trajectory — and
-    hence the verdict, including UNKNOWN — is identical to an
-    always-race run.
+    ``probe > 0``: the baseline runs alone, under its normal slice
+    schedule, until it decides (``probe_decided``) or has spent at least
+    ``probe`` conflicts; then the reversed form joins (``escalated``).
+    Its opening slices run before the baseline's next (doubled) one, and
+    the baseline keeps the probe's solver — learned clauses, slice
+    schedule and budget accounting carry over — so its trajectory, and
+    hence the verdict including UNKNOWN, matches an always-race run.
+    ``probe == 0`` races both runners from the start.
     """
-    if mode not in MODES:
-        raise ValueError(
-            f"unknown portfolio mode {mode!r} (expected one of {MODES})"
-        )
     if probe < 0:
         raise ValueError(f"probe budget must be >= 0, got {probe}")
-    members = portfolio_members(width)
-    check = verify_model if verify else None
-    probe_runner = None
-    if probe > 0 and len(members) > 1:
-        probe_runner = _Runner(BASELINE, goal)
-        while not probe_runner.exhausted and probe_runner.spent < probe:
-            outcome = probe_runner.run_slice(conflict_budget)
-            if _decisive(probe_runner, outcome, goal, check):
-                result = _finish([probe_runner], outcome, probe_runner)
+    baseline = _Runner(BASELINE, goal)
+    if probe > 0:
+        while not baseline.exhausted and baseline.spent < probe:
+            outcome = baseline.run_slice(conflict_budget)
+            if _decisive(baseline, outcome, goal):
+                result = _finish([baseline], outcome, baseline)
                 result.probe_decided = True
                 return result
-    if mode == "processes":
-        from repro.smt.procpool import shared_pool
-
-        result = shared_pool().race(
-            goal, members, conflict_budget, verify=verify
-        )
-        if probe_runner is not None:
-            # The baseline restarts fresh inside its racer; the probe's
-            # spend is still real work and is accounted here.
-            stats = probe_runner.sat.stats
-            result.conflicts += stats.conflicts
-            result.decisions += stats.decisions
-            result.propagations += stats.propagations
-            result.escalated = True
-        return result
-    if probe_runner is not None:
-        # The probe proved the baseline cannot decide cheaply, so the
-        # fresh members' small opening slices run before the baseline's
-        # next (doubled) one.  The baseline reuses the probe's solver —
-        # learned clauses, slice schedule, and budget accounting carry
-        # over, so its trajectory matches an always-race run exactly.
-        runners = [_Runner(member, goal) for member in members[1:]]
-        runners.append(probe_runner)
+        runners = [_Runner(REVERSED, goal, reversed_form=True), baseline]
     else:
-        runners = [_Runner(member, goal) for member in members]
-    if mode == "threads":
-        result = _race_threads(runners, goal, conflict_budget, check)
-    else:
-        result = _race_interleaved(runners, goal, conflict_budget, check)
-    result.escalated = probe_runner is not None
+        runners = [baseline, _Runner(REVERSED, goal, reversed_form=True)]
+    result = _race(runners, goal, conflict_budget)
+    result.escalated = probe > 0
     return result
 
 
-def _decisive(
-    runner: _Runner, outcome: SatResult, goal: Term, check
-) -> bool:
-    """True when a member's answer wins the race.
-
-    A SAT whose model fails replay is *not* definitive — the member is
-    dropped from the race instead of trusted (soundness over speed).
-    """
-    if outcome is SatResult.UNKNOWN:
-        return False
-    if outcome is SatResult.SAT and check is not None:
-        if not check(goal, runner.blaster):
-            runner.exhausted = True
-            return False
-    return True
-
-
-def _race_interleaved(
-    runners: list[_Runner],
-    goal: Term,
-    conflict_budget: int | None,
-    check,
+def _race(
+    runners: list[_Runner], goal: Term, conflict_budget: int | None
 ) -> PortfolioResult:
+    """Interleave the runners' slices until one decides or all exhaust."""
     while True:
         for runner in runners:
             if runner.exhausted:
                 continue
             outcome = runner.run_slice(conflict_budget)
-            if _decisive(runner, outcome, goal, check):
+            if _decisive(runner, outcome, goal):
                 return _finish(runners, outcome, runner)
         if all(runner.exhausted for runner in runners):
             return _finish(runners, SatResult.UNKNOWN, None)
 
 
-def _race_threads(
-    runners: list[_Runner],
-    goal: Term,
-    conflict_budget: int | None,
-    check,
-) -> PortfolioResult:
-    stop = threading.Event()
-    lock = threading.Lock()
-    decided: list[tuple[SatResult, _Runner]] = []
+def _decisive(runner: _Runner, outcome: SatResult, goal: Term) -> bool:
+    """True when a runner's answer decides the query.
 
-    def drive(runner: _Runner) -> None:
-        while not stop.is_set() and not runner.exhausted:
-            outcome = runner.run_slice(conflict_budget)
-            if _decisive(runner, outcome, goal, check):
-                with lock:
-                    if not decided:
-                        decided.append((outcome, runner))
-                stop.set()
-                return
-
-    threads = [
-        threading.Thread(target=drive, args=(runner,), daemon=True)
-        for runner in runners
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if decided:
-        outcome, winner = decided[0]
-        return _finish(runners, outcome, winner)
-    return _finish(runners, SatResult.UNKNOWN, None)
+    A SAT whose model fails replay is *not* definitive — the runner is
+    dropped instead of trusted (soundness over speed).
+    """
+    if outcome is SatResult.UNKNOWN:
+        return False
+    if outcome is SatResult.SAT and not verify_model(goal, runner.blaster):
+        runner.exhausted = True
+        return False
+    return True
 
 
 def _finish(
@@ -441,13 +224,11 @@ def _finish(
         result.conflicts += runner.sat.stats.conflicts
         result.decisions += runner.sat.stats.decisions
         result.propagations += runner.sat.stats.propagations
-        result.vars_eliminated += runner.sat.stats.vars_eliminated
-        result.clauses_blocked += runner.sat.stats.clauses_blocked
     result.exhausted = tuple(
-        runner.member.name for runner in runners if runner.exhausted
+        runner.name for runner in runners if runner.exhausted
     )
     if winner is not None:
-        result.winner = winner.member.name
+        result.winner = winner.name
         if outcome is SatResult.SAT:
             result.winner_blaster = winner.blaster
     return result

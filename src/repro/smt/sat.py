@@ -30,16 +30,9 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   under a propagation budget between incremental solve calls, so the
   retained clause database gets smaller and stronger instead of merely
   larger;
-- opt-in *elimination* inprocessing (``inprocess(eliminate=True)``):
-  blocked-clause elimination and bounded variable elimination under the
-  same budget.  Both preserve satisfiability but not logical
-  equivalence, so the solver records the removed clauses for model
-  reconstruction and *seals* itself — no further external clauses may be
-  added.  Portfolio members (one-shot fresh solves) use this; long-lived
-  incremental sessions never do;
-- search diversification via :class:`SolverConfig` (initial phase,
-  deterministic VSIDS activity seeding, Luby vs geometric restarts) so a
-  portfolio can race structurally different searches over one encoding.
+- search knobs via :class:`SolverConfig` (initial phase, deterministic
+  VSIDS activity seeding and decay, Luby vs geometric restarts); the
+  defaults are the configuration every caller uses.
 
 The public interface speaks DIMACS: variables are positive integers and a
 negated literal is the negated integer.  Inside the solver a literal is a
@@ -105,7 +98,8 @@ class Stats:
     conflicts: int = 0
     learned: int = 0
     restarts: int = 0
-    max_vars: int = 0
+    #: variables allocated so far
+    vars_allocated: int = 0
     solve_calls: int = 0
     #: learned clauses evicted by :meth:`SatSolver.reduce_learned`
     evicted: int = 0
@@ -117,26 +111,22 @@ class Stats:
     probe_failed: int = 0
     #: :meth:`SatSolver.inprocess` passes that actually ran
     inprocessings: int = 0
-    #: variables removed by bounded variable elimination
-    vars_eliminated: int = 0
-    #: clauses removed by blocked-clause elimination
-    clauses_blocked: int = 0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search-diversification knobs for one solver instance.
+    """Search knobs for one solver instance.
 
-    The defaults reproduce the historical single-configuration behaviour
-    exactly; portfolio members construct variants.  All diversification is
-    deterministic — the activity seed feeds a CRC, not a PRNG stream.
+    Every solver in the pipeline runs the defaults; the trajectory-lock
+    test pins the other values too.  All of them are deterministic — the
+    activity seed feeds a CRC, not a PRNG stream.
     """
 
     #: initial saved phase for every variable (phase saving overwrites it
     #: as search proceeds)
     default_polarity: bool = False
     #: nonzero: give each new variable a tiny CRC-derived activity nudge so
-    #: early VSIDS tie-breaks differ between members (0 disables)
+    #: early VSIDS tie-breaks differ between configurations (0 disables)
     activity_seed: int = 0
     #: ``"luby"`` (default) or ``"geometric"``
     restart_policy: str = "luby"
@@ -195,13 +185,6 @@ class SatSolver:
         #: is no longer current are skipped when popped
         self._heap: list[tuple[float, int]] = []
         self._ok = True
-        #: set once elimination inprocessing has run: the clause database is
-        #: then only equisatisfiable with the original problem, so adding
-        #: further external clauses would be unsound.
-        self._sealed = False
-        #: model-reconstruction records for eliminated/blocked clauses:
-        #: ``(witness_code, codes)`` in elimination order.
-        self._elim_stack: list[tuple[int, list[int]]] = []
         #: unit clauses (codes) received while the trail was not at the root
         #: level (e.g. a caller encoding a new goal right after a SAT
         #: answer); flushed at the next root visit so no constraint is lost.
@@ -234,7 +217,7 @@ class SatSolver:
         self._seen.append(False)
         self._queued.append(True)
         heapq.heappush(self._heap, (-activity, var))
-        self.stats.max_vars = var
+        self.stats.vars_allocated = var
         return var
 
     def ensure_vars(self, count: int) -> None:
@@ -249,11 +232,6 @@ class SatSolver:
         clause arriving while the trail is deep is parked in
         ``_pending_units`` rather than mis-assigned at the current level.
         """
-        if self._sealed:
-            raise RuntimeError(
-                "solver is sealed: clauses cannot be added after "
-                "variable/blocked-clause elimination"
-            )
         if not self._ok:
             return
         values = self._values
@@ -428,9 +406,7 @@ class SatSolver:
         if self._ok and self._propagate() is not None:
             self._ok = False
 
-    def inprocess(
-        self, propagation_budget: int = 20_000, eliminate: bool = False
-    ) -> None:
+    def inprocess(self, propagation_budget: int = 20_000) -> None:
         """Bounded inprocessing between incremental solve calls.
 
         Runs, in order and under one shared budget: database
@@ -439,13 +415,6 @@ class SatSolver:
         derived fact is implied by the clause database alone, so the pass
         is sound for later solves under any assumptions.  Deterministic:
         candidate orders are value-based, never id()- or hash-ordered.
-
-        With ``eliminate=True`` the pass additionally runs blocked-clause
-        elimination and bounded variable elimination.  Those only preserve
-        *satisfiability*: removed clauses are recorded for model
-        reconstruction and the solver is sealed against further external
-        clauses, so this mode is reserved for one-shot (portfolio) solves
-        — incremental sessions must not use it.
         """
         if not self._ok:
             return
@@ -463,18 +432,6 @@ class SatSolver:
         remaining = self._subsume(propagation_budget)
         if not self._ok:
             return
-        if eliminate:
-            # Subsumption may have derived new root facts; re-simplify so
-            # the elimination passes see only root-unassigned literals.
-            self._simplify_db()
-            if not self._ok:
-                return
-            remaining = self._block_clauses(remaining)
-            if not self._ok:
-                return
-            remaining = self._eliminate_variables(remaining)
-            if not self._ok:
-                return
         self._probe_failed_literals(remaining)
 
     #: clauses longer than this are invisible to the subsumption pass
@@ -563,216 +520,6 @@ class SatSolver:
         if self._ok and self._propagate() is not None:
             self._ok = False
         return budget
-
-    #: per-variable occurrence-product cap for bounded variable elimination
-    _ELIM_MAX_RESOLUTIONS = 16
-
-    def _block_clauses(self, budget: int) -> int:
-        """Blocked-clause elimination over short original clauses.
-
-        A clause C is blocked on a literal l when every resolvent of C with
-        a clause containing -l is tautological; removing C preserves
-        satisfiability.  Each resolvent check costs one budget unit.  Every
-        removal pushes a model-reconstruction record and seals the solver.
-        """
-        if budget <= 0 or not self._ok:
-            return budget
-        occurrences: dict[int, list[_Clause]] = {}
-        for clause in self._clauses:
-            for code in clause.lits:
-                occurrences.setdefault(code, []).append(clause)
-        removed: set[_Clause] = set()
-        for clause in self._clauses:
-            if budget <= 0:
-                break
-            if clause.learned or len(clause.lits) > self._SUBSUME_MAX_LEN:
-                continue
-            if clause in removed:
-                continue
-            for code in clause.lits:
-                blocked = True
-                for other in occurrences.get(code ^ 1, ()):
-                    if other is clause or other in removed:
-                        continue
-                    budget -= 1
-                    other_set = set(other.lits)
-                    if not any(
-                        k != code and k ^ 1 in other_set for k in clause.lits
-                    ):
-                        blocked = False
-                        break
-                    if budget <= 0:
-                        # Budget died mid-proof: the blockedness of this
-                        # literal is unproven, so keep the clause.
-                        blocked = False
-                        break
-                if blocked:
-                    removed.add(clause)
-                    self._elim_stack.append((code, list(clause.lits)))
-                    self.stats.clauses_blocked += 1
-                    self._sealed = True
-                    break
-                if budget <= 0:
-                    break
-        if removed:
-            self._clauses = [
-                clause for clause in self._clauses if clause not in removed
-            ]
-            self._rebuild_watches()
-        return budget
-
-    def _eliminate_variables(self, budget: int) -> int:
-        """Bounded variable elimination (SatELite-style, NiVER bound).
-
-        A root-unassigned variable is eliminated by replacing the clauses
-        containing it with their pairwise resolvents, when that does not
-        grow the database.  Each resolution costs one budget unit.  Removed
-        original clauses are recorded for model reconstruction; learned
-        clauses mentioning an eliminated variable are dropped (they are
-        implied by the originals over the surviving variables).
-        """
-        if budget <= 0 or not self._ok:
-            return budget
-        # Live occurrence structure: resolvents register as they are
-        # created, so a later elimination of a variable appearing in an
-        # earlier elimination's resolvent sees (and replaces) that clause
-        # too.  Eliminating against a stale snapshot silently drops the
-        # cross-resolvents and can flip UNSAT to SAT.
-        occurrences: dict[int, list[_Clause]] = {}
-        for clause in self._clauses:
-            if clause.learned:
-                continue
-            for code in clause.lits:
-                occurrences.setdefault(code, []).append(clause)
-        removed: set[_Clause] = set()
-        fresh: list[_Clause] = []
-        eliminated: set[int] = set()
-        #: variables pinned by a unit resolvent: the unit lives in
-        #: ``_pending_units`` where the occurrence structure cannot see
-        #: it, so the variable must not be eliminated afterwards.
-        frozen: set[int] = set()
-        values = self._values
-        for var in range(1, self._num_vars + 1):
-            if budget <= 0:
-                break
-            if values[var << 1] != UNASSIGNED or var in frozen:
-                continue
-            positive = var << 1
-            negative = positive | 1
-            pos = [c for c in occurrences.get(positive, ()) if c not in removed]
-            neg = [c for c in occurrences.get(negative, ()) if c not in removed]
-            if not pos or not neg:
-                continue
-            if len(pos) * len(neg) > self._ELIM_MAX_RESOLUTIONS:
-                continue
-            if any(len(c.lits) > self._SUBSUME_MAX_LEN for c in pos + neg):
-                continue
-            resolvents: list[list[int]] = []
-            abort = False
-            for p in pos:
-                for n in neg:
-                    budget -= 1
-                    if budget < 0:
-                        abort = True
-                        break
-                    resolvent = self._resolve(p.lits, n.lits, positive)
-                    if resolvent is None:
-                        continue
-                    resolvents.append(resolvent)
-                    if len(resolvents) > len(pos) + len(neg):
-                        abort = True
-                        break
-                if abort:
-                    break
-            if abort:
-                continue
-            for clause in pos:
-                self._elim_stack.append((positive, list(clause.lits)))
-                removed.add(clause)
-            for clause in neg:
-                self._elim_stack.append((negative, list(clause.lits)))
-                removed.add(clause)
-            for lits in resolvents:
-                if not lits:
-                    self._ok = False
-                    break
-                if len(lits) == 1:
-                    self._pending_units.append(lits[0])
-                    frozen.add(lits[0] >> 1)
-                    continue
-                clause = _Clause(lits)
-                fresh.append(clause)
-                for code in lits:
-                    occurrences.setdefault(code, []).append(clause)
-            eliminated.add(var)
-            self.stats.vars_eliminated += 1
-            self._sealed = True
-            if not self._ok:
-                break
-        if not eliminated:
-            return budget
-        kept = [
-            clause
-            for clause in self._clauses
-            if clause not in removed
-            and not (
-                clause.learned
-                and any(code >> 1 in eliminated for code in clause.lits)
-            )
-        ]
-        kept.extend(clause for clause in fresh if clause not in removed)
-        self._clauses = kept
-        self._rebuild_watches()
-        if not self._ok:
-            return budget
-        self._flush_pending_units()
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-        return budget
-
-    @staticmethod
-    def _resolve(
-        plits: list[int], nlits: list[int], positive: int
-    ) -> list[int] | None:
-        """Resolvent of two clauses on the variable whose positive code is
-        ``positive``; None when tautological."""
-        negative = positive | 1
-        seen: set[int] = set()
-        out: list[int] = []
-        for code in plits:
-            if code == positive:
-                continue
-            if code ^ 1 in seen:
-                return None
-            if code not in seen:
-                seen.add(code)
-                out.append(code)
-        for code in nlits:
-            if code == negative:
-                continue
-            if code ^ 1 in seen:
-                return None
-            if code not in seen:
-                seen.add(code)
-                out.append(code)
-        return out
-
-    def _extend_model(self) -> None:
-        """Fix eliminated variables so removed clauses are satisfied.
-
-        Records are replayed newest-first: a record's literals may mention
-        variables eliminated later, whose values must be final first.  If a
-        recorded clause is falsified, flipping its witness literal repairs
-        it without breaking any surviving clause (the resolvents are all
-        satisfied, so at most one polarity group of an eliminated variable
-        can be in need).
-        """
-        values = self._values
-        for witness, lits in reversed(self._elim_stack):
-            if any(values[code] == TRUE for code in lits):
-                continue
-            values[witness] = TRUE
-            values[witness ^ 1] = FALSE
 
     def _probe_failed_literals(self, budget: int) -> None:
         """Probe high-activity variables for failed literals.
@@ -1253,8 +1000,6 @@ class SatSolver:
                 continue
             branch = self._pick_branch()
             if branch == _NO_LITERAL:
-                if self._elim_stack:
-                    self._extend_model()
                 return SatResult.SAT
             stats.decisions += 1
             trail_lim.append(len(trail))

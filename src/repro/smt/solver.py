@@ -14,9 +14,10 @@ unsatisfiability of ``φ1 ∧ Ψ2`` — where ``Ψ2`` is the disjunction of the
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -25,12 +26,7 @@ if TYPE_CHECKING:  # cache.py imports Result from here; avoid the cycle.
 
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
-from repro.smt.portfolio import (
-    DEFAULT_PROBE_CONFLICTS,
-    MODES as PORTFOLIO_MODES,
-    default_width,
-    run_portfolio,
-)
+from repro.smt.portfolio import REVERSED, run_portfolio
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -52,7 +48,10 @@ class Result(Enum):
 
 @dataclass
 class QueryStats:
-    """Aggregate statistics across all queries issued through one Solver."""
+    """Aggregate statistics across all queries issued through one Solver.
+
+    Every field is a number that sums when solvers' counters are merged.
+    """
 
     queries: int = 0
     fast_path: int = 0  # answered by simplification alone
@@ -77,72 +76,27 @@ class QueryStats:
     clauses_evicted: int = 0
     #: root units derived by failed-literal probing
     probe_failed_literals: int = 0
-    #: session scopes that fed these counters ("point", "function",
-    #: "campaign"; comma-joined union after merging)
-    session_scope: str = ""
     cache_hits: int = 0  # answered by the shared QueryCache
     cache_misses: int = 0
     #: memo/cache entries that held the answer but could not serve the query
     #: because a model was requested (``need_model=True``).  Not misses: the
     #: cache knew the result, the caller just needed more than the result.
     cache_hits_unused: int = 0
-    #: queries decided (or attempted) by the portfolio runner — fresh
-    #: misses under ``Solver(portfolio=N>1)`` plus session escalations
+    #: queries decided (or attempted) through the portfolio escalation —
+    #: fresh misses under ``Solver(portfolio=True)`` plus session UNKNOWNs
     portfolio_queries: int = 0
-    #: variables removed by bounded variable elimination (portfolio members)
-    vars_eliminated: int = 0
-    #: clauses removed by blocked-clause elimination (portfolio members)
-    clauses_blocked: int = 0
-    #: decided portfolio races per winning configuration name
-    portfolio_wins_by_config: dict[str, int] = field(default_factory=dict)
     #: portfolio queries decided by the baseline triage probe alone
     portfolio_probe_decided: int = 0
-    #: portfolio queries whose probe exhausted and the full race ran
+    #: portfolio queries whose probe exhausted and the reversed form joined
     portfolio_escalations: int = 0
-    #: execution modes that fed these counters ("interleave", "threads",
-    #: "processes"; comma-joined union after merging)
-    portfolio_mode: str = ""
-    per_query_conflicts: list[int] = field(default_factory=list)
+    #: escalated queries the reversed-form runner decided first
+    portfolio_reversed_wins: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         """Fold another solver's counters into this one (batch aggregation)."""
-        self.queries += other.queries
-        self.fast_path += other.fast_path
-        self.sat_calls += other.sat_calls
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.time_seconds += other.time_seconds
-        self.unknowns += other.unknowns
-        self.incremental_checks += other.incremental_checks
-        self.clauses_reused += other.clauses_reused
-        self.encode_cache_hits += other.encode_cache_hits
-        self.clauses_subsumed += other.clauses_subsumed
-        self.clauses_strengthened += other.clauses_strengthened
-        self.clauses_evicted += other.clauses_evicted
-        self.probe_failed_literals += other.probe_failed_literals
-        scopes = set(filter(None, self.session_scope.split(","))) | set(
-            filter(None, other.session_scope.split(","))
-        )
-        self.session_scope = ",".join(sorted(scopes))
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_hits_unused += other.cache_hits_unused
-        self.portfolio_queries += other.portfolio_queries
-        self.vars_eliminated += other.vars_eliminated
-        self.clauses_blocked += other.clauses_blocked
-        for name in sorted(other.portfolio_wins_by_config):
-            self.portfolio_wins_by_config[name] = (
-                self.portfolio_wins_by_config.get(name, 0)
-                + other.portfolio_wins_by_config[name]
-            )
-        self.portfolio_probe_decided += other.portfolio_probe_decided
-        self.portfolio_escalations += other.portfolio_escalations
-        modes = set(filter(None, self.portfolio_mode.split(","))) | set(
-            filter(None, other.portfolio_mode.split(","))
-        )
-        self.portfolio_mode = ",".join(sorted(modes))
-        self.per_query_conflicts.extend(other.per_query_conflicts)
+        for spec in dataclasses.fields(self):
+            name = spec.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class Model:
@@ -196,38 +150,6 @@ class TrivialModel(Model):
         from repro.smt.eval import evaluate
 
         return bool(evaluate(term, _ZERO_ENV, _zero_select))
-
-
-class ValuesModel(Model):
-    """A model carried as plain ``(env, selects)`` value dictionaries.
-
-    ``"processes"``-mode portfolio wins ship their model over a pipe as
-    builtins (terms are per-process interned and never cross a process
-    boundary), already replay-verified by the racing parent.  Terms are
-    read through concrete evaluation under those values; variables the
-    racer never saw default to 0, matching :class:`TrivialModel`.
-    """
-
-    def __init__(
-        self,
-        env: dict[str, "int | bool"],
-        selects: dict[tuple[str, int, int], int],
-    ):
-        self._env = _ZeroEnv(env)
-        self._selects = dict(selects)
-
-    def _select(self, array: str, offset: int, width: int) -> int:
-        return self._selects.get((array, offset, width), 0)
-
-    def eval_bv(self, term: Term) -> int:
-        from repro.smt.eval import evaluate
-
-        return int(evaluate(term, self._env, self._select))
-
-    def eval_bool(self, term: Term) -> bool:
-        from repro.smt.eval import evaluate
-
-        return bool(evaluate(term, self._env, self._select))
 
 
 def _fingerprint(*parts) -> int:
@@ -428,34 +350,16 @@ class Solver:
         self,
         conflict_budget: int | None = 200_000,
         cache: "QueryCache | None" = None,
-        portfolio: int = 1,
-        portfolio_mode: str = "interleave",
-        portfolio_probe: int = DEFAULT_PROBE_CONFLICTS,
+        portfolio: bool = False,
     ):
         self.conflict_budget = conflict_budget
-        #: number of diverse solver configurations raced per fresh query
-        #: (1 = the historical single-solver path; 0/None = auto width from
-        #: the available CPUs).  Sessions keep their single scoped solver;
-        #: the portfolio serves fresh misses and session escalations only.
-        if not portfolio or portfolio < 0:
-            portfolio = default_width() if portfolio == 0 else 1
+        if not isinstance(portfolio, bool):
+            # Portfolio widths were integers once, and ``1`` meant off.
+            raise TypeError(f"portfolio is a bool, got {portfolio!r}")
+        #: decide fresh misses and session UNKNOWNs through the reversed-form
+        #: escalation (see repro.smt.portfolio) instead of one baseline solve.
+        #: Sessions keep their single scoped solver for every other check.
         self.portfolio = portfolio
-        if portfolio_mode not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown portfolio mode {portfolio_mode!r} "
-                f"(expected one of {PORTFOLIO_MODES})"
-            )
-        #: execution mode for portfolio races (see repro.smt.portfolio)
-        self.portfolio_mode = portfolio_mode
-        if portfolio_probe < 0:
-            raise ValueError(
-                f"portfolio probe budget must be >= 0, got {portfolio_probe}"
-            )
-        #: triage probe conflicts: the baseline member alone gets this many
-        #: conflicts before a query escalates to the full race (0 = always
-        #: race).  A constant per solver — never wall-clock derived — so
-        #: campaign resume and byte-identical reports are preserved.
-        self.portfolio_probe = portfolio_probe
         self.stats = QueryStats()
         self.last_model: Model | None = None
         #: simplified goal -> Result.  KEQ re-issues many identical queries
@@ -489,7 +393,7 @@ class Solver:
             return fast
         bare_goal = goal
         goal = t.and_(goal, _ackermann_lemmas(goal), _comparison_lemmas(goal))
-        if self.portfolio > 1:
+        if self.portfolio:
             return self._portfolio_decide(bare_goal, goal, started)
         sat_solver = SatSolver()
         blaster = BitBlaster(sat_solver)
@@ -499,7 +403,6 @@ class Solver:
         self.stats.conflicts += sat_solver.stats.conflicts
         self.stats.decisions += sat_solver.stats.decisions
         self.stats.propagations += sat_solver.stats.propagations
-        self.stats.per_query_conflicts.append(sat_solver.stats.conflicts)
         self.stats.time_seconds += time.perf_counter() - started
         # Minimal deciding budget: the CDCL loop gives up *at* the budget-th
         # conflict, so a run that decided after c conflicts needs c + 1.
@@ -519,17 +422,17 @@ class Solver:
     def _portfolio_decide(
         self, bare_goal: Term, full_goal: Term, started: float
     ) -> Result:
-        """Decide a query by racing diverse configurations.
+        """Decide a query through the portfolio escalation.
 
         ``full_goal`` is the lemma-augmented goal exactly as the
         single-solver path would assert it; ``bare_goal`` is the memo key.
-        Every member is sound and a SAT only wins after its model replays
+        Both runners are sound and a SAT only wins after its model replays
         through the evaluator, so a decided answer here always matches
         what any single-solver run that decides would say; UNKNOWN is
-        returned only when every member exhausted the budget.
+        returned only when both runners exhausted the budget.
 
         Decided results feed the per-solver memo but **not** the shared
-        QueryCache: a diverse member's win carries no fresh-baseline cost,
+        QueryCache: a reversed-form win carries no fresh-baseline cost,
         and storing an optimistic one would let a cached run answer where
         an uncached single-solver run returns UNKNOWN — the same
         budget-monotonicity policy that keeps session results out of the
@@ -538,22 +441,10 @@ class Solver:
         stats = self.stats
         stats.sat_calls += 1
         stats.portfolio_queries += 1
-        modes = set(filter(None, stats.portfolio_mode.split(",")))
-        modes.add(self.portfolio_mode)
-        stats.portfolio_mode = ",".join(sorted(modes))
-        outcome = run_portfolio(
-            full_goal,
-            self.conflict_budget,
-            self.portfolio,
-            mode=self.portfolio_mode,
-            probe=self.portfolio_probe,
-        )
+        outcome = run_portfolio(full_goal, self.conflict_budget)
         stats.conflicts += outcome.conflicts
         stats.decisions += outcome.decisions
         stats.propagations += outcome.propagations
-        stats.vars_eliminated += outcome.vars_eliminated
-        stats.clauses_blocked += outcome.clauses_blocked
-        stats.per_query_conflicts.append(outcome.conflicts)
         stats.time_seconds += time.perf_counter() - started
         if outcome.probe_decided:
             stats.portfolio_probe_decided += 1
@@ -562,20 +453,10 @@ class Solver:
         if outcome.result is SatResult.UNKNOWN:
             stats.unknowns += 1
             return Result.UNKNOWN
-        if not outcome.probe_decided:
-            # Probe decisions are the baseline doing its ordinary job; the
-            # wins table counts races only, so it keeps measuring how often
-            # diversification (not triage) pays.
-            wins = stats.portfolio_wins_by_config
-            wins[outcome.winner] = wins.get(outcome.winner, 0) + 1
+        if outcome.winner == REVERSED:
+            stats.portfolio_reversed_wins += 1
         if outcome.result is SatResult.SAT:
-            if outcome.winner_blaster is not None:
-                self.last_model = Model(outcome.winner_blaster)
-            else:
-                # A "processes"-mode win: the model arrived as plain
-                # values and was already replay-verified by the pool.
-                assert outcome.winner_model is not None
-                self.last_model = ValuesModel(*outcome.winner_model)
+            self.last_model = Model(outcome.winner_blaster)
             self._memo[bare_goal] = Result.SAT
             return Result.SAT
         self._memo[bare_goal] = Result.UNSAT
@@ -688,11 +569,7 @@ class Solver:
 
     # -- incremental sessions ----------------------------------------------------
 
-    def session(
-        self,
-        assumptions: Iterable[Term] = (),
-        core: "SessionCore | None" = None,
-    ) -> "SolverSession":
+    def session(self, assumptions: Iterable[Term] = ()) -> "SolverSession":
         """Open an incremental session sharing ``assumptions`` across checks.
 
         All goals checked through the session are decided *under* the
@@ -700,13 +577,8 @@ class Solver:
         clauses, and VSIDS activity persist across checks, so obligations
         sharing a fat prefix (KEQ's per-sync-point queries) amortize both
         the bit-blasting and the search.  Usable as a context manager.
-
-        ``core`` plugs in pre-existing solver state (a
-        :class:`SessionCore`), letting the session lifecycle outlive this
-        façade object — the campaign drivers keep one core per worker so
-        clauses learned on one function carry into the next.
         """
-        return SolverSession(self, assumptions, core=core)
+        return SolverSession(self, assumptions)
 
 
 #: per-process memo of canonical term printings used to order assumptions
@@ -736,88 +608,6 @@ def canonical_assumption_order(terms: Iterable[Term]) -> list[Term]:
     return sorted(unique, key=key)
 
 
-class SessionCore:
-    """Long-lived incremental-solver state with a bounded learned store.
-
-    Owns the SAT solver, the Tseitin-caching bit-blaster, the assumption
-    indicator literals, and the set of permanently asserted valid lemmas.
-    A :class:`SolverSession` normally creates a private core; campaign
-    drivers instead create one core per worker and thread it through every
-    function's session, so learned clauses and encodings survive across
-    dedup-adjacent functions (the *campaign* scope).
-
-    Between checks the core runs bounded upkeep: when the learned store
-    exceeds ``max_learned`` the weakest half is evicted (LBD/size order),
-    and every ``inprocess_every`` checks the clause database is subsumed,
-    strengthened, and probed under ``inprocess_budget`` propagations —
-    memory stays flat while the retained clauses get stronger.
-    """
-
-    def __init__(
-        self,
-        scope: str = "point",
-        max_learned: int = 4000,
-        inprocess_every: int = 16,
-        inprocess_budget: int = 20_000,
-        max_vars: int = 250_000,
-    ):
-        self.scope = scope
-        self.max_learned = max_learned
-        self.inprocess_every = inprocess_every
-        self.inprocess_budget = inprocess_budget
-        #: generational ceiling: once the shared solver holds this many
-        #: variables, the next maintenance discards the whole core.  SAT
-        #: answers must assign *every* variable, so an unboundedly growing
-        #: campaign core would slow each check down even when the old
-        #: state never helps; a generation restart re-pays one function's
-        #: encoding instead.
-        self.max_vars = max_vars
-        self.sat: SatSolver | None = None
-        self.blaster: BitBlaster | None = None
-        #: raw assumption term -> encoded indicator literal
-        self.assume_lits: dict[Term, int] = {}
-        #: valid lemma conjunctions already asserted permanently
-        self.lemmas_asserted: set[Term] = set()
-        self.checks = 0
-        #: times the state was discarded (poison-pill quarantine or a
-        #: ``max_vars`` generation restart)
-        self.resets = 0
-
-    def ensure(self) -> BitBlaster:
-        if self.blaster is None:
-            self.sat = SatSolver()
-            self.blaster = BitBlaster(self.sat)
-        return self.blaster
-
-    def reset(self) -> None:
-        """Discard every piece of solver state.
-
-        Campaign workers call this after a crashed or quarantined
-        function so a poisoned solve can never constrain later functions.
-        """
-        self.sat = None
-        self.blaster = None
-        self.assume_lits = {}
-        self.lemmas_asserted = set()
-        self.checks = 0
-        self.resets += 1
-
-    def maintain(self) -> None:
-        """Bounded upkeep after a check (see class docstring)."""
-        sat = self.sat
-        if sat is None:
-            return
-        self.checks += 1
-        if self.max_vars and sat.stats.max_vars > self.max_vars:
-            self.reset()
-            return
-        if self.max_learned and sat.num_learned > self.max_learned:
-            sat.reset_to_root()
-            sat.reduce_learned(self.max_learned // 2)
-        if self.inprocess_every and self.checks % self.inprocess_every == 0:
-            sat.inprocess(self.inprocess_budget)
-
-
 class SolverSession:
     """Assumption-based incremental checking against one shared SAT solver.
 
@@ -839,36 +629,32 @@ class SolverSession:
     ``last_core`` holds, after an UNSAT check, the subset of assumption
     *terms* the refutation used (session base + per-check), mapped back
     from the SAT-level unsat core.
+
+    Between checks that reach the SAT solver the session runs bounded
+    upkeep: when the learned store exceeds :attr:`MAX_LEARNED` the weakest
+    half is evicted (LBD/size order), and every :attr:`INPROCESS_EVERY`
+    checks the clause database is subsumed, strengthened, and probed under
+    :attr:`INPROCESS_BUDGET` propagations — memory stays flat while the
+    retained clauses get stronger.
     """
 
-    def __init__(
-        self,
-        solver: Solver,
-        assumptions: Iterable[Term] = (),
-        core: SessionCore | None = None,
-    ):
+    MAX_LEARNED = 4000
+    INPROCESS_EVERY = 16
+    INPROCESS_BUDGET = 20_000
+
+    def __init__(self, solver: Solver, assumptions: Iterable[Term] = ()):
         self.solver = solver
         self._base: list[Term] = list(assumptions)
-        self._core = core if core is not None else SessionCore()
-        solver.stats.session_scope = ",".join(
-            sorted(
-                set(filter(None, solver.stats.session_scope.split(",")))
-                | {self._core.scope}
-            )
-        )
+        #: created by the first check that reaches the SAT solver
+        self._sat: SatSolver | None = None
+        self._blaster: BitBlaster | None = None
+        #: raw assumption term -> encoded indicator literal
+        self._assume_lits: dict[Term, int] = {}
+        #: valid lemma conjunctions already asserted permanently
+        self._lemmas_asserted: set[Term] = set()
+        #: upkeep rounds run so far (one per SAT-reaching check but the first)
+        self._upkeeps = 0
         self.last_core: list[Term] | None = None
-
-    @property
-    def _sat(self) -> SatSolver | None:
-        return self._core.sat
-
-    @property
-    def _blaster(self) -> BitBlaster | None:
-        return self._core.blaster
-
-    @property
-    def _assume_lits(self) -> dict[Term, int]:
-        return self._core.assume_lits
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -876,19 +662,34 @@ class SolverSession:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def _ensure_blaster(self) -> BitBlaster:
-        return self._core.ensure()
-
     def _assume_lit(self, term: Term) -> int:
-        lits = self._core.assume_lits
-        lit = lits.get(term)
+        lit = self._assume_lits.get(term)
         if lit is None:
-            blaster = self._core.blaster
-            assert blaster is not None
-            simplified = simplify(term)
-            lit = blaster.encode_bool(simplified)
-            lits[term] = lit
+            lit = self._blaster.encode_bool(simplify(term))
+            self._assume_lits[term] = lit
         return lit
+
+    def _upkeep(self, sat_solver: SatSolver) -> None:
+        """Bounded upkeep (see the class docstring), tallied into the
+        solver's stats."""
+        sat_stats = sat_solver.stats
+        before = (
+            sat_stats.subsumed,
+            sat_stats.strengthened,
+            sat_stats.evicted,
+            sat_stats.probe_failed,
+        )
+        self._upkeeps += 1
+        if sat_solver.num_learned > self.MAX_LEARNED:
+            sat_solver.reset_to_root()
+            sat_solver.reduce_learned(self.MAX_LEARNED // 2)
+        if self._upkeeps % self.INPROCESS_EVERY == 0:
+            sat_solver.inprocess(self.INPROCESS_BUDGET)
+        stats = self.solver.stats
+        stats.clauses_subsumed += sat_stats.subsumed - before[0]
+        stats.clauses_strengthened += sat_stats.strengthened - before[1]
+        stats.clauses_evicted += sat_stats.evicted - before[2]
+        stats.probe_failed_literals += sat_stats.probe_failed - before[3]
 
     def check(
         self,
@@ -919,33 +720,17 @@ class SolverSession:
         fast = solver._try_fast_paths(combined, need_model, started)
         if fast is not None:
             return fast
-        # Bounded upkeep (eviction, inprocessing, generation restart) runs
-        # *before* this check's encoding: it must never sit between the
-        # solve and the model/unsat-core extraction below, which read the
-        # same blaster and indicator-literal table the solve used.  Its
-        # counter deltas are recorded here — the post-solve window below
-        # only covers the solve itself.
-        sat_before = self._core.sat
-        if sat_before is not None:
-            upkeep = (
-                sat_before.stats.subsumed,
-                sat_before.stats.strengthened,
-                sat_before.stats.evicted,
-                sat_before.stats.probe_failed,
-            )
-        self._core.maintain()
-        if sat_before is not None:
-            stats.clauses_subsumed += sat_before.stats.subsumed - upkeep[0]
-            stats.clauses_strengthened += (
-                sat_before.stats.strengthened - upkeep[1]
-            )
-            stats.clauses_evicted += sat_before.stats.evicted - upkeep[2]
-            stats.probe_failed_literals += (
-                sat_before.stats.probe_failed - upkeep[3]
-            )
-        blaster = self._ensure_blaster()
+        # Bounded upkeep runs *before* this check's encoding: it must never
+        # sit between the solve and the model/unsat-core extraction below,
+        # which read the same blaster and indicator-literal table the solve
+        # used.
         sat_solver = self._sat
-        assert sat_solver is not None
+        if sat_solver is None:
+            sat_solver = self._sat = SatSolver()
+            self._blaster = BitBlaster(sat_solver)
+        else:
+            self._upkeep(sat_solver)
+        blaster = self._blaster
         sat_solver.reset_to_root()
         # Theory lemmas for the combined goal are *valid*, so they may be
         # asserted permanently — they can only help later checks.
@@ -953,41 +738,25 @@ class SolverSession:
             _ackermann_lemmas(combined), _comparison_lemmas(combined)
         )
         encode_hits_before = blaster.encode_hits
-        lemmas_asserted = self._core.lemmas_asserted
-        if lemmas is not t.TRUE and lemmas not in lemmas_asserted:
-            lemmas_asserted.add(lemmas)
+        if lemmas is not t.TRUE and lemmas not in self._lemmas_asserted:
+            self._lemmas_asserted.add(lemmas)
             blaster.assert_term(lemmas)
         assume_lits = [self._assume_lit(term) for term in ordered]
         delta_lit = self._assume_lit(delta)
         stats.clauses_reused += sat_solver.num_learned
         stats.encode_cache_hits += blaster.encode_hits - encode_hits_before
-        conflicts_before = sat_solver.stats.conflicts
-        decisions_before = sat_solver.stats.decisions
-        propagations_before = sat_solver.stats.propagations
-        subsumed_before = sat_solver.stats.subsumed
-        strengthened_before = sat_solver.stats.strengthened
-        evicted_before = sat_solver.stats.evicted
-        probed_before = sat_solver.stats.probe_failed
+        sat_stats = sat_solver.stats
+        conflicts_before = sat_stats.conflicts
+        decisions_before = sat_stats.decisions
+        propagations_before = sat_stats.propagations
         stats.sat_calls += 1
         outcome = sat_solver.solve(
             assumptions=assume_lits + [delta_lit],
             conflict_budget=solver.conflict_budget,
         )
-        conflicts_delta = sat_solver.stats.conflicts - conflicts_before
-        stats.conflicts += conflicts_delta
-        stats.decisions += sat_solver.stats.decisions - decisions_before
-        stats.propagations += (
-            sat_solver.stats.propagations - propagations_before
-        )
-        stats.clauses_subsumed += sat_solver.stats.subsumed - subsumed_before
-        stats.clauses_strengthened += (
-            sat_solver.stats.strengthened - strengthened_before
-        )
-        stats.clauses_evicted += sat_solver.stats.evicted - evicted_before
-        stats.probe_failed_literals += (
-            sat_solver.stats.probe_failed - probed_before
-        )
-        stats.per_query_conflicts.append(conflicts_delta)
+        stats.conflicts += sat_stats.conflicts - conflicts_before
+        stats.decisions += sat_stats.decisions - decisions_before
+        stats.propagations += sat_stats.propagations - propagations_before
         stats.time_seconds += time.perf_counter() - started
         # Session results feed the per-solver memo (this solver re-serves
         # them under the same budget) but never the shared QueryCache: the
@@ -1010,12 +779,10 @@ class SolverSession:
             ]
             solver._memo[combined] = Result.UNSAT
             return Result.UNSAT
-        # UNKNOWN under the scoped solver.  With a portfolio configured,
-        # escalate to a fresh race before giving up: sessions keep their
-        # single scoped solver — only fresh and escalated queries are
-        # portfolio-backed — so the escalation runs on fresh members and
-        # can only refine the UNKNOWN, never flip a decided verdict.
-        if solver.portfolio > 1:
+        # UNKNOWN under the scoped solver.  With the portfolio on, escalate
+        # on fresh runners before giving up: they can only refine the
+        # UNKNOWN, never flip a decided verdict.
+        if solver.portfolio:
             return solver._portfolio_decide(
                 combined,
                 t.and_(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from statistics import mean, median
 
 from repro.llvm import ir
-from repro.smt import QueryCache, QueryStats, SessionCore
+from repro.smt import QueryCache, QueryStats
 from repro.tv.driver import Category, TvOptions, TvOutcome, validate_function
 
 
@@ -111,38 +111,37 @@ class BatchResult:
                 f" cache_misses={stats.cache_misses}"
                 f" hit-rate={rate:.1f}%"
             )
-        if stats.incremental_checks:
-            lines.append(
-                f"session: scope={stats.session_scope or 'point'}"
-                f" checks={stats.incremental_checks}"
-                f" clauses_reused={stats.clauses_reused}"
-                f" subsumed={stats.clauses_subsumed}"
-                f" strengthened={stats.clauses_strengthened}"
-                f" evicted={stats.clauses_evicted}"
-                f" probe_failed_literals={stats.probe_failed_literals}"
-            )
-        if stats.portfolio_queries:
-            wins = " ".join(
-                f"{name}={count}"
-                for name, count in sorted(
-                    stats.portfolio_wins_by_config.items()
-                )
-            )
-            lines.append(
-                f"portfolio: mode={stats.portfolio_mode or 'interleave'}"
-                f" queries={stats.portfolio_queries}"
-                f" probe_decided={stats.portfolio_probe_decided}"
-                f" escalations={stats.portfolio_escalations}"
-                f" wins=[{wins}]"
-                f" vars_eliminated={stats.vars_eliminated}"
-                f" clauses_blocked={stats.clauses_blocked}"
-            )
+        lines.extend(solver_counter_lines(stats))
         if self.deduped_functions:
             lines.append(
                 f"dedup: {self.dedup_classes} classes,"
                 f" {self.deduped_functions} outcomes replayed"
             )
         return "\n".join(lines)
+
+
+def solver_counter_lines(stats: QueryStats) -> list[str]:
+    """The ``session:`` and ``portfolio:`` summary lines, each present only
+    when its mechanism ran (batch summaries and ``campaign status`` share
+    this renderer)."""
+    lines = []
+    if stats.incremental_checks:
+        lines.append(
+            f"session: checks={stats.incremental_checks}"
+            f" clauses_reused={stats.clauses_reused}"
+            f" subsumed={stats.clauses_subsumed}"
+            f" strengthened={stats.clauses_strengthened}"
+            f" evicted={stats.clauses_evicted}"
+            f" probe_failed_literals={stats.probe_failed_literals}"
+        )
+    if stats.portfolio_queries:
+        lines.append(
+            f"portfolio: queries={stats.portfolio_queries}"
+            f" probe_decided={stats.portfolio_probe_decided}"
+            f" escalations={stats.portfolio_escalations}"
+            f" reversed_wins={stats.portfolio_reversed_wins}"
+        )
+    return lines
 
 
 def merge_results(results) -> BatchResult:
@@ -210,36 +209,12 @@ def run_batch(
     overrides = overrides or {}
     if cache is None:
         cache = QueryCache(cache_dir=cache_dir)
-    session_core = campaign_session_core(options)
     for name in names:
         result.outcomes.append(
-            validate_function(
-                module,
-                name,
-                overrides.get(name, options),
-                cache,
-                session_core=session_core,
-            )
+            validate_function(module, name, overrides.get(name, options), cache)
         )
     result.merge_stats()
     return result
-
-
-def campaign_session_core(options: TvOptions | None) -> SessionCore | None:
-    """One long-lived solver core for a campaign runner, or None.
-
-    Only built when the options ask for campaign-scoped incremental
-    solving; per-function overrides still opt out individually inside
-    :class:`~repro.keq.symbolic.Keq` (the core is attached only when the
-    effective options request the campaign scope).
-    """
-    if (
-        options is not None
-        and options.keq.incremental_solving
-        and options.keq.session_scope == "campaign"
-    ):
-        return SessionCore(scope="campaign")
-    return None
 
 
 def corpus_overrides(corpus, base: TvOptions) -> dict[str, TvOptions]:

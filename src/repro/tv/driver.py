@@ -36,7 +36,7 @@ from repro.keq import (
 from repro.keq.report import FAILURE_CLASS_INADEQUATE_SYNC
 from repro.llvm import ir
 from repro.llvm.semantics import LlvmSemantics, SemanticsError
-from repro.smt import QueryCache, QueryStats, SessionCore, Solver
+from repro.smt import QueryCache, QueryStats, Solver
 from repro.targets import DEFAULT_TARGET, get_target
 from repro.vcgen import VcGenError, generate_sync_points
 
@@ -116,16 +116,9 @@ def validate_function(
     function_name: str,
     options: TvOptions | None = None,
     cache: QueryCache | None = None,
-    session_core: "SessionCore | None" = None,
 ) -> TvOutcome:
     """Validate one function; ``cache`` is an optional shared solver-level
-    query cache (see :mod:`repro.smt.cache`) reused across functions.
-
-    ``session_core`` is an optional campaign-scoped
-    :class:`~repro.smt.SessionCore` holding long-lived SAT state (Tseitin
-    encodings, learned clauses).  When provided *and*
-    ``options.keq.session_scope == "campaign"``, the function's solver
-    sessions attach to it instead of opening function-scoped state."""
+    query cache (see :mod:`repro.smt.cache`) reused across functions."""
     options = options or TvOptions()
     target = get_target(options.target)
     if cache is not None:
@@ -139,8 +132,6 @@ def validate_function(
         conflict_budget=options.keq.solver_conflict_budget,
         cache=cache,
         portfolio=options.keq.portfolio,
-        portfolio_mode=options.keq.portfolio_mode,
-        portfolio_probe=options.keq.portfolio_probe,
     )
 
     def done(
@@ -201,14 +192,7 @@ def validate_function(
     # the target registry hands back, through the same entry points.
     left = LlvmSemantics(module)
     right = target.semantics({machine.name: machine})
-    keq = Keq(
-        left,
-        right,
-        target.acceptability(),
-        options.keq,
-        solver=solver,
-        session_core=session_core,
-    )
+    keq = Keq(left, right, target.acceptability(), options.keq, solver=solver)
     try:
         report = keq.check_equivalence(points)
     except SemanticsError as error:

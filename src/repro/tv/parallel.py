@@ -57,29 +57,17 @@ _GRACE_SLACK = 5.0
 _POLL_SECONDS = 0.05
 
 
-def default_validate(module, name, options, cache, session_core=None):
+def default_validate(module, name, options, cache):
     """The validation callable workers run; replaceable via ``validate``
     (used by tests to inject hanging/crashing workloads)."""
-    return validate_function(module, name, options, cache, session_core)
+    return validate_function(module, name, options, cache)
 
 
-def _worker_main(
-    conn, module_text, options, overrides, cache_dir, validate, pool_slots=None
-):
+def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
     """Worker loop: re-parse the module, then serve tasks off the pipe."""
     from repro.llvm import parse_module
     from repro.smt import QueryCache
-    from repro.smt.procpool import set_shared_slots, shutdown_shared_pool
-    from repro.tv.batch import campaign_session_core
 
-    # Process-mode portfolio racers share the CPU allotment with the
-    # worker pool: each worker's shared racer pool is capped so that
-    # jobs x width never oversubscribes the machine.
-    set_shared_slots(pool_slots)
-    # Campaign-scoped solver state lives for the worker's whole shard.
-    # Injected ``validate`` hooks keep their 4-argument signature, so the
-    # core only rides along on the default validation path.
-    session_core = None if validate is not None else campaign_session_core(options)
     validate = validate or default_validate
     try:
         module = parse_module(module_text)
@@ -87,55 +75,37 @@ def _worker_main(
         detail = traceback.format_exc(limit=8)
         module = None
     cache = QueryCache(cache_dir=cache_dir)
-    try:
-        while True:
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message[0] == "stop":
+            return
+        _, index, name = message
+        if module is None:
+            outcome = TvOutcome(
+                name,
+                Category.OTHER,
+                detail=f"module re-parse failed:\n{detail}",
+                failure_class=FAILURE_CLASS_CRASH,
+            )
+        else:
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "stop":
-                return
-            _, index, name = message
-            if module is None:
+                outcome = validate(
+                    module, name, overrides.get(name, options), cache
+                )
+            except BaseException:
                 outcome = TvOutcome(
                     name,
                     Category.OTHER,
-                    detail=f"module re-parse failed:\n{detail}",
+                    detail=traceback.format_exc(limit=12),
                     failure_class=FAILURE_CLASS_CRASH,
                 )
-            else:
-                try:
-                    if session_core is not None:
-                        outcome = validate(
-                            module,
-                            name,
-                            overrides.get(name, options),
-                            cache,
-                            session_core,
-                        )
-                    else:
-                        outcome = validate(
-                            module, name, overrides.get(name, options), cache
-                        )
-                except BaseException:
-                    if session_core is not None:
-                        # A poison-pill function may have left the shared SAT
-                        # state mid-update; quarantine it by starting over.
-                        session_core.reset()
-                    outcome = TvOutcome(
-                        name,
-                        Category.OTHER,
-                        detail=traceback.format_exc(limit=12),
-                        failure_class=FAILURE_CLASS_CRASH,
-                    )
-            try:
-                conn.send(("done", index, outcome))
-            except (BrokenPipeError, OSError):
-                return
-    finally:
-        # Orphan hygiene: a worker never exits (stop, EOF, crash-path
-        # return) with live racer grandchildren behind it.
-        shutdown_shared_pool()
+        try:
+            conn.send(("done", index, outcome))
+        except (BrokenPipeError, OSError):
+            return
 
 
 @dataclass
@@ -147,28 +117,11 @@ class _Task:
 class Worker:
     """One spawned worker process plus its duplex pipe and current task."""
 
-    def __init__(
-        self,
-        ctx,
-        module_text,
-        options,
-        overrides,
-        cache_dir,
-        validate,
-        pool_slots=None,
-    ):
+    def __init__(self, ctx, module_text, options, overrides, cache_dir, validate):
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                module_text,
-                options,
-                overrides,
-                cache_dir,
-                validate,
-                pool_slots,
-            ),
+            args=(child_conn, module_text, options, overrides, cache_dir, validate),
             daemon=True,
         )
         self.process.start()
@@ -212,35 +165,6 @@ class Worker:
             self.process.join(timeout=2.0)
         self.conn.close()
         self.process.close()
-
-
-def racer_slots(
-    options: TvOptions | None,
-    overrides: dict[str, TvOptions] | None,
-    jobs: int,
-    cores: int | None = None,
-) -> int | None:
-    """Per-worker racer-pool slot cap for process-mode portfolios.
-
-    With ``jobs`` workers each potentially racing ``width`` solver
-    subprocesses, the machine would run jobs x width searchers; cap each
-    worker's shared :class:`repro.smt.procpool.PortfolioPool` at
-    ``cores // jobs`` slots so the product never oversubscribes
-    :func:`repro.util.available_cpus`.  None when no effective options
-    request a process-mode portfolio (the pool is never built).
-    """
-
-    def wants_processes(opts: TvOptions | None) -> bool:
-        keq = (opts or TvOptions()).keq
-        return keq.portfolio != 1 and keq.portfolio_mode == "processes"
-
-    if not wants_processes(options) and not any(
-        wants_processes(opts) for opts in (overrides or {}).values()
-    ):
-        return None
-    if cores is None:
-        cores = available_cpus()
-    return max(1, cores // max(1, jobs))
 
 
 def hard_budget(
@@ -305,22 +229,13 @@ def run_batch_parallel(
         )
     module_text = str(module)
     ctx = mp.get_context("spawn")
-    pool_slots = racer_slots(options, overrides, jobs, cores)
 
     pending = deque(_Task(i, name) for i, name in enumerate(names))
     outcomes: dict[int, TvOutcome] = {}
     workers: list[Worker] = []
 
     def spawn() -> Worker:
-        return Worker(
-            ctx,
-            module_text,
-            options,
-            overrides,
-            cache_dir,
-            validate,
-            pool_slots=pool_slots,
-        )
+        return Worker(ctx, module_text, options, overrides, cache_dir, validate)
 
     def budget_for(task: _Task) -> float | None:
         return hard_budget(

@@ -4,6 +4,7 @@ import random
 
 from repro.campaign import Journal, load_state, merge_campaign, outcome_to_json
 from repro.campaign.merge import build_status
+from repro.smt import QueryStats
 from repro.tv.batch import BatchResult, merge_results
 from repro.tv.driver import Category, TvOutcome
 
@@ -169,4 +170,41 @@ class TestBuildStatus:
             start("b"),
             done("b"),
             start("d"),
+        ]
+
+
+class TestSolverCounterLines:
+    def test_batch_summary_and_status_print_the_same_lines(self, tmp_path):
+        stats = QueryStats(
+            queries=9,
+            incremental_checks=7,
+            clauses_reused=5,
+            clauses_subsumed=4,
+            clauses_strengthened=3,
+            clauses_evicted=2,
+            probe_failed_literals=1,
+            portfolio_queries=6,
+            portfolio_probe_decided=4,
+            portfolio_escalations=2,
+            portfolio_reversed_wins=1,
+        )
+        state = journal_state(
+            tmp_path,
+            [done(name, solver_stats=stats) for name in ("a", "b", "d", "e")],
+        )
+
+        def counter_lines(text):
+            return [
+                line
+                for line in text.splitlines()
+                if line.startswith(("session:", "portfolio:"))
+            ]
+
+        summary = merge_campaign(MANIFEST, state).batch.summary()
+        status = build_status(MANIFEST, state).render()
+        assert counter_lines(summary) == counter_lines(status) == [
+            "session: checks=28 clauses_reused=20 subsumed=16 strengthened=12"
+            " evicted=8 probe_failed_literals=4",
+            "portfolio: queries=24 probe_decided=16 escalations=8"
+            " reversed_wins=4",
         ]

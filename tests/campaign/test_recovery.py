@@ -159,34 +159,35 @@ class TestQuarantine:
         assert "worker deaths" in report.quarantined[VICTIM]
 
 
-class TestProcessModeCampaign:
-    """Process-parallel racing must never change campaign verdicts.
+class TestPortfolioCampaign:
+    """The portfolio escalation must never change campaign verdicts.
 
-    On a starved box the pool clamps the race width to the worker's slot
-    share (possibly a single racer), which is exactly the degenerate case
-    most likely to diverge — so these tests make no assumption about CPU
-    count and hold the report to byte-identity either way.
+    Incremental solving is off on both sides, so every query that reaches
+    the SAT layer goes through the escalation (function-scoped sessions
+    would decide nearly all of them on their own).
     """
 
     def test_report_byte_identical_to_single_solver(self, tmp_path):
-        plain = run_campaign(str(tmp_path / "plain"), config(portfolio=1))
-        raced_dir = str(tmp_path / "raced")
+        plain = run_campaign(
+            str(tmp_path / "plain"), config(incremental=False)
+        )
         raced = run_campaign(
-            raced_dir,
-            config(
-                portfolio=4, portfolio_mode="processes", portfolio_probe=0
-            ),
+            str(tmp_path / "raced"), config(incremental=False, portfolio=True)
         )
         assert raced.complete
+        assert raced.batch.solver_stats.portfolio_queries > 0
+        assert plain.batch.solver_stats.portfolio_queries == 0
         assert raced.summary(include_timing=False) == plain.summary(
             include_timing=False
         )
         assert raced.function_table() == plain.function_table()
 
-    def test_mode_and_probe_survive_interrupt_and_resume(
+    def test_portfolio_survives_interrupt_and_resume(
         self, tmp_path, monkeypatch
     ):
-        plain = run_campaign(str(tmp_path / "plain"), config(portfolio=1))
+        plain = run_campaign(
+            str(tmp_path / "plain"), config(incremental=False)
+        )
 
         crash_dir = str(tmp_path / "crash")
         monkeypatch.setenv(KILL_ONCE_ENV, VICTIM)
@@ -195,20 +196,17 @@ class TestProcessModeCampaign:
             run_campaign(
                 crash_dir,
                 config(
-                    portfolio=4,
-                    portfolio_mode="processes",
-                    portfolio_probe=0,
+                    incremental=False,
+                    portfolio=True,
                     halt_on_worker_death=True,
                     validate=sigkill_injector,
                 ),
             )
-        manifest = load_manifest(crash_dir)
-        assert manifest["portfolio"] == 4
-        assert manifest["portfolio_mode"] == "processes"
-        assert manifest["portfolio_probe"] == 0
+        assert load_manifest(crash_dir)["portfolio"] is True
 
         report = resume_campaign(crash_dir)
         assert report.complete
+        assert report.batch.solver_stats.portfolio_queries > 0
         assert report.summary(include_timing=False) == plain.summary(
             include_timing=False
         )

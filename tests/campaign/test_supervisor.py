@@ -108,34 +108,32 @@ class TestStatusErrors:
 
 
 class TestPortfolioManifestRoundTrip:
-    """``--portfolio N`` must survive halt/resume through the manifest so
-    resumed shards race with the same width (outcome identity)."""
+    """``--portfolio`` must survive halt/resume through the manifest so
+    resumed shards escalate exactly as the original run did."""
 
-    def test_portfolio_width_persisted_and_resumed(self, tmp_path):
+    def test_portfolio_flag_persisted_and_resumed(self, tmp_path):
         directory = str(tmp_path / "camp")
         report = run_campaign(
             directory,
-            CampaignConfig(
-                shards=1, jobs=1, wall_budget=30.0, portfolio=3
-            ),
+            CampaignConfig(shards=1, jobs=1, wall_budget=30.0, portfolio=True),
             corpus=clone_corpus(),
         )
         assert report.complete
         manifest = load_manifest(directory)
-        assert manifest["portfolio"] == 3
+        assert manifest["portfolio"] is True
         # Resume of a complete campaign replays the merged report with
-        # the persisted width (no KeyError / silent reset to 1).
+        # the persisted flag (no KeyError / silent reset to off).
         resumed = resume_campaign(directory, corpus=clone_corpus())
         assert resumed.complete
 
-    def test_default_width_is_single_solver(self, tmp_path):
+    def test_default_is_single_solver(self, tmp_path):
         directory = str(tmp_path / "camp")
         run_campaign(
             directory,
             CampaignConfig(shards=1, jobs=1, wall_budget=30.0),
             corpus=clone_corpus(),
         )
-        assert load_manifest(directory)["portfolio"] == 1
+        assert load_manifest(directory)["portfolio"] is False
 
 
 class TestTargetManifestRoundTrip:

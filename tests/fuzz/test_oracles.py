@@ -234,9 +234,9 @@ class TestPortfolioVsSingleOracle:
         class LyingPortfolioSolver(Solver):
             def check_sat(self, formula, need_model=False):
                 outcome = super().check_sat(formula, need_model=need_model)
-                if self.portfolio > 1 and outcome is Result.SAT:
+                if self.portfolio and outcome is Result.SAT:
                     return Result.UNSAT
-                if self.portfolio > 1 and outcome is Result.UNSAT:
+                if self.portfolio and outcome is Result.UNSAT:
                     return Result.SAT
                 return outcome
 
@@ -262,7 +262,7 @@ class TestPortfolioVsSingleOracle:
         class CorruptModelSolver(Solver):
             def check_sat(self, formula, need_model=False):
                 outcome = super().check_sat(formula, need_model=need_model)
-                if self.portfolio > 1 and outcome is Result.SAT:
+                if self.portfolio and outcome is Result.SAT:
                     self.last_model = Zeroed()
                 return outcome
 
@@ -290,8 +290,8 @@ class TestTriageVsAlwaysOracle:
 
         real = oracles.run_portfolio
 
-        def lying(goal, budget, width=3, probe=0, **kwargs):
-            outcome = real(goal, budget, width=width, probe=probe, **kwargs)
+        def lying(goal, budget, probe=0, **kwargs):
+            outcome = real(goal, budget, probe=probe, **kwargs)
             if probe and outcome.result is SatResult.SAT:
                 outcome.result = SatResult.UNSAT
             return outcome
@@ -309,8 +309,8 @@ class TestTriageVsAlwaysOracle:
 
         real = oracles.run_portfolio
 
-        def dropping(goal, budget, width=3, probe=0, **kwargs):
-            outcome = real(goal, budget, width=width, probe=probe, **kwargs)
+        def dropping(goal, budget, probe=0, **kwargs):
+            outcome = real(goal, budget, probe=probe, **kwargs)
             if probe and outcome.result is SatResult.UNKNOWN:
                 outcome.exhausted = outcome.exhausted[:-1]
             return outcome

@@ -243,3 +243,22 @@ class TestBudgets:
     def test_pair_budget_produces_timeout(self):
         report = validate_source(ARITH_SEQ_SUM, max_pair_checks=0)
         assert report.verdict is Verdict.TIMEOUT
+
+
+class TestSolverOptions:
+    def test_only_function_scoped_sessions(self):
+        import dataclasses
+
+        assert KeqOptions(session_scope="function").session_scope == "function"
+        for scope in ("point", "campaign"):
+            with pytest.raises(ValueError, match="session_scope"):
+                KeqOptions(session_scope=scope)
+            with pytest.raises(ValueError, match="session_scope"):
+                dataclasses.replace(KeqOptions(), session_scope=scope)
+
+    def test_portfolio_is_a_flag(self):
+        assert KeqOptions(portfolio=True).portfolio is True
+        # Widths were integers once, and 1 meant "off": refuse them all.
+        for width in (0, 1, 4):
+            with pytest.raises(TypeError):
+                KeqOptions(portfolio=width)

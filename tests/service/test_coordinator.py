@@ -14,7 +14,6 @@ from repro.campaign import CampaignConfig, load_state, read_events
 from repro.campaign.journal import Journal, outcome_to_json
 from repro.campaign.supervisor import prepare_campaign
 from repro.service.coordinator import Coordinator, ServiceConfig
-from repro.smt import DEFAULT_PROBE_CONFLICTS
 from repro.tv.driver import Category, TvOutcome
 
 
@@ -91,8 +90,7 @@ class TestHello:
         assert welcome["cache_dir"] == coordinator.prepared.manifest["cache_dir"]
         assert welcome["validate"] is None
         assert isinstance(welcome["imprecise"], list)
-        assert welcome["portfolio_mode"] == "interleave"
-        assert welcome["portfolio_probe"] == DEFAULT_PROBE_CONFLICTS
+        assert welcome["portfolio"] is False
 
     def test_unknown_type_is_an_error(self, coordinator):
         reply = coordinator.handle({"type": "frobnicate"})

@@ -162,7 +162,7 @@ class TestBudgetSoundness:
         outcome = rich.check_sat(goal)
         if rich.stats.sat_calls == 0 or outcome is Result.UNKNOWN:
             pytest.skip("query decided on a fast path; cannot starve it")
-        conflicts = rich.stats.per_query_conflicts[-1]
+        conflicts = rich.stats.conflicts  # the one query's search
         if conflicts == 0:
             pytest.skip("query decided without conflicts")
         starved = Solver(conflict_budget=conflicts, cache=cache)

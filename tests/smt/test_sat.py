@@ -154,99 +154,3 @@ class TestBudget:
             solver.add_clause(clause)
         assert solver.solve(conflict_budget=100_000) is SatResult.UNSAT
 
-
-class TestEliminationInprocessing:
-    """BCE + bounded variable elimination (``inprocess(eliminate=True)``)."""
-
-    def _random_cnf(self, rng, nvars, nclauses):
-        clauses = []
-        for _ in range(nclauses):
-            size = rng.randint(1, 4)
-            chosen = rng.sample(range(1, nvars + 1), min(size, nvars))
-            clauses.append(
-                [v if rng.random() < 0.5 else -v for v in chosen]
-            )
-        return clauses
-
-    def _fresh(self, nvars, clauses):
-        solver = SatSolver()
-        while solver.num_vars < nvars:
-            solver.new_var()
-        for clause in clauses:
-            solver.add_clause(list(clause))
-        return solver
-
-    def test_elimination_preserves_verdict_and_models(self):
-        import random
-
-        rng = random.Random(20210404)
-        for _ in range(120):
-            nvars = rng.randint(3, 12)
-            clauses = self._random_cnf(rng, nvars, rng.randint(nvars, 4 * nvars))
-            plain = self._fresh(nvars, clauses)
-            treated = self._fresh(nvars, clauses)
-            treated.inprocess(50_000, eliminate=True)
-            expected = plain.solve(conflict_budget=100_000)
-            got = treated.solve(conflict_budget=100_000)
-            assert got is expected, clauses
-            if got is SatResult.SAT:
-                # _extend_model must reconstruct eliminated variables so
-                # the model satisfies every *original* clause.
-                for clause in clauses:
-                    assert any(
-                        treated.model_value(abs(lit)) is (lit > 0)
-                        for lit in clause
-                    ), (clauses, clause)
-
-    def test_stale_occurrence_regression(self):
-        """Chained eliminations: eliminating v creates resolvents over w;
-        a later elimination of w must resolve against those resolvents
-        too, or constraints are silently lost (historically flipped the
-        UNSAT multiplier-equivalence miters to SAT at zero conflicts)."""
-        from repro.smt import terms as t
-        from repro.smt.bitblast import BitBlaster
-
-        def shiftadd(x, c, width):
-            acc = t.bv_const(0, width)
-            bit = 0
-            while c:
-                if c & 1:
-                    acc = t.add(acc, t.shl(x, t.bv_const(bit, width)))
-                c >>= 1
-                bit += 1
-            return acc
-
-        for width, c in [(4, 0x5), (5, 0xB), (6, 0x2D)]:
-            x = t.bv_var("x", width)
-            miter = t.ne(
-                t.mul(x, t.bv_const(c, width)), shiftadd(x, c, width)
-            )
-            solver = SatSolver()
-            blaster = BitBlaster(solver)
-            blaster.assert_term(miter)
-            solver.inprocess(50_000, eliminate=True)
-            assert solver.stats.vars_eliminated > 0
-            assert solver.solve(conflict_budget=100_000) is SatResult.UNSAT
-
-    def test_counters_populate(self):
-        import random
-
-        rng = random.Random(7)
-        clauses = self._random_cnf(rng, 12, 40)
-        solver = self._fresh(12, clauses)
-        solver.inprocess(50_000, eliminate=True)
-        assert solver.stats.vars_eliminated >= 0
-        assert solver.stats.clauses_blocked >= 0
-
-    def test_sealed_solver_rejects_new_clauses(self):
-        solver = self._fresh(4, [[1, 2], [-1, 3], [-2, -3], [3, 4], [-3, -4]])
-        solver.inprocess(50_000, eliminate=True)
-        if solver.stats.vars_eliminated or solver.stats.clauses_blocked:
-            with pytest.raises(RuntimeError, match="sealed"):
-                solver.add_clause([1, 4])
-
-    def test_default_inprocess_does_not_eliminate(self):
-        solver = self._fresh(4, [[1, 2], [-1, 3], [-2, -3], [3, 4]])
-        solver.inprocess(50_000)
-        assert solver.stats.vars_eliminated == 0
-        assert solver.stats.clauses_blocked == 0

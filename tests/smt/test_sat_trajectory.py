@@ -12,9 +12,10 @@ recorded the fixture.
 The streams are generated here from seeds.  They cover incremental sessions
 under assumptions (duplicate and contradictory ones included), clauses and
 units added right after a SAT answer, ``reset_to_root`` and
-``reduce_learned``, ``inprocess()`` and ``inprocess(eliminate=True)``,
-every ``SolverConfig`` the portfolio uses, conflict-budget slices,
-bit-blasted goals from the fuzz generator, and VSIDS activity rescaling.
+``reduce_learned``, ``inprocess()``, a range of ``SolverConfig`` variants
+(on the goal and on its reversed conjunction), conflict-budget slices,
+bit-blasted goals from the fuzz generator, VSIDS activity rescaling, and
+failed-literal probing.
 
 Term serials order the operands of commutative operations, so the CNF of a
 bit-blasted goal depends on which terms the process interned before it.
@@ -40,7 +41,6 @@ import pytest
 from repro.fuzz.generator import TermGenerator
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
-from repro.smt.portfolio import BASELINE, DIVERSE_MEMBERS
 from repro.smt.sat import SatResult, SatSolver, SolverConfig, Stats
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "sat_trajectory.json"
@@ -182,28 +182,26 @@ def stream_inprocess(seed):
     return log
 
 
-def stream_eliminate(seed):
-    """One-shot solvers with BCE + BVE, solved in doubling budget slices."""
-    rng = random.Random(seed)
-    log = []
-    for index in range(10):
-        solver = SatSolver()
-        if index % 3 == 2:
-            BitBlaster(solver).assert_term(_miter(4 + index % 2, 0xB))
-        else:
-            nvars = rng.randint(12, 40)
-            for _ in range(int(nvars * rng.uniform(3.0, 4.6))):
-                size = rng.choice((1, 2, 3, 3, 3, 4))
-                solver.add_clause(_random_clause(rng, nvars, size))
-        solver.inprocess(rng.choice((500, 50_000)), eliminate=True)
-        budget = 16
-        while _solve(log, solver, budget=budget) is SatResult.UNKNOWN:
-            budget *= 2
-    return log
+#: ``(config, reversed_form)`` pairs: the defaults, phase, restart, seed and
+#: decay variants, each on the goal or on its reversed conjunction.
+CONFIGURATIONS = (
+    (SolverConfig(), False),
+    (SolverConfig(default_polarity=True), False),
+    (SolverConfig(restart_policy="geometric", restart_base=64), False),
+    (SolverConfig(), True),
+    (
+        SolverConfig(
+            default_polarity=True, restart_policy="geometric", activity_seed=2
+        ),
+        False,
+    ),
+    (SolverConfig(activity_seed=3, var_decay=0.9), False),
+    (SolverConfig(default_polarity=True, activity_seed=4), True),
+)
 
 
 def stream_portfolio_members(seed):
-    """Every portfolio member's configuration on shared bit-blasted goals."""
+    """Every configuration in ``CONFIGURATIONS`` on shared bit-blasted goals."""
     goals = [
         t.and_(_miter(7, 0x5B), TermGenerator(seed).formula()),
         t.and_(
@@ -211,15 +209,13 @@ def stream_portfolio_members(seed):
         ),
     ]
     log = []
-    for member in (BASELINE,) + DIVERSE_MEMBERS:
+    for config, reversed_form in CONFIGURATIONS:
         for goal in goals:
-            solver = SatSolver(member.sat)
+            solver = SatSolver(config)
             encoded = goal
-            if member.reversed_form and goal.op == "and":
+            if reversed_form and goal.op == "and":
                 encoded = t.conj(list(reversed(goal.args)))
             BitBlaster(solver).assert_term(encoded)
-            if member.preprocess:
-                solver.inprocess(member.preprocess_budget, eliminate=True)
             budget = 32
             while _solve(log, solver, budget=budget) is SatResult.UNKNOWN:
                 budget *= 2
@@ -264,14 +260,32 @@ def stream_rescale(seed):
     return log
 
 
+def stream_probe(seed):
+    """Failed-literal probing: inprocessing between solves of a formula
+    rich in binary implications."""
+    rng = random.Random(seed)
+    log = []
+    solver = SatSolver()
+    nvars = 90
+    for _ in range(45):
+        solver.add_clause(_random_clause(rng, nvars, 2))
+    for _ in range(250):
+        solver.add_clause(_random_clause(rng, nvars, 3))
+    for _ in range(6):
+        _solve(log, solver, _random_clause(rng, nvars, 2))
+        solver.inprocess(rng.choice((500, 20_000)))
+        _solve(log, solver, _random_clause(rng, nvars, 1))
+    return log
+
+
 STREAMS = {
     "incremental": (stream_incremental, 11),
     "after_sat": (stream_after_sat, 12),
     "inprocess": (stream_inprocess, 13),
-    "eliminate": (stream_eliminate, 14),
     "portfolio_members": (stream_portfolio_members, 15),
     "fuzz_goals": (stream_fuzz_goals, 16),
     "rescale": (stream_rescale, 17),
+    "probe": (stream_probe, 18),
 }
 
 
@@ -329,8 +343,6 @@ def test_fixture_covers_every_mechanism(recorded):
         "strengthened",
         "probe_failed",
         "inprocessings",
-        "vars_eliminated",
-        "clauses_blocked",
     ):
         assert peak[counter] > 0, counter
     # More conflicts than it takes var_inc to pass 1e100 at decay 0.6:

@@ -271,43 +271,6 @@ class TestAssumptionOrderCanonicalization:
         )
 
 
-class TestGenerationRestart:
-    """A campaign core past its ``max_vars`` ceiling restarts cleanly."""
-
-    def test_max_vars_triggers_reset_and_keeps_verdicts(self):
-        from repro.smt.solver import SessionCore
-
-        x, y = bv("x"), bv("y")
-        core = SessionCore(scope="campaign", max_vars=40)
-        deltas = [
-            t.eq(t.mul(x, t.add(x, const(1))), const(2 * i + 1))
-            for i in range(4)
-        ]
-        verdicts = []
-        for delta in deltas:  # one session per "function", shared core
-            solver = Solver()
-            with solver.session(core=core) as session:
-                verdicts.append(session.check(delta))
-        # Products of consecutive integers are even: all UNSAT, across
-        # at least one generation restart.
-        assert verdicts == [Result.UNSAT] * len(deltas)
-        assert core.resets > 0
-
-    def test_zero_ceiling_disables_restarts(self):
-        from repro.smt.solver import SessionCore
-
-        x = bv("x")
-        core = SessionCore(scope="campaign", max_vars=0)
-        solver = Solver()
-        with solver.session(core=core) as session:
-            for value in (3, 7, 11):
-                assert (
-                    session.check(t.eq(t.mul(x, x), const(value * value)))
-                    is Result.SAT
-                )
-        assert core.resets == 0
-
-
 class TestSessionEquivalenceSweep:
     """Randomized-ish structural sweep: session == fresh on many goals."""
 

@@ -6,6 +6,7 @@ systematically; the lemma-order test guards determinism across
 interpreters, which no fuzz oracle observes.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -87,6 +88,18 @@ class TestCacheMissAccounting:
         right = solver_mod.QueryStats(cache_hits_unused=3)
         left.merge(right)
         assert left.cache_hits_unused == 5
+        # Every field merges (by summation), not just the ones a
+        # hand-written merge remembered.
+        fields = dataclasses.fields(solver_mod.QueryStats)
+        left = solver_mod.QueryStats(
+            **{field.name: index + 1 for index, field in enumerate(fields)}
+        )
+        right = solver_mod.QueryStats(
+            **{field.name: 100 * (index + 1) for index, field in enumerate(fields)}
+        )
+        left.merge(right)
+        for index, field in enumerate(fields):
+            assert getattr(left, field.name) == 101 * (index + 1), field.name
 
 
 class TestRandomWitnessRecovery:

@@ -138,7 +138,7 @@ class TestCampaign:
 
 class TestPortfolioFlag:
     def test_single_accepts_portfolio(self, simple_file, capsys):
-        assert main(["single", simple_file, "--portfolio", "3"]) == 0
+        assert main(["single", simple_file, "--portfolio"]) == 0
         out = capsys.readouterr().out
         assert "validated" in out
 
@@ -147,7 +147,7 @@ class TestPortfolioFlag:
             main(
                 [
                     "campaign", "run", "--scale", "6", "--seed", "11",
-                    "--portfolio", "2",
+                    "--portfolio",
                 ]
             )
             == 0
@@ -157,8 +157,6 @@ class TestPortfolioFlag:
     def test_worker_recv_flags_parse(self):
         # Parse-only: the worker would dial out, so just build the parser
         # path far enough to see the attributes land.
-        import argparse
-
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
@@ -173,88 +171,27 @@ class TestPortfolioFlag:
     def test_service_coordinate_accepts_portfolio(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            [
-                "service", "coordinate", "--dir", "camp", "--scale", "6",
-                "--portfolio", "4",
-            ]
-        )
-        assert args.portfolio == 4
+        parser = build_parser()
+        argv = ["service", "coordinate", "--dir", "camp", "--scale", "6"]
+        assert parser.parse_args(argv + ["--portfolio"]).portfolio is True
+        assert parser.parse_args(argv).portfolio is False
 
-
-class TestPortfolioTuningFlags:
-    def test_mode_and_probe_parse_everywhere(self):
+    def test_portfolio_takes_no_width_and_tuning_flags_are_gone(self):
+        # ``--portfolio`` is a switch now; old invocations that pass a
+        # width, an execution mode, a probe or a session scope must fail
+        # loudly instead of running something else.
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            [
-                "single", "x.ll", "--portfolio", "2",
-                "--portfolio-mode", "processes", "--portfolio-probe", "64",
-            ]
-        )
-        assert args.portfolio_mode == "processes"
-        assert args.portfolio_probe == 64
-        args = parser.parse_args(
-            [
-                "campaign", "run", "--scale", "6",
-                "--portfolio", "2", "--portfolio-mode", "threads",
-            ]
-        )
-        assert args.portfolio_mode == "threads"
-        args = parser.parse_args(
-            [
-                "service", "coordinate", "--dir", "camp", "--scale", "6",
-                "--portfolio", "4", "--portfolio-probe", "0",
-            ]
-        )
-        assert args.portfolio_probe == 0
-
-    def test_single_runs_with_mode_and_probe(self, simple_file, capsys):
-        argv = [
-            "single", simple_file, "--portfolio", "2",
-            "--portfolio-mode", "interleave", "--portfolio-probe", "0",
-        ]
-        assert main(argv) == 0
-        assert "validated" in capsys.readouterr().out
-
-    def test_campaign_run_with_triage_probe(self, capsys):
-        argv = [
-            "campaign", "run", "--scale", "6", "--seed", "11",
-            "--portfolio", "2", "--portfolio-probe", "128",
-        ]
-        assert main(argv) == 0
-        assert "Succeeded" in capsys.readouterr().out
-
-    def test_mode_without_racing_width_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["single", simple_file, "--portfolio-mode", "processes"]
-            )
-        assert "--portfolio 1" in str(exc.value)
-
-    def test_probe_without_racing_width_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["single", simple_file, "--portfolio-probe", "64"])
-        assert "--portfolio 1" in str(exc.value)
-
-    def test_negative_probe_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "single", simple_file, "--portfolio", "2",
-                    "--portfolio-probe", "-1",
-                ]
-            )
-        assert ">= 0" in str(exc.value)
-
-    def test_campaign_mode_without_width_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "campaign", "run", "--scale", "6",
-                    "--dir", str(tmp_path / "camp"),
-                    "--portfolio-mode", "threads",
-                ]
-            )
-        assert "--portfolio 1" in str(exc.value)
+        for extra in (
+            ["--portfolio", "3"],
+            ["--portfolio-mode", "threads"],
+            ["--portfolio-probe", "64"],
+            ["--session-scope", "function"],
+        ):
+            for argv in (
+                ["single", "x.ll"],
+                ["campaign", "run", "--scale", "6"],
+            ):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv + extra)

@@ -207,92 +207,6 @@ class TestHardKill:
         assert by_name["ok_two"].category == Category.SUCCEEDED
 
 
-class TestCampaignSessionCore:
-    """Campaign-scoped solver state: one SessionCore per worker, reset on
-    poison pills, verdict-identical to function scope."""
-
-    def _campaign_options(self):
-        import dataclasses
-
-        base = TvOptions()
-        return dataclasses.replace(
-            base,
-            keq=dataclasses.replace(
-                base.keq,
-                incremental_solving=True,
-                session_scope="campaign",
-            ),
-        )
-
-    def test_poison_pill_resets_worker_campaign_core(self, monkeypatch):
-        """A crashing function must quarantine the worker's shared SAT
-        state: the core is reset and later functions validate cleanly."""
-        import multiprocessing as mp
-
-        import repro.tv.batch as batch_module
-        from repro.smt import SessionCore
-        from repro.tv.parallel import _worker_main
-
-        module = generate_module(
-            [
-                ("ok_one", FunctionShape(loops=0, diamonds=1), 1),
-                ("poison_me", FunctionShape(loops=0, diamonds=0), 2),
-                ("ok_two", FunctionShape(loops=0, diamonds=1), 3),
-            ]
-        )
-        options = self._campaign_options()
-        core = SessionCore(scope="campaign")
-        monkeypatch.setattr(
-            batch_module, "campaign_session_core", lambda _options: core
-        )
-
-        class _PoisonOptions:
-            """Attribute access explodes inside validate_function."""
-
-            def __getattr__(self, name):
-                raise RuntimeError("injected poison pill")
-
-        overrides = {"poison_me": _PoisonOptions()}
-        parent, child = mp.Pipe(duplex=True)
-        for index, name in enumerate(["ok_one", "poison_me", "ok_two"]):
-            parent.send(("task", index, name))
-        parent.send(("stop",))
-        # Drive the worker loop in-process: the queued pipe messages play
-        # the dispatcher's role, so the monkeypatched core stays visible.
-        _worker_main(child, str(module), options, overrides, None, None)
-        outcomes = {}
-        while parent.poll(0):
-            _, index, outcome = parent.recv()
-            outcomes[index] = outcome
-        assert outcomes[0].category == Category.SUCCEEDED
-        assert outcomes[1].category == Category.OTHER
-        assert "injected poison pill" in outcomes[1].detail
-        assert outcomes[2].category == Category.SUCCEEDED
-        assert core.resets == 1  # the pill, and nothing else, reset it
-        assert core.scope == "campaign"
-        # The core kept serving after the reset: ok_two ran through it.
-        assert outcomes[2].solver_stats.incremental_checks > 0
-        assert outcomes[2].solver_stats.session_scope == "campaign"
-
-    def test_campaign_scope_matches_function_scope_verdicts(self):
-        import dataclasses
-
-        corpus = gcc_like_corpus(scale=6, seed=5)
-        campaign = self._campaign_options()
-        function_scoped = dataclasses.replace(
-            campaign,
-            keq=dataclasses.replace(
-                campaign.keq, session_scope="function"
-            ),
-        )
-        campaign_result = run_corpus(corpus, campaign, dedup=False)
-        function_result = run_corpus(corpus, function_scoped, dedup=False)
-        assert _outcome_keys(campaign_result) == _outcome_keys(
-            function_result
-        )
-        assert campaign_result.solver_stats.session_scope == "campaign"
-
-
 class TestParallelCorpusAndCache:
     def test_run_corpus_parallel_matches_sequential(self):
         corpus = gcc_like_corpus(scale=6, seed=5)
