@@ -192,4 +192,10 @@ class SyncPointSet:
     def spec_size(self) -> int:
         """A proxy for the textual size of the VC (the paper's K-parser
         memory blowup scales with this; see the OOM failure category)."""
-        return sum(3 + len(point.constraints) for point in self.points)
+        return sum(point_spec_size(len(point.constraints)) for point in self.points)
+
+
+def point_spec_size(constraints: int) -> int:
+    """Spec-size share of one point carrying ``constraints`` constraints:
+    its name and two state templates, plus one clause per constraint."""
+    return 3 + constraints

@@ -12,7 +12,9 @@ The fingerprint covers everything the validation outcome depends on:
 
 - the LLVM function text,
 - the selected machine function text,
-- the generated sync-point specification,
+- the generated sync-point specification, or, for a function over the
+  parser memory budget (whose spec is never built), its size and point
+  count,
 - the effective :class:`~repro.tv.driver.TvOptions` (two functions with
   different budgets or liveness variants never share a class),
 
@@ -58,7 +60,7 @@ from repro.isel import IselError
 from repro.llvm import ir
 from repro.targets import get_target
 from repro.tv.driver import TvOptions
-from repro.vcgen import VcGenError, generate_sync_points
+from repro.vcgen import SpecOverBudget, VcGenError, generate_sync_points
 
 #: SSA values and virtual registers in the printed artifacts.
 _VALUE_TOKEN = re.compile(r"%[A-Za-z0-9_.]+")
@@ -148,16 +150,22 @@ def spec_fingerprint(
             hints,
             imprecise_liveness=options.imprecise_liveness,
             target=target.name,
+            parser_memory_budget=options.parser_memory_budget,
         )
     except (IselError, VcGenError):
         return None
+    except SpecOverBudget as over:
+        # Validation stops at the budget: its OOM outcome depends on the
+        # spec's size and point count, never on a spec that is not built.
+        spec_text = f"over budget: size {over.size}, {over.points} points"
+    else:
+        spec_text = "\n".join(repr(point) for point in points)
     region, externals = _callee_region(module, function)
     boundaries = known_externals or ()
     if any(callee not in boundaries for callee in externals):
         return None  # a callee body is missing: validate individually
     llvm_text = str(function)
     machine_text = str(machine)
-    spec_text = "\n".join(repr(point) for point in points)
     parts = [llvm_text, machine_text, spec_text, repr(options)]
     parts += [str(callee) for callee in region]
     raw = _rename_functions(

@@ -38,7 +38,7 @@ from repro.llvm import ir
 from repro.llvm.semantics import LlvmSemantics, SemanticsError
 from repro.smt import QueryCache, QueryStats, Solver
 from repro.targets import DEFAULT_TARGET, get_target
-from repro.vcgen import VcGenError, generate_sync_points
+from repro.vcgen import SpecOverBudget, VcGenError, generate_sync_points
 
 
 class Category:
@@ -161,7 +161,8 @@ def validate_function(
     except IselError as error:
         return done(Category.UNSUPPORTED, detail=str(error))
 
-    # 2. Verification condition generation.
+    # 2. Verification condition generation; a spec over the parser memory
+    # budget is counted, never built.
     try:
         points = generate_sync_points(
             module,
@@ -170,6 +171,7 @@ def validate_function(
             hints,
             imprecise_liveness=options.imprecise_liveness,
             target=target.name,
+            parser_memory_budget=options.parser_memory_budget,
         )
     except VcGenError as error:
         return done(
@@ -177,16 +179,8 @@ def validate_function(
             detail=str(error),
             failure_class=FAILURE_CLASS_INADEQUATE_SYNC,
         )
-    if (
-        options.parser_memory_budget is not None
-        and points.spec_size() > options.parser_memory_budget
-    ):
-        return done(
-            Category.OOM,
-            detail=f"sync point spec size {points.spec_size()}"
-            f" > {options.parser_memory_budget}",
-            points=len(points),
-        )
+    except SpecOverBudget as over:
+        return done(Category.OOM, detail=str(over), points=over.points)
 
     # 3. KEQ — language-parametric: the right side is whatever semantics
     # the target registry hands back, through the same entry points.

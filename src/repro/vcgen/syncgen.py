@@ -17,13 +17,28 @@ Implements the paper's strategy:
 
 ``imprecise_liveness=True`` reproduces the paper's "inadequate
 synchronization points" failure category (16 functions in the GCC run).
+
+``parser_memory_budget`` reproduces the paper's out-of-memory category
+(the K parser giving up on an oversized specification).  Every point is
+first drafted with the number of constraints it will carry; when the
+drafted spec is over the budget, generation stops with
+:class:`SpecOverBudget` before a single constraint is built.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from repro.analysis import LlvmGraph, MachineGraph, liveness, natural_loops
 from repro.isel.hints import IselHints
-from repro.keq.syncpoints import EqConstraint, Expr, StateSpec, SyncPoint, SyncPointSet
+from repro.keq.syncpoints import (
+    EqConstraint,
+    Expr,
+    StateSpec,
+    SyncPoint,
+    SyncPointSet,
+    point_spec_size,
+)
 from repro.llvm import ir
 from repro.llvm.typing import value_types
 from repro.llvm.types import VoidType, bit_width, sizeof
@@ -43,6 +58,26 @@ class VcGenError(Exception):
     pass
 
 
+class SpecOverBudget(Exception):
+    """The spec is larger than the parser memory budget.
+
+    ``size`` and ``points`` are exactly what :meth:`SyncPointSet.spec_size`
+    and ``len()`` of the spec would be; the spec itself is never built.
+    """
+
+    def __init__(self, size: int, points: int, budget: int):
+        super().__init__(f"sync point spec size {size} > {budget}")
+        self.size = size
+        self.points = points
+
+
+class _Draft(NamedTuple):
+    """One sync point before its constraints exist."""
+
+    constraints: int  # how many it will carry
+    build: Callable[[], SyncPoint]
+
+
 def generate_sync_points(
     module: ir.Module,
     function: ir.Function,
@@ -51,6 +86,7 @@ def generate_sync_points(
     imprecise_liveness: bool = False,
     loop_point_style: str = "per-predecessor",
     target: str = DEFAULT_TARGET,
+    parser_memory_budget: int | None = None,
 ) -> SyncPointSet:
     """Generate the VC for one ISel instance.
 
@@ -64,12 +100,17 @@ def generate_sync_points(
     ``target`` names the machine's ISA; only the calling convention
     (argument/return registers) is consulted here — everything else is
     already expressed in the target-independent machine IR.
+
+    Raises :class:`SpecOverBudget` instead of building a spec whose size
+    exceeds ``parser_memory_budget`` (``None``: no budget), and
+    :class:`VcGenError` for a function it cannot relate, which takes
+    precedence over the size.
     """
     generator = _Generator(
         module, function, machine, hints, imprecise_liveness, loop_point_style,
         target=target,
     )
-    return generator.run()
+    return generator.run(parser_memory_budget)
 
 
 class _Generator:
@@ -91,7 +132,6 @@ class _Generator:
         self.hints = hints
         self.llvm_graph = LlvmGraph(function)
         self.machine_graph = MachineGraph(machine)
-        self.llvm_live = liveness(self.llvm_graph, imprecise=imprecise_liveness)
         self.machine_live = liveness(self.machine_graph, imprecise=imprecise_liveness)
         self.types = value_types(function)
         self.vreg_to_name = {
@@ -112,62 +152,76 @@ class _Generator:
 
     # -- driver -------------------------------------------------------------------
 
-    def run(self) -> SyncPointSet:
-        points = SyncPointSet()
-        points.add(self._entry_point())
-        points.add(self._exit_point())
-        for point in self._loop_points():
-            points.add(point)
-        for point in self._call_points():
-            points.add(point)
-        return points
+    def run(self, parser_memory_budget: int | None) -> SyncPointSet:
+        drafts = [
+            self._entry_point(),
+            self._exit_point(),
+            *self._loop_points(),
+            *self._call_points(),
+        ]
+        if parser_memory_budget is not None:
+            size = sum(point_spec_size(draft.constraints) for draft in drafts)
+            if size > parser_memory_budget:
+                raise SpecOverBudget(size, len(drafts), parser_memory_budget)
+        return SyncPointSet([draft.build() for draft in drafts])
 
     # -- entry / exit -------------------------------------------------------------
 
-    def _entry_point(self) -> SyncPoint:
-        constraints = []
-        for index, (name, type_) in enumerate(self.function.parameters):
-            width = bit_width(type_)
-            constraints.append(
-                EqConstraint(
-                    Expr.env(name, width),
-                    Expr.env(self.target.argument_registers[index], min(width, 64)),
-                    junk_upper="right" if width < 64 else None,
-                )
-            )
-        return SyncPoint(
-            name="p_entry",
-            kind="entry",
-            left=StateSpec.at(
-                Location(self.function.name, self.function.entry_block.name, 0)
-            ),
-            right=StateSpec.at(
-                Location(self.machine.name, self.machine.entry_block.name, 0)
-            ),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
-        )
+    def _entry_point(self) -> _Draft:
+        parameters = self.function.parameters
 
-    def _exit_point(self) -> SyncPoint:
-        constraints = []
-        if not isinstance(self.function.return_type, VoidType):
-            width = bit_width(self.function.return_type)
-            constraints.append(
-                EqConstraint(Expr.ret(width), Expr.ret(width))
+        def build() -> SyncPoint:
+            constraints = []
+            for index, (name, type_) in enumerate(parameters):
+                width = bit_width(type_)
+                constraints.append(
+                    EqConstraint(
+                        Expr.env(name, width),
+                        Expr.env(self.target.argument_registers[index], min(width, 64)),
+                        junk_upper="right" if width < 64 else None,
+                    )
+                )
+            return SyncPoint(
+                name="p_entry",
+                kind="entry",
+                left=StateSpec.at(
+                    Location(self.function.name, self.function.entry_block.name, 0)
+                ),
+                right=StateSpec.at(
+                    Location(self.machine.name, self.machine.entry_block.name, 0)
+                ),
+                constraints=tuple(constraints),
+                memory_objects=self.memory_objects,
             )
-        return SyncPoint(
-            name="p_exit",
-            kind="exit",
-            left=StateSpec.exit(),
-            right=StateSpec.exit(),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
-            executable=False,
-        )
+
+        return _Draft(len(parameters), build)
+
+    def _exit_point(self) -> _Draft:
+        return_type = self.function.return_type
+        returns = not isinstance(return_type, VoidType)
+
+        def build() -> SyncPoint:
+            constraints = []
+            if returns:
+                width = bit_width(return_type)
+                constraints.append(
+                    EqConstraint(Expr.ret(width), Expr.ret(width))
+                )
+            return SyncPoint(
+                name="p_exit",
+                kind="exit",
+                left=StateSpec.exit(),
+                right=StateSpec.exit(),
+                constraints=tuple(constraints),
+                memory_objects=self.memory_objects,
+                executable=False,
+            )
+
+        return _Draft(int(returns), build)
 
     # -- loop entries -------------------------------------------------------------
 
-    def _loop_points(self) -> list[SyncPoint]:
+    def _loop_points(self) -> list[_Draft]:
         points = []
         predecessors = self.llvm_graph.predecessors()
         for loop in natural_loops(self.llvm_graph):
@@ -179,53 +233,70 @@ class _Generator:
                 points.append(self._edge_point(predecessor, header))
         return points
 
-    def _post_phi_point(self, header: str) -> SyncPoint:
+    def _post_phi_point(self, header: str) -> _Draft:
         """A single loop point per header, placed after the phi group."""
         machine_header = self.hints.machine_block(header)
         llvm_phis = len(self.function.block(header).phis())
         machine_phis = len(self.machine.block(machine_header).phis())
-        machine_live = self._machine_live_at(machine_header, machine_phis)
-        constraints = self._live_constraints(machine_live)
-        return SyncPoint(
-            name=f"p_loop_{header}_postphi",
-            kind="loop",
-            left=StateSpec.at(Location(self.function.name, header, llvm_phis)),
-            right=StateSpec.at(
-                Location(self.machine.name, machine_header, machine_phis)
-            ),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
-        )
+        related = self._related(self._machine_live_at(machine_header, machine_phis))
 
-    def _edge_point(self, predecessor: str, header: str) -> SyncPoint:
+        def build() -> SyncPoint:
+            return SyncPoint(
+                name=f"p_loop_{header}_postphi",
+                kind="loop",
+                left=StateSpec.at(Location(self.function.name, header, llvm_phis)),
+                right=StateSpec.at(
+                    Location(self.machine.name, machine_header, machine_phis)
+                ),
+                constraints=tuple(self._live_constraints(related)),
+                memory_objects=self.memory_objects,
+            )
+
+        return _Draft(len(related), build)
+
+    def _edge_point(self, predecessor: str, header: str) -> _Draft:
         machine_header = self.hints.machine_block(header)
         machine_predecessor = self.hints.machine_block(predecessor)
-        machine_live = self.machine_live.edge_live(
-            machine_predecessor, machine_header
-        )
-        constraints = self._live_constraints(machine_live)
-        return SyncPoint(
-            name=f"p_loop_{header}_from_{predecessor}",
-            kind="loop",
-            left=StateSpec.at(
-                Location(self.function.name, header, 0), prev_block=predecessor
-            ),
-            right=StateSpec.at(
-                Location(self.machine.name, machine_header, 0),
-                prev_block=machine_predecessor,
-            ),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
+        related = self._related(
+            self.machine_live.edge_live(machine_predecessor, machine_header)
         )
 
-    def _live_constraints(self, machine_live: set[str]) -> list[EqConstraint]:
-        """Relate each live machine register to its LLVM counterpart.
+        def build() -> SyncPoint:
+            return SyncPoint(
+                name=f"p_loop_{header}_from_{predecessor}",
+                kind="loop",
+                left=StateSpec.at(
+                    Location(self.function.name, header, 0), prev_block=predecessor
+                ),
+                right=StateSpec.at(
+                    Location(self.machine.name, machine_header, 0),
+                    prev_block=machine_predecessor,
+                ),
+                constraints=tuple(self._live_constraints(related)),
+                memory_objects=self.memory_objects,
+            )
 
-        Machine registers with no counterpart (possible under the imprecise
+        return _Draft(len(related), build)
+
+    def _related(self, machine_live: set[str]) -> list[str]:
+        """The live machine registers a point constrains, in order: those
+        with an LLVM counterpart or a known constant value.
+
+        Machine registers with neither (possible under the imprecise
         liveness mode) are left unconstrained — KEQ will then fail with an
         unbound name, the paper's "inadequate synchronization points"."""
+        const_regs = self.hints.const_regs
+        return sorted(
+            key
+            for key in machine_live
+            if key in self.vreg_to_name or key in const_regs
+        )
+
+    def _live_constraints(self, related: list[str]) -> list[EqConstraint]:
+        """Relate each register of :meth:`_related` to its LLVM
+        counterpart, or else to its constant value."""
         constraints = []
-        for key in sorted(machine_live):
+        for key in related:
             width = _key_width(key)
             name = self.vreg_to_name.get(key)
             if name is not None:
@@ -237,19 +308,18 @@ class _Generator:
                         pointer_object=self.hints.pointer_objects.get(name),
                     )
                 )
-            elif key in self.hints.const_regs:
+            else:
                 constraints.append(
                     EqConstraint(
                         Expr.lit(self.hints.const_regs[key], width),
                         Expr.env(key, width),
                     )
                 )
-            # else: unconstrained — inadequate point, detected by KEQ.
         return constraints
 
     # -- call sites ------------------------------------------------------------------
 
-    def _call_points(self) -> list[SyncPoint]:
+    def _call_points(self) -> list[_Draft]:
         points = []
         for block in self.function.blocks.values():
             llvm_calls = [
@@ -286,27 +356,30 @@ class _Generator:
         call: ir.Call,
         machine_block: str,
         machine_index: int,
-    ) -> SyncPoint:
-        constraints = []
-        for position, (type_, _) in enumerate(call.arguments):
-            width = bit_width(type_)
-            constraints.append(
-                EqConstraint(Expr.arg(position, width), Expr.arg(position, width))
+    ) -> _Draft:
+        def build() -> SyncPoint:
+            constraints = []
+            for position, (type_, _) in enumerate(call.arguments):
+                width = bit_width(type_)
+                constraints.append(
+                    EqConstraint(Expr.arg(position, width), Expr.arg(position, width))
+                )
+            return SyncPoint(
+                name=f"p_call_{block.name}_{llvm_index}",
+                kind="call",
+                left=StateSpec.call(
+                    Location(self.function.name, block.name, llvm_index), call.callee
+                ),
+                right=StateSpec.call(
+                    Location(self.machine.name, machine_block, machine_index),
+                    call.callee,
+                ),
+                constraints=tuple(constraints),
+                memory_objects=self.memory_objects,
+                executable=False,
             )
-        return SyncPoint(
-            name=f"p_call_{block.name}_{llvm_index}",
-            kind="call",
-            left=StateSpec.call(
-                Location(self.function.name, block.name, llvm_index), call.callee
-            ),
-            right=StateSpec.call(
-                Location(self.machine.name, machine_block, machine_index),
-                call.callee,
-            ),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
-            executable=False,
-        )
+
+        return _Draft(len(call.arguments), build)
 
     def _resume_point(
         self,
@@ -315,31 +388,36 @@ class _Generator:
         call: ir.Call,
         machine_block: str,
         machine_index: int,
-    ) -> SyncPoint:
+    ) -> _Draft:
         return_register = self.target.return_register
         machine_live = self._machine_live_at(machine_block, machine_index + 1)
-        constraints = self._live_constraints(machine_live - {return_register})
-        if call.name is not None:
-            width = bit_width(call.return_type)
-            constraints.append(
-                EqConstraint(
-                    Expr.env(call.name, width),
-                    Expr.env(return_register, min(width, 64)),
-                    junk_upper="right" if width < 64 else None,
+        related = self._related(machine_live - {return_register})
+
+        def build() -> SyncPoint:
+            constraints = self._live_constraints(related)
+            if call.name is not None:
+                width = bit_width(call.return_type)
+                constraints.append(
+                    EqConstraint(
+                        Expr.env(call.name, width),
+                        Expr.env(return_register, min(width, 64)),
+                        junk_upper="right" if width < 64 else None,
+                    )
                 )
+            return SyncPoint(
+                name=f"p_resume_{block.name}_{llvm_index}",
+                kind="resume",
+                left=StateSpec.at(
+                    Location(self.function.name, block.name, llvm_index + 1)
+                ),
+                right=StateSpec.at(
+                    Location(self.machine.name, machine_block, machine_index + 1)
+                ),
+                constraints=tuple(constraints),
+                memory_objects=self.memory_objects,
             )
-        return SyncPoint(
-            name=f"p_resume_{block.name}_{llvm_index}",
-            kind="resume",
-            left=StateSpec.at(
-                Location(self.function.name, block.name, llvm_index + 1)
-            ),
-            right=StateSpec.at(
-                Location(self.machine.name, machine_block, machine_index + 1)
-            ),
-            constraints=tuple(constraints),
-            memory_objects=self.memory_objects,
-        )
+
+        return _Draft(len(related) + (call.name is not None), build)
 
     def _machine_live_at(self, block_name: str, index: int) -> set[str]:
         """Live machine registers immediately before instruction ``index``."""

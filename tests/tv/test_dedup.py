@@ -5,7 +5,7 @@ import dataclasses
 from repro.tv import Category, TvOptions
 from repro.tv.batch import run_corpus
 from repro.tv.dedup import alpha_rename, plan_dedup, spec_fingerprint
-from repro.workloads import FunctionShape
+from repro.workloads import FunctionShape, gcc_like_corpus
 from repro.workloads.corpus import CorpusSpec, FunctionSpec
 
 SMALL = FunctionShape(straight_segments=1, ops_per_segment=3)
@@ -302,3 +302,46 @@ class TestRunCorpusDedup:
         assert result.dedup_classes == 0
         assert result.deduped_functions == 0
         assert "dedup:" not in result.summary()
+
+
+def oom_clone_corpus():
+    """An out-of-memory function of the Figure 6 corpus, its clone under a
+    second name, and another out-of-memory function."""
+    oom = {
+        spec.name: spec
+        for spec in gcc_like_corpus(120, 2021).functions
+        if spec.expect == "oom"
+    }
+    original = oom["fn_oom_0114"]
+    return CorpusSpec(
+        functions=[
+            original,
+            dataclasses.replace(original, name="fn_oom_clone"),
+            oom["fn_oom_0115"],
+        ]
+    )
+
+
+class TestOverBudgetDedup:
+    """Over-budget specs are never built, so they are fingerprinted by
+    their size and point count."""
+
+    def test_clone_shares_the_class(self):
+        corpus = oom_clone_corpus()
+        module = corpus.build_module()
+        plan = plan_dedup(module, list(module.functions), TvOptions.for_campaign())
+        assert plan.replay == {"fn_oom_clone": "fn_oom_0114"}
+        assert plan.run_names == ["fn_oom_0114", "fn_oom_0115"]
+        assert plan.classes == 2
+
+    def test_replay_carries_the_representatives_outcome(self):
+        result = run_corpus(oom_clone_corpus(), TvOptions.for_campaign())
+        by_name = {o.function: o for o in result.outcomes}
+        clone = by_name["fn_oom_clone"]
+        assert clone.deduped and clone.dedup_of == "fn_oom_0114"
+        for outcome in (by_name["fn_oom_0114"], clone):
+            assert outcome.category == Category.OOM
+            assert outcome.detail == "sync point spec size 7851 > 4000"
+            assert outcome.sync_points == 98
+            assert outcome.failure_class == "oom"
+        assert by_name["fn_oom_0115"].detail == "sync point spec size 6803 > 4000"

@@ -7,7 +7,8 @@ import pytest
 from repro.isel import BugMode, IselOptions
 from repro.keq import KeqOptions
 from repro.llvm import parse_module
-from repro.tv import Category, TvOptions, TvOutcome, validate_function
+from repro.targets import get_target
+from repro.tv import Category, TvOptions, TvOutcome, driver, validate_function
 from repro.tv.batch import BatchResult, corpus_overrides, run_batch, run_corpus
 from repro.workloads import FunctionShape, gcc_like_corpus, generate_module
 
@@ -63,6 +64,38 @@ class TestDriverClassification:
         options = TvOptions(parser_memory_budget=1)
         outcome = validate_function(parse_module(LOOP), "sum", options)
         assert outcome.category == Category.OOM
+        # 3 per point plus its constraints: entry 1, exit 1, two loop edges 3 each
+        assert outcome.detail == "sync point spec size 20 > 1"
+        assert outcome.sync_points == 4
+        assert outcome.failure_class == "oom"
+
+    def test_vcgen_error_precedes_the_budget(self, monkeypatch):
+        """A machine block that lost its call cannot be related to the
+        LLVM block: that is ``other`` (inadequate synchronization), and it
+        is reported even when the spec would be over the budget."""
+        source = (
+            "define i32 @f(i32 %x) {\nentry:\n"
+            "  %r = call i32 @g(i32 %x)\n  ret i32 %r\n}"
+        )
+        real = get_target("vx86")
+
+        def select_dropping_calls(module, function, isel):
+            machine, hints = real.select_function(module, function, isel)
+            for block in machine.blocks.values():
+                block.instructions = [
+                    i for i in block.instructions if i.opcode != "call"
+                ]
+            return machine, hints
+
+        dropping = dataclasses.replace(real, select_function=select_dropping_calls)
+        monkeypatch.setattr(driver, "get_target", lambda name: dropping)
+        for budget in (None, 1):
+            options = TvOptions(parser_memory_budget=budget)
+            outcome = validate_function(parse_module(source), "f", options)
+            assert outcome.category == Category.OTHER, budget
+            assert outcome.detail == "call count mismatch in block entry: 1 vs 0"
+            assert outcome.failure_class == "inadequate_sync"
+            assert outcome.sync_points == 0
 
     def test_imprecise_liveness_gives_other(self):
         options = TvOptions(imprecise_liveness=True)
