@@ -20,8 +20,8 @@ Failure handling policy (the paper's Section 5 taxonomy, operationalised):
   death — the mode CI uses to simulate a mid-campaign crash and assert
   that ``resume`` recovers cleanly.
 
-Workers are the spawn-safe processes of :mod:`repro.tv.parallel` (module
-shipped as text, hard wall-clock kill, per-worker query cache); the
+Workers run in the :class:`repro.tv.parallel.WorkerPool` (module shipped
+as text, hard deadline per function, per-worker query cache); the
 persistent ``cache_dir`` is the layer shards share.
 """
 
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import logging
-import multiprocessing as mp
 import os
 import time
 from collections import deque
@@ -54,19 +52,12 @@ from repro.campaign.merge import (
     merge_campaign,
 )
 from repro.campaign.shard import ShardItem, plan_shards
-from repro.keq.report import FAILURE_CLASS_TIMEOUT
 from repro.targets import DEFAULT_TARGET
 from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
-from repro.tv.driver import Category, TvOptions, TvOutcome
-from repro.tv.parallel import Worker, hard_budget
-from repro.util import available_cpus
+from repro.tv.driver import TvOptions, TvOutcome
+from repro.tv.parallel import Worker, WorkerPool, hard_budget
 from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
-
-logger = logging.getLogger(__name__)
-
-#: dispatcher poll interval while waiting for worker results (seconds).
-_POLL_SECONDS = 0.05
 
 
 class CampaignError(RuntimeError):
@@ -172,9 +163,8 @@ def _resolve_validate(reference: str | None):
 
 @dataclass
 class Job:
-    """One scheduled validation attempt (Worker.assign reads index/name)."""
+    """One scheduled validation attempt (a :class:`WorkerPool` task)."""
 
-    index: int
     name: str
     shard: int
     attempt: int
@@ -285,13 +275,10 @@ def prepare_campaign(
     }
     write_manifest(directory, manifest)
     jobs = [
-        Job(index, name, shard_plan.shard_of(name), attempt=1)
-        for index, name in enumerate(
-            name
-            for shard in shard_plan.shards
-            for name in shard
-            if name in run_set
-        )
+        Job(name, shard_plan.shard_of(name), attempt=1)
+        for shard in shard_plan.shards
+        for name in shard
+        if name in run_set
     ]
     return PreparedCampaign(
         directory=directory,
@@ -394,23 +381,14 @@ def prepare_resume(
             )
     completed = state.completed
     quarantined = set(state.quarantined) | quarantined_now
-    jobs = []
-    for index, name in enumerate(
-        name
+    jobs = [
+        Job(name, assignment[name], attempt=state.ledger(name).starts + 1)
         for shard in manifest["shard_lists"]
         for name in shard
         if name in set(run_names)
         and name not in completed
         and name not in quarantined
-    ):
-        jobs.append(
-            Job(
-                index,
-                name,
-                assignment[name],
-                attempt=state.ledger(name).starts + 1,
-            )
-        )
+    ]
     prepared = PreparedCampaign(
         directory=directory,
         manifest=manifest,
@@ -514,24 +492,14 @@ def _drive(
 ) -> None:
     """Drain ``jobs`` through a worker pool, journaling every transition.
 
-    Mirrors :func:`repro.tv.parallel.run_batch_parallel`'s dispatcher
-    (deterministic spawn-safe workers, hard wall-clock kill) and adds the
-    campaign policies: shard-interleaved scheduling, re-queue with
+    The :class:`~repro.tv.parallel.WorkerPool` owns the worker lifecycle
+    (spawn, hard deadline kill, death detection, cleanup); this loop
+    adds the campaign policies: shard-interleaved scheduling, re-queue with
     exponential backoff on worker death, poison-pill quarantine, and the
     journal writes that make all of it resumable.
     """
     if not jobs:
         return
-    cores = available_cpus()
-    if validate is None and pool_size > cores:
-        logger.info(
-            "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-            pool_size,
-            cores,
-        )
-        pool_size = cores
-    pool_size = max(1, min(pool_size, len(jobs)))
-    ctx = mp.get_context("spawn")
 
     #: per-shard queues, drained round-robin so every shard progresses.
     shard_ids = sorted({job.shard for job in jobs})
@@ -539,12 +507,7 @@ def _drive(
     for job in jobs:
         queues[job.shard].append(job)
     unresolved = {job.name for job in jobs}
-    jobs_by_index = {job.index: job for job in jobs}
-    next_index = max(jobs_by_index) + 1
     rotation = 0
-
-    def spawn() -> Worker:
-        return Worker(ctx, module_text, base, overrides, cache_dir, validate)
 
     def next_ready(now: float) -> Job | None:
         nonlocal rotation
@@ -572,7 +535,6 @@ def _drive(
         unresolved.discard(job.name)
 
     def on_worker_death(job: Job, detail: str) -> None:
-        nonlocal next_index
         kills[job.name] = kills.get(job.name, 0) + 1
         if halt_on_worker_death:
             # The halt names the function so load_state charges the death
@@ -601,102 +563,35 @@ def _drive(
             return
         delay = backoff_seconds * (2 ** (kills[job.name] - 1))
         journal_event("requeue", job, reason=detail, delay=delay, death=True)
-        retry = Job(
-            index=next_index,
-            name=job.name,
-            shard=job.shard,
-            attempt=job.attempt + 1,
-            not_before=time.monotonic() + delay,
+        queues[job.shard].append(
+            dataclasses.replace(
+                job,
+                attempt=job.attempt + 1,
+                not_before=time.monotonic() + delay,
+            )
         )
-        next_index += 1
-        jobs_by_index[retry.index] = retry
-        queues[retry.shard].append(retry)
 
-    workers: list[Worker] = []
-    try:
-        workers = [spawn() for _ in range(pool_size)]
+    # ``Worker`` and ``mp_connection`` are looked up on every call: the
+    # benchmark's tracer (perfbench/spans.py) rebinds both names in this
+    # module to time worker spawns and waits.
+    pool = WorkerPool(
+        lambda: Worker(module_text, base, overrides, cache_dir, validate),
+        pool_size,
+        clamp=validate is None,
+        tasks=len(jobs),
+    )
+    with pool:
         while unresolved:
             now = time.monotonic()
-            for worker in list(workers):
-                if worker.task is not None:
-                    continue
+            while pool.free:
                 job = next_ready(now)
                 if job is None:
                     break
-                try:
-                    worker.assign(
-                        job, hard_budget(overrides.get(job.name, base))
-                    )
-                except (BrokenPipeError, OSError):
-                    # Worker died before taking work: not the function's
-                    # fault — requeue without counting a kill.
-                    queues[job.shard].appendleft(job)
-                    worker.task = None
-                    worker.kill()
-                    workers.remove(worker)
-                    workers.append(spawn())
-                    continue
+                pool.assign(job, hard_budget(overrides.get(job.name, base)))
                 journal_event("start", job)
-            busy = [w.conn for w in workers if w.task is not None]
-            if busy:
-                ready = mp_connection.wait(busy, timeout=_POLL_SECONDS)
-            else:
-                ready = []
-                if unresolved:
-                    time.sleep(_POLL_SECONDS)  # every queue is backing off
-            replacements: list[Worker] = []
-            dead: list[Worker] = []
-            for worker in workers:
-                if worker.task is None:
-                    continue
-                job = worker.task
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-function (SIGKILL, OOM-kill, ...).
-                        worker.process.join(timeout=1.0)  # reap for exitcode
-                        exitcode = worker.process.exitcode
-                        dead.append(worker)
-                        worker.kill()
-                        on_worker_death(  # may raise CampaignInterrupted
-                            job, f"worker process died (exitcode={exitcode})"
-                        )
-                        if unresolved:
-                            replacements.append(spawn())
-                        continue
-                    _, index, outcome = message
-                    record_done(jobs_by_index[index], outcome)
-                    worker.task = None
-                    continue
-                if worker.overdue(time.perf_counter()):
-                    # Worker.assign stamps started/deadline with
-                    # perf_counter — keep the same clock here.
-                    dead.append(worker)
-                    worker.kill()
-                    record_done(
-                        job,
-                        TvOutcome(
-                            job.name,
-                            Category.TIMEOUT,
-                            detail="hard wall-clock kill (worker unresponsive)",
-                            seconds=time.perf_counter() - worker.started,
-                            failure_class=FAILURE_CLASS_TIMEOUT,
-                        ),
-                    )
-                    if unresolved:
-                        replacements.append(spawn())
-            for worker in dead:
-                workers.remove(worker)
-            workers.extend(replacements)
-            if not workers and unresolved:
-                workers = [spawn() for _ in range(pool_size)]
-    finally:
-        for worker in workers:
-            try:
-                if worker.task is not None:
-                    worker.kill()
+            for event in pool.poll(wait=mp_connection.wait):
+                if event.kind == "died":
+                    # May raise CampaignInterrupted.
+                    on_worker_death(event.task, event.outcome.detail)
                 else:
-                    worker.shutdown()
-            except Exception:
-                pass
+                    record_done(event.task, event.outcome)

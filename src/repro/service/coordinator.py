@@ -136,9 +136,6 @@ class Coordinator:
         for job in prepared.jobs:
             self._queues[job.shard].append(job)
         self._rotation = 0
-        self._next_index = (
-            max((job.index for job in prepared.jobs), default=-1) + 1
-        )
         self._imprecise = sorted(
             name
             for name, options in prepared.overrides.items()
@@ -183,13 +180,11 @@ class Coordinator:
 
     def _requeue(self, name: str, attempt: int, delay: float) -> None:
         job = Job(
-            index=self._next_index,
             name=name,
             shard=self._assignment[name],
             attempt=attempt,
             not_before=time.monotonic() + delay,
         )
-        self._next_index += 1
         self._queues.setdefault(job.shard, deque()).append(job)
         if job.shard not in self._shard_ids:
             self._shard_ids = sorted(self._queues)

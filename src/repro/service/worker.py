@@ -2,18 +2,22 @@
 
 A worker client is the distributed counterpart of the supervisor's local
 pool slot.  It dials the coordinator, registers with ``hello``, and runs
-the same spawn-safe validation subprocesses as the single-host campaign
-(:class:`repro.tv.parallel.Worker` — module re-parsed from text, hard
-wall-clock kill), so a unit validated here is structure-deterministic and
-byte-identical to one validated anywhere else.
+its units in the same :class:`repro.tv.parallel.WorkerPool` as the
+single-host campaign (module re-parsed from text, hard deadline kill),
+so a unit validated here is structure-deterministic and byte-identical to
+one validated anywhere else.  This module adds only the messaging: one
+lease per free slot, a ``result`` per outcome, a ``worker_death`` per
+observed death.
 
 Liveness is layered:
 
 - a **heartbeat thread** renews every held lease on the advertised
   interval (the channel is lock-serialized, so it shares the socket with
   the lease/result loop);
-- a **validation subprocess** that dies is reported as ``worker_death``
-  (feeding the coordinator's poison-pill counter) and replaced;
+- a **validation subprocess** that dies mid-unit is reported as
+  ``worker_death`` (feeding the coordinator's poison-pill counter); one
+  that dies before it receives its unit is replaced by the pool and the
+  unit runs on the fresh one, unreported;
 - a subprocess that *hangs* past its hard budget is killed locally and its
   unit reported as a ``timeout`` outcome — deterministic failures are
   terminal, exactly as in the single-host driver;
@@ -29,31 +33,23 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import multiprocessing as mp
 import os
 import socket as socket_module
 import threading
-import time
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 
 from repro.campaign.journal import outcome_to_json
 from repro.campaign.supervisor import _base_options, _resolve_validate
-from repro.keq.report import FAILURE_CLASS_TIMEOUT
 from repro.service.protocol import (
     MessageChannel,
     ProtocolError,
     ProtocolTimeout,
     connect,
 )
-from repro.tv.driver import Category, TvOutcome
-from repro.tv.parallel import Worker, hard_budget
-from repro.util import available_cpus
+from repro.tv.driver import TvOutcome
+from repro.tv.parallel import Worker, WorkerPool, hard_budget
 
 logger = logging.getLogger(__name__)
-
-#: local dispatcher poll interval (seconds).
-_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -62,8 +58,9 @@ class WorkerConfig:
 
     connect: str
     worker_id: str | None = None
-    #: local validation subprocesses (slots); clamped to cpu_count for
-    #: real CPU-bound validation, kept as requested for injected hooks.
+    #: local validation subprocesses (slots); clamped to the available
+    #: CPUs for real CPU-bound validation, kept as requested for injected
+    #: hooks.
     jobs: int = 1
     #: replaces the validate hook advertised by the coordinator
     #: (fault-injection harnesses arm this locally).
@@ -105,9 +102,8 @@ class WorkerSummary:
 
 @dataclass
 class _Unit:
-    """One leased unit (Worker.assign reads ``index``/``name``)."""
+    """One leased unit (the pool sends ``name`` to a subprocess)."""
 
-    index: int
     name: str
     lease_id: str
     attempt: int
@@ -245,20 +241,11 @@ class ServiceWorker:
         heartbeat_seconds = float(welcome.get("heartbeat_seconds", 5.0))
         wait_seconds = float(welcome.get("wait_seconds", 0.25))
 
-        jobs = max(1, config.jobs)
-        cores = available_cpus()
-        if validate is None and jobs > cores:
-            logger.info(
-                "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-                jobs,
-                cores,
-            )
-            jobs = cores
-
-        ctx = mp.get_context("spawn")
-
-        def spawn() -> Worker:
-            return Worker(ctx, module_text, base, overrides, cache_dir, validate)
+        pool = WorkerPool(
+            lambda: Worker(module_text, base, overrides, cache_dir, validate),
+            config.jobs,
+            clamp=validate is None,
+        )
 
         def send_result(unit: _Unit, outcome: TvOutcome) -> None:
             reply = self._request(
@@ -284,117 +271,51 @@ class ServiceWorker:
         )
         heartbeat.start()
 
-        workers = [spawn() for _ in range(jobs)]
-        next_index = 0
         try:
             while not self._lost.is_set():
-                in_flight = sum(1 for w in workers if w.task is not None)
                 stop_leasing = (
                     self._drain.is_set() or self._server_drain.is_set()
                 )
-                if stop_leasing and in_flight == 0:
+                if stop_leasing and not pool.busy:
                     summary.drained_clean = True
                     break
                 waited = False
-                if not stop_leasing:
-                    for worker in workers:
-                        if worker.task is not None:
-                            continue
-                        reply = self._request(
-                            {"type": "lease", "worker_id": self.worker_id}
+                while not stop_leasing and pool.free:
+                    reply = self._request(
+                        {"type": "lease", "worker_id": self.worker_id}
+                    )
+                    if reply is None:
+                        break
+                    if reply["type"] == "drain":
+                        self._server_drain.set()
+                        break
+                    if reply["type"] == "wait":
+                        waited = True
+                        break
+                    unit = _Unit(
+                        name=reply["unit"],
+                        lease_id=reply["lease_id"],
+                        attempt=reply["attempt"],
+                        shard=reply["shard"],
+                    )
+                    summary.leased += 1
+                    pool.assign(
+                        unit, hard_budget(overrides.get(unit.name, base))
+                    )
+                # With nothing running, a "wait" reply paces the next lease.
+                timeout = wait_seconds if waited and not pool.busy else None
+                for event in pool.poll(timeout):
+                    if event.kind == "died":
+                        self._report_death(
+                            summary, event.task, event.outcome.detail
                         )
-                        if reply is None:
-                            break
-                        if reply["type"] == "drain":
-                            self._server_drain.set()
-                            break
-                        if reply["type"] == "wait":
-                            waited = True
-                            break
-                        unit = _Unit(
-                            index=next_index,
-                            name=reply["unit"],
-                            lease_id=reply["lease_id"],
-                            attempt=reply["attempt"],
-                            shard=reply["shard"],
-                        )
-                        next_index += 1
-                        summary.leased += 1
-                        try:
-                            worker.assign(
-                                unit,
-                                hard_budget(overrides.get(unit.name, base)),
-                            )
-                        except (BrokenPipeError, OSError):
-                            # Slot died before taking the unit — not the
-                            # unit's fault, but the lease is ours: report
-                            # the death so the coordinator re-queues
-                            # without waiting out the lease.
-                            worker.task = None
-                            self._report_death(
-                                summary, unit, "worker slot died on assign"
-                            )
-                            worker.kill()
-                            workers[workers.index(worker)] = spawn()
-                busy = [w.conn for w in workers if w.task is not None]
-                if busy:
-                    ready = mp_connection.wait(busy, timeout=_POLL_SECONDS)
-                else:
-                    ready = []
-                    if not self._lost.is_set():
-                        time.sleep(
-                            wait_seconds if waited else _POLL_SECONDS
-                        )
-                for slot, worker in enumerate(workers):
-                    unit = worker.task
-                    if unit is None:
                         continue
-                    if worker.conn in ready:
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            worker.process.join(timeout=1.0)
-                            exitcode = worker.process.exitcode
-                            worker.kill()
-                            self._report_death(
-                                summary,
-                                unit,
-                                f"worker process died (exitcode={exitcode})",
-                            )
-                            workers[slot] = spawn()
-                            continue
-                        _, _, outcome = message
-                        worker.task = None
-                        send_result(unit, outcome)
-                        continue
-                    if worker.overdue(time.perf_counter()):
-                        seconds = time.perf_counter() - worker.started
-                        worker.kill()
-                        send_result(
-                            unit,
-                            TvOutcome(
-                                unit.name,
-                                Category.TIMEOUT,
-                                detail=(
-                                    "hard wall-clock kill"
-                                    " (worker unresponsive)"
-                                ),
-                                seconds=seconds,
-                                failure_class=FAILURE_CLASS_TIMEOUT,
-                            ),
-                        )
+                    if event.kind == "overdue":
                         summary.timeouts += 1
-                        workers[slot] = spawn()
+                    send_result(event.task, event.outcome)
         finally:
             self._drain.set()  # stops the heartbeat thread
-            for worker in workers:
-                try:
-                    if worker.task is not None:
-                        worker.kill()
-                    else:
-                        worker.shutdown()
-                except Exception:
-                    pass
+            pool.close()
             if not self._lost.is_set():
                 self._request({"type": "goodbye", "worker_id": self.worker_id})
             if self._channel is not None:

@@ -1,7 +1,7 @@
-"""Parallel batch validation (the campaign driver's fan-out layer).
+"""Parallel batch validation and the supervised worker pool.
 
 The GCC-style campaign is embarrassingly parallel: every function is
-validated independently, so the batch fans out over worker *processes*
+validated independently, so work fans out over worker *processes*
 (symbolic execution and CDCL are pure Python — threads would serialize on
 the GIL).  The design constraints:
 
@@ -12,17 +12,20 @@ the GIL).  The design constraints:
   printer/parser round-trip is exact (see ``ConstGep.__str__``) and
   validation outcomes are structure-deterministic, so a worker reproduces
   precisely the sequential result.
-- **Deterministic ordering.**  Results are re-assembled by task index;
-  the returned :class:`BatchResult` lists outcomes in input order no
-  matter which worker finished first.
+- **Deterministic ordering.**  :func:`run_batch_parallel` returns its
+  outcomes in input order no matter which worker finished first.
 - **Hard kill-and-reap.**  The per-function ``wall_budget_seconds`` is
   enforced cooperatively inside KEQ, but a worker stuck outside a budget
-  check (or in a pathological parse) would stall the pool.  The
-  dispatcher tracks a hard deadline per in-flight task; an overdue worker
-  is terminated, its task recorded as ``Category.TIMEOUT``, and a fresh
-  worker spawned in its place.  A worker that dies (crash, OOM-kill)
-  similarly yields ``Category.OTHER`` with the exit detail, and the pool
-  keeps draining.
+  check (or in a pathological parse) would stall the pool.  The pool
+  tracks a hard deadline per in-flight task; an overdue worker is
+  terminated and its task recorded as ``Category.TIMEOUT``.  A worker that
+  dies (crash, OOM-kill) similarly yields ``Category.OTHER`` with the exit
+  detail, and the pool keeps draining.
+
+:class:`WorkerPool` owns that lifecycle for every driver: the batch runner
+here, the campaign supervisor (:mod:`repro.campaign.supervisor`) and the
+service worker client (:mod:`repro.service.worker`) keep only their
+policy for what an event means.
 
 Each worker keeps one :class:`repro.smt.cache.QueryCache` for its
 lifetime; with ``cache_dir`` set, decided queries are shared across
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import os
 import time
 import traceback
 from multiprocessing import connection as mp_connection
@@ -53,7 +55,7 @@ logger = logging.getLogger(__name__)
 _GRACE_FACTOR = 1.5
 _GRACE_SLACK = 5.0
 
-#: Dispatcher poll interval while waiting for results (seconds).
+#: Pool poll interval while waiting for results (seconds).
 _POLL_SECONDS = 0.05
 
 
@@ -82,7 +84,7 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
             return
         if message[0] == "stop":
             return
-        _, index, name = message
+        _, name = message
         if module is None:
             outcome = TvOutcome(
                 name,
@@ -103,21 +105,16 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
                     failure_class=FAILURE_CLASS_CRASH,
                 )
         try:
-            conn.send(("done", index, outcome))
+            conn.send(("done", outcome))
         except (BrokenPipeError, OSError):
             return
-
-
-@dataclass
-class _Task:
-    index: int
-    name: str
 
 
 class Worker:
     """One spawned worker process plus its duplex pipe and current task."""
 
-    def __init__(self, ctx, module_text, options, overrides, cache_dir, validate):
+    def __init__(self, module_text, options, overrides, cache_dir, validate):
+        ctx = mp.get_context("spawn")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
@@ -126,17 +123,18 @@ class Worker:
         )
         self.process.start()
         child_conn.close()
-        self.task: _Task | None = None
+        self.task = None
         self.started: float = 0.0
         self.deadline: float | None = None
 
-    def assign(self, task: _Task, hard_budget: float | None) -> None:
+    def assign(self, task, hard_budget: float | None) -> None:
+        """Send ``task.name`` to the worker and start the task's clock."""
+        self.conn.send(("task", task.name))
         self.task = task
         self.started = time.perf_counter()
         self.deadline = (
             self.started + hard_budget if hard_budget is not None else None
         )
-        self.conn.send(("task", task.index, task.name))
 
     def overdue(self, now: float) -> bool:
         return (
@@ -146,6 +144,11 @@ class Worker:
         )
 
     def shutdown(self) -> None:
+        """Ask the worker to stop, terminating it if it does not.
+
+        A no-op once the worker was shut down or killed."""
+        if self.conn.closed:
+            return
         try:
             self.conn.send(("stop",))
         except (BrokenPipeError, OSError):
@@ -158,6 +161,10 @@ class Worker:
         self.process.close()
 
     def kill(self) -> None:
+        """Terminate the worker (SIGKILL if SIGTERM is not enough) and
+        reap it.  A no-op once the worker was shut down or killed."""
+        if self.conn.closed:
+            return
         self.process.terminate()
         self.process.join(timeout=2.0)
         if self.process.is_alive():
@@ -165,6 +172,177 @@ class Worker:
             self.process.join(timeout=2.0)
         self.conn.close()
         self.process.close()
+
+
+@dataclass
+class PoolEvent:
+    """What became of one assigned task (see :meth:`WorkerPool.poll`).
+
+    ``kind`` is ``"done"`` (the worker sent ``outcome``), ``"died"`` (its
+    process exited mid-task; ``outcome`` is the ``Category.OTHER`` record
+    with the exit code) or ``"overdue"`` (hard-killed past its deadline;
+    ``outcome`` is ``Category.TIMEOUT``).
+    """
+
+    kind: str
+    task: object
+    outcome: TvOutcome
+
+
+class WorkerPool:
+    """A fixed number of worker slots and the whole worker lifecycle.
+
+    Callers hand tasks (objects with a ``name``: the function to validate)
+    to :meth:`assign` and act on the :class:`PoolEvent` s :meth:`poll`
+    yields.  ``spawn`` is a zero-argument :class:`Worker` factory.  The
+    first assignment starts a worker in every slot; after that, a slot
+    emptied by a death or a hard kill is refilled only when a task is
+    assigned to it, so it stays empty while there is no work for it.
+
+    ``jobs`` (None: every available CPU) is clamped to
+    :func:`repro.util.available_cpus` when ``clamp`` is set and to
+    ``tasks`` when that is known.
+    """
+
+    def __init__(
+        self, spawn, jobs: int | None, clamp: bool, tasks: int | None = None
+    ):
+        cores = available_cpus()
+        if jobs is None:
+            jobs = cores
+        elif clamp and jobs > cores:
+            # Workers run pure-Python CPU-bound search: oversubscribing
+            # cores only adds scheduler thrash (BENCH_parallel.json measured
+            # jobs=4 at 0.24x sequential on a 1-core box).
+            logger.info(
+                "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
+                jobs,
+                cores,
+            )
+            jobs = cores
+        if tasks is not None:
+            jobs = min(jobs, tasks or 1)
+        self.size = max(1, jobs)
+        self._spawn = spawn
+        self._slots: list[Worker | None] = [None] * self.size
+        self._started = False
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _busy(self) -> list[Worker]:
+        return [w for w in self._slots if w is not None and w.task is not None]
+
+    @property
+    def busy(self) -> int:
+        """Slots running a task."""
+        return len(self._busy())
+
+    @property
+    def free(self) -> int:
+        """Slots a task can be assigned to."""
+        return self.size - self.busy
+
+    def assign(self, task, hard_budget: float | None) -> None:
+        """Start ``task`` in a free slot, spawning a worker if it is empty.
+
+        A worker that died before taking the task is replaced and the task
+        handed to the fresh one: that is not the task's fault, so it
+        raises no event.
+        """
+        if not self._started:
+            # Start every worker before any task runs: a worker starting
+            # up beside a running task competes with it for the CPU.
+            self._started = True
+            for slot in range(self.size):
+                self._slots[slot] = self._spawn()
+        free = [
+            i for i, w in enumerate(self._slots) if w is None or w.task is None
+        ]
+        # An idle worker first: spawn only when none is left.
+        slot = next((i for i in free if self._slots[i] is not None), free[0])
+        while True:
+            worker = self._slots[slot]
+            if worker is None:
+                worker = self._slots[slot] = self._spawn()
+            try:
+                worker.assign(task, hard_budget)
+                return
+            except (BrokenPipeError, OSError):
+                self._slots[slot] = None
+                worker.kill()
+
+    def poll(self, timeout: float | None = None, wait=mp_connection.wait):
+        """Wait up to ``timeout`` seconds (default ``_POLL_SECONDS``) for a
+        busy worker to answer, then yield a :class:`PoolEvent` for every
+        answered, dead or overdue one.  With nothing busy, just sleep.
+
+        ``wait`` is :func:`multiprocessing.connection.wait` or a stand-in
+        with its signature.
+        """
+        timeout = _POLL_SECONDS if timeout is None else timeout
+        busy = self._busy()
+        if not busy:
+            time.sleep(timeout)
+            return
+        ready = wait([w.conn for w in busy], timeout)
+        for slot, worker in enumerate(self._slots):
+            if worker is None or worker.task is None:
+                continue
+            if worker.conn in ready:
+                try:
+                    _, outcome = worker.conn.recv()
+                except (EOFError, OSError):
+                    # The worker died mid-task (crash, OOM-kill, ...).  The
+                    # pipe closes before the process is reaped.
+                    worker.process.join(timeout=1.0)
+                    yield self._retire(
+                        slot,
+                        "died",
+                        Category.OTHER,
+                        f"worker process died (exitcode={worker.process.exitcode})",
+                        FAILURE_CLASS_CRASH,
+                    )
+                    continue
+                task, worker.task = worker.task, None
+                yield PoolEvent("done", task, outcome)
+            elif worker.overdue(time.perf_counter()):
+                yield self._retire(
+                    slot,
+                    "overdue",
+                    Category.TIMEOUT,
+                    "hard wall-clock kill (worker unresponsive)",
+                    FAILURE_CLASS_TIMEOUT,
+                )
+
+    def _retire(self, slot, kind, category, detail, failure_class) -> PoolEvent:
+        """Kill the worker in ``slot``, empty the slot, and report its task."""
+        worker = self._slots[slot]
+        self._slots[slot] = None
+        worker.kill()
+        task = worker.task
+        outcome = TvOutcome(
+            task.name,
+            category,
+            detail=detail,
+            seconds=time.perf_counter() - worker.started,
+            failure_class=failure_class,
+        )
+        return PoolEvent(kind, task, outcome)
+
+    def close(self) -> None:
+        """Stop every worker: idle ones gracefully, busy ones by kill."""
+        for slot, worker in enumerate(self._slots):
+            if worker is None:
+                continue
+            self._slots[slot] = None
+            if worker.task is not None:
+                worker.kill()
+            else:
+                worker.shutdown()
 
 
 def hard_budget(
@@ -176,6 +354,12 @@ def hard_budget(
     if wall is None:
         return None
     return wall * grace_factor + grace_slack
+
+
+@dataclass
+class _Task:
+    index: int
+    name: str
 
 
 def run_batch_parallel(
@@ -200,23 +384,16 @@ def run_batch_parallel(
     """
     names = function_names if function_names is not None else list(module.functions)
     overrides = overrides or {}
-    cores = available_cpus()
-    if jobs is None:
-        jobs = cores
-    elif validate is None and jobs > cores:
-        # Workers run pure-Python CPU-bound search: oversubscribing cores
-        # only adds scheduler thrash (BENCH_parallel.json measured jobs=4 at
-        # 0.24x sequential on a 1-core box).  Injected ``validate`` hooks
-        # (test harnesses exercising pool mechanics) keep the requested
-        # fan-out.
-        logger.info(
-            "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-            jobs,
-            cores,
-        )
-        jobs = cores
-    jobs = max(1, min(jobs, len(names) or 1))
-    if jobs == 1 and validate is None:
+    module_text = str(module)
+    pool = WorkerPool(
+        lambda: Worker(module_text, options, overrides, cache_dir, validate),
+        jobs,
+        # Injected ``validate`` hooks (test harnesses exercising pool
+        # mechanics) keep the requested fan-out.
+        clamp=validate is None,
+        tasks=len(names),
+    )
+    if pool.size == 1 and validate is None:
         # One effective worker gains nothing from the pool but pays spawn
         # and re-parse costs; run_batch is outcome-identical.
         logger.info("single effective worker: validating sequentially")
@@ -227,96 +404,22 @@ def run_batch_parallel(
             overrides=overrides,
             cache_dir=cache_dir,
         )
-    module_text = str(module)
-    ctx = mp.get_context("spawn")
-
     pending = deque(_Task(i, name) for i, name in enumerate(names))
     outcomes: dict[int, TvOutcome] = {}
-    workers: list[Worker] = []
-
-    def spawn() -> Worker:
-        return Worker(ctx, module_text, options, overrides, cache_dir, validate)
-
-    def budget_for(task: _Task) -> float | None:
-        return hard_budget(
-            overrides.get(task.name, options), grace_factor, grace_slack
-        )
-
-    try:
-        workers = [spawn() for _ in range(jobs)]
-        while len(outcomes) < len(names):
-            for worker in list(workers):
-                if worker.task is None and pending:
-                    task = pending.popleft()
-                    try:
-                        worker.assign(task, budget_for(task))
-                    except (BrokenPipeError, OSError):
-                        # The worker died before taking work: requeue the
-                        # task and replace the worker.
-                        pending.appendleft(task)
-                        worker.task = None
-                        worker.kill()
-                        workers.remove(worker)
-                        workers.append(spawn())
-            ready = mp_connection.wait(
-                [w.conn for w in workers if w.task is not None],
-                timeout=_POLL_SECONDS,
-            )
-            replacements: list[Worker] = []
-            dead: list[Worker] = []
-            for worker in workers:
-                if worker.task is None:
-                    continue
-                task = worker.task
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died mid-task (crash, OOM-kill, ...).
-                        # The pipe closes before the process is reaped.
-                        worker.process.join(timeout=1.0)
-                        exitcode = worker.process.exitcode
-                        worker.kill()
-                        outcomes[task.index] = TvOutcome(
-                            task.name,
-                            Category.OTHER,
-                            detail=f"worker process died (exitcode={exitcode})",
-                            seconds=time.perf_counter() - worker.started,
-                            failure_class=FAILURE_CLASS_CRASH,
-                        )
-                        dead.append(worker)
-                        if pending:
-                            replacements.append(spawn())
-                        continue
-                    _, index, outcome = message
-                    outcomes[index] = outcome
-                    worker.task = None
-                    continue
-                if worker.overdue(time.perf_counter()):
-                    # Hung worker: hard kill-and-reap, classify as TIMEOUT.
-                    worker.kill()
-                    outcomes[task.index] = TvOutcome(
-                        task.name,
-                        Category.TIMEOUT,
-                        detail="hard wall-clock kill (worker unresponsive)",
-                        seconds=time.perf_counter() - worker.started,
-                        failure_class=FAILURE_CLASS_TIMEOUT,
-                    )
-                    dead.append(worker)
-                    if pending:
-                        replacements.append(spawn())
-            for worker in dead:
-                workers.remove(worker)
-            workers.extend(replacements)
-            if not workers and len(outcomes) < len(names):
-                workers = [spawn() for _ in range(min(jobs, len(pending) or 1))]
-    finally:
-        for worker in workers:
-            if worker.task is not None:
-                worker.kill()
-            else:
-                worker.shutdown()
-
+    with pool:
+        while pending or pool.busy:
+            while pending and pool.free:
+                task = pending.popleft()
+                pool.assign(
+                    task,
+                    hard_budget(
+                        overrides.get(task.name, options),
+                        grace_factor,
+                        grace_slack,
+                    ),
+                )
+            for event in pool.poll():
+                outcomes[event.task.index] = event.outcome
     result = BatchResult(outcomes=[outcomes[i] for i in range(len(names))])
     result.merge_stats()
     return result

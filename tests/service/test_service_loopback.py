@@ -30,6 +30,7 @@ from repro.service import (
     WorkerConfig,
     serve_campaign,
 )
+from repro.tv.parallel import Worker
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 VICTIM = "fn_succeeded_0000"
@@ -268,3 +269,56 @@ class TestLoopbackService:
             include_timing=False
         )
         assert report.function_table() == baseline.function_table()
+
+
+class DeadOnFirstAssign(Worker):
+    """The first ``assign`` of the run finds its process already killed and
+    reaped, so the send raises ``BrokenPipeError``; ``victims`` records the
+    unit it was given."""
+
+    victims: list = []
+
+    def assign(self, task, hard_budget):
+        if not DeadOnFirstAssign.victims:
+            DeadOnFirstAssign.victims.append(task.name)
+            self.process.kill()
+            self.process.join()
+        super().assign(task, hard_budget)
+
+
+class TestAssignTimeDeath:
+    def test_slot_dead_before_its_unit_charges_no_kill(
+        self, tmp_path, monkeypatch
+    ):
+        """A validation slot that dies before it receives its unit is not
+        the unit's fault: no ``worker_death`` is reported, the journal
+        holds no death-flagged requeue or quarantine, and the unit ends
+        with its single-host verdict."""
+        import repro.service.worker as service_worker
+
+        baseline = run_campaign(str(tmp_path / "base"), config())
+        monkeypatch.setattr(DeadOnFirstAssign, "victims", [])
+        monkeypatch.setattr(service_worker, "Worker", DeadOnFirstAssign)
+        svc_dir = str(tmp_path / "svc")
+        with CoordinatorThread(
+            svc_dir, config(), ServiceConfig(heartbeat_seconds=1.0)
+        ) as coordinator:
+            summaries = run_workers(coordinator.address, 1)
+        report = coordinator.join()
+
+        [victim] = DeadOnFirstAssign.victims
+        charged = [
+            e
+            for e in read_events(svc_dir)
+            if e.get("fn") == victim
+            and (
+                e["event"] == "quarantine"
+                or (e["event"] == "requeue" and e.get("death"))
+            )
+        ]
+        assert charged == []
+        assert summaries[0].deaths_reported == 0
+        assert report.complete
+        verdict = {row[0]: row for row in report.function_table()}
+        expected = {row[0]: row for row in baseline.function_table()}
+        assert verdict[victim] == expected[victim]
