@@ -106,7 +106,7 @@ def _walk_operands(instruction: lir.Instruction):
 
 def _reg_name(operand) -> str | None:
     if isinstance(operand, mir.VReg):
-        return f"vr{operand.id}_{operand.width}"
+        return operand.key
     if isinstance(operand, mir.PhysReg):
         return operand.name  # canonical full-width name
     return None

@@ -16,8 +16,8 @@ from repro.mir import VReg
 
 
 def vreg_key(reg: VReg) -> str:
-    """Environment key for a virtual register (shared with the semantics)."""
-    return f"vr{reg.id}_{reg.width}"
+    """Environment key for a virtual register: :attr:`VReg.key`."""
+    return reg.key
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isel.bugs import BugMode
-from repro.isel.hints import IselHints, vreg_key
+from repro.isel.hints import IselHints
 from repro.isel import optimize
 from repro.llvm import ir
 from repro.llvm.typing import value_types
@@ -248,7 +248,7 @@ class _Lowerer:
         if isinstance(lowered, Imm):
             reg = self._fresh_vreg(width)
             self._emit(self.MOV, [Imm(lowered.value, width)], reg)
-            self.hints.const_regs[vreg_key(reg)] = lowered.value
+            self.hints.const_regs[reg.key] = lowered.value
             return reg
         if isinstance(lowered, _Addr):
             reg = self._fresh_vreg(64)
@@ -348,7 +348,7 @@ class _Lowerer:
         if isinstance(lowered, Imm):
             reg = self._fresh_vreg(width)
             instruction = self.MINSTR(self.MOV, (Imm(lowered.value, width),), reg)
-            self.hints.const_regs[vreg_key(reg)] = lowered.value
+            self.hints.const_regs[reg.key] = lowered.value
         else:
             reg = self._fresh_vreg(64)
             instruction = self.MINSTR(

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from repro.isel.bugs import BugMode
 from repro.llvm import ir
 from repro.llvm.types import IntType, sizeof
-from repro.mir import Imm, MachineBlock, MemRef
-from repro.vx86.insns import MInstr
+from repro.mir import Imm, MachineBlock, MemRef, MInstr
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
-"""Target-independent machine-IR containers and operand kinds.
+"""The machine-IR layer every virtual target shares.
 
 Every virtual target (``repro.vx86``, ``repro.vriscv``) describes its
 programs with the same containers — :class:`MachineBlock` lists of
-uniform instruction records inside a :class:`MachineFunction` — and the
-same operand vocabulary: virtual registers, physical-register views,
-immediates, labels and memory references.  What differs per target is
-the opcode vocabulary and the instruction record validating it, so each
-target defines its own ``MInstr`` dataclass; the only contract the
-shared containers rely on is ``branch_targets()`` (the labels an
-instruction may transfer control to) and the ``COPY``/``PHI``
-pseudo-ops shared by every ISel lowering.
+:class:`MInstr` records inside a :class:`MachineFunction` — and the same
+operand vocabulary: virtual registers, physical-register views,
+immediates, labels and memory references.  A target subclasses
+:class:`MInstr` to name its opcode table and its branches; the
+``COPY``/``PHI`` pseudo-ops are shared by every ISel lowering.  The
+textual form is read by one parser (:mod:`repro.mir.parser`) and
+executed by one CFG-machine semantics core (:mod:`repro.mir.semantics`),
+into which each target plugs its own instructions.
 
 Keeping these shapes in one place is what lets the analyses
 (`repro.analysis.cfg`), the sync-point generator (`repro.vcgen`) and the
@@ -21,7 +21,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Union
+from typing import ClassVar, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,18 @@ class VReg:
     id: int
     width: int  # bits
 
+    @property
+    def key(self) -> str:
+        """Its name in a program state's environment: ``vr<id>_<width>``.
+
+        The machine semantics bind it, and liveness, the sync-point
+        generator, ISel hints and the register allocator look it up, so
+        they must all spell it this one way.
+        """
+        return f"vr{self.id}_{self.width}"
+
     def __str__(self) -> str:
-        return f"%vr{self.id}_{self.width}"
+        return f"%{self.key}"
 
 
 @dataclass(frozen=True)
@@ -95,23 +105,67 @@ class MemRef:
 Operand = Union[VReg, PhysReg, Imm, Label, MemRef]
 
 
-class Instruction(Protocol):
-    """What the shared containers require of a target's instruction type."""
+@dataclass(frozen=True)
+class MInstr:
+    """One machine instruction: ``result = opcode(operands)``.
+
+    A target subclasses it and names its vocabulary in two tables:
+    ``OPCODES`` (what the record validates against) and ``BRANCHES``
+    (which opcodes transfer control, and where their label operand is).
+    """
 
     opcode: str
-    operands: tuple
-    result: object
+    operands: tuple[Operand, ...] = ()
+    result: Union[VReg, PhysReg, None] = None
 
-    def branch_targets(self) -> list[str]: ...
+    #: opcode -> (has_result, operand count excluding result); -1 = variadic.
+    OPCODES: ClassVar[dict[str, tuple[bool, int]]] = {}
+    #: branch opcode -> index of its label operand.
+    BRANCHES: ClassVar[dict[str, int]] = {}
+
+    def __post_init__(self):
+        if self.opcode not in self.OPCODES:
+            raise ValueError(f"unknown opcode {self.opcode!r}")
+        has_result, arity = self.OPCODES[self.opcode]
+        if has_result and self.result is None:
+            raise ValueError(f"{self.opcode} requires a result register")
+        if not has_result and self.result is not None:
+            raise ValueError(f"{self.opcode} does not produce a result")
+        if arity >= 0 and len(self.operands) != arity:
+            raise ValueError(
+                f"{self.opcode} expects {arity} operands, got {len(self.operands)}"
+            )
+
+    def __str__(self) -> str:
+        opcode = self.opcode
+        if opcode in ("load", "store"):
+            # Print the access width so the textual form parses back
+            # unambiguously (immediates carry no width of their own).
+            mem = self.operands[0]
+            assert isinstance(mem, MemRef)
+            opcode = f"{opcode}{mem.width_bytes * 8}"
+        parts = ", ".join(str(operand) for operand in self.operands)
+        if self.result is not None:
+            return f"{self.result} = {opcode} {parts}".rstrip()
+        return f"{opcode} {parts}".rstrip()
+
+    def branch_targets(self) -> list[str]:
+        index = self.BRANCHES.get(self.opcode)
+        if index is None:
+            return []
+        target = self.operands[index]
+        assert isinstance(target, Label)
+        return [target.name]
 
     @property
-    def is_terminator(self) -> bool: ...
+    def is_terminator(self) -> bool:
+        return self.opcode == "ret" or self.opcode in self.BRANCHES
 
 
 @dataclass
 class MachineBlock:
     name: str
-    instructions: list = field(default_factory=list)
+    instructions: list[MInstr] = field(default_factory=list)
 
     def successors(self) -> list[str]:
         result = []
@@ -119,7 +173,7 @@ class MachineBlock:
             result.extend(instruction.branch_targets())
         return result
 
-    def phis(self) -> list:
+    def phis(self) -> list[MInstr]:
         result = []
         for instruction in self.instructions:
             if instruction.opcode == "PHI":
@@ -164,7 +218,7 @@ class MachineFunction:
                 result[successor].append(block.name)
         return result
 
-    def instructions(self) -> Iterator[tuple[str, int, object]]:
+    def instructions(self) -> Iterator[tuple[str, int, MInstr]]:
         for block in self.blocks.values():
             for index, instruction in enumerate(block.instructions):
                 yield block.name, index, instruction

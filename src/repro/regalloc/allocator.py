@@ -62,10 +62,6 @@ class _Interval:
     slot: int | None = None  # spill slot index
 
 
-def _vreg_key(reg: VReg) -> str:
-    return f"vr{reg.id}_{reg.width}"
-
-
 def _collect_intervals(function: MachineFunction) -> dict[str, _Interval]:
     """Coarse live intervals over a linearized block layout."""
     graph = MachineGraph(function)
@@ -95,11 +91,11 @@ def _collect_intervals(function: MachineFunction) -> dict[str, _Interval]:
                 operands.append(instruction.result)
             for operand in operands:
                 if isinstance(operand, VReg):
-                    touch(_vreg_key(operand), operand.width, index)
+                    touch(operand.key, operand.width, index)
                 elif isinstance(operand, MemRef) and isinstance(
                     operand.base, VReg
                 ):
-                    touch(_vreg_key(operand.base), operand.base.width, index)
+                    touch(operand.base.key, operand.base.width, index)
             index += 1
         block_bounds[block.name] = (begin, index - 1)
     # Extend across blocks where the value is live-in/live-out.
@@ -188,8 +184,7 @@ class _Rewriter:
         return slot * SPILL_SLOT_BYTES
 
     def _map_reg(self, reg: VReg) -> PReg:
-        key = _vreg_key(reg)
-        return PReg(self.assignment[key], reg.width)
+        return PReg(self.assignment[reg.key], reg.width)
 
     def run(self) -> MachineFunction:
         target = MachineFunction(self.source.name)
@@ -214,7 +209,7 @@ class _Rewriter:
             )
         result = instruction.result
         if isinstance(result, VReg):
-            key = _vreg_key(result)
+            key = result.key
             if key in self.spills:
                 # The result write happens after all operand reads, so when
                 # both scratch registers fed operands the first one can be
@@ -242,7 +237,7 @@ class _Rewriter:
 
     def _rewrite_operand(self, operand, before, scratch_pool):
         if isinstance(operand, VReg):
-            key = _vreg_key(operand)
+            key = operand.key
             if key in self.spills:
                 scratch = PReg(scratch_pool.pop(0), operand.width)
                 before.append(

@@ -41,8 +41,6 @@ class Target:
     semantics: Callable = field(repr=False)
     #: ``(MachineFunction, Memory, register_values) -> ProgramState``
     machine_entry_state: Callable = field(repr=False)
-    #: ``text -> MachineFunction`` (round-trips the printer).
-    parse_machine_function: Callable = field(repr=False)
     #: ``() -> Acceptability`` — the 𝒜 instance KEQ is parameterized
     #: with (see :mod:`repro.targets.acceptability`): trapping targets
     #: use the default policy, non-trapping ones the variant whose
@@ -57,7 +55,6 @@ def get_target(name: str) -> Target:
         from repro.isel.lowering import select_function
         from repro.targets.acceptability import default_acceptability
         from repro.vx86.insns import ARGUMENT_REGISTERS, RETURN_REGISTER
-        from repro.vx86.parser import parse_machine_function
         from repro.vx86.semantics import Vx86Semantics, machine_entry_state
 
         return Target(
@@ -67,14 +64,12 @@ def get_target(name: str) -> Target:
             select_function=select_function,
             semantics=Vx86Semantics,
             machine_entry_state=machine_entry_state,
-            parse_machine_function=parse_machine_function,
             acceptability=default_acceptability,
         )
     if name == "vriscv":
         from repro.isel.riscv import select_function
         from repro.targets.acceptability import nontrapping_acceptability
         from repro.vriscv.insns import ARGUMENT_REGISTERS, RETURN_REGISTER
-        from repro.vriscv.parser import parse_machine_function
         from repro.vriscv.semantics import VRiscvSemantics, machine_entry_state
 
         return Target(
@@ -84,7 +79,6 @@ def get_target(name: str) -> Target:
             select_function=select_function,
             semantics=VRiscvSemantics,
             machine_entry_state=machine_entry_state,
-            parse_machine_function=parse_machine_function,
             acceptability=nontrapping_acceptability,
         )
     raise ValueError(f"unknown target {name!r}; expected one of {TARGET_NAMES}")

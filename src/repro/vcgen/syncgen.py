@@ -135,7 +135,7 @@ class _Generator:
         self.machine_live = liveness(self.machine_graph, imprecise=imprecise_liveness)
         self.types = value_types(function)
         self.vreg_to_name = {
-            _vreg_key_of(reg): name for name, reg in hints.reg_map.items()
+            reg.key: name for name, reg in hints.reg_map.items()
         }
         self.memory_objects = self._memory_template()
 
@@ -436,10 +436,6 @@ class _Generator:
             live -= defs
             live |= uses
         return live
-
-
-def _vreg_key_of(reg) -> str:
-    return f"vr{reg.id}_{reg.width}"
 
 
 def _key_width(key: str) -> int:

@@ -24,15 +24,17 @@ Differences from vx86 that exercise KEQ's language-parametricity:
   successor state, where vx86 forks an error branch;
 - a dedicated ``sel`` pseudo instead of flag-driven ``cmov``.
 
-Operand kinds and block/function containers come from :mod:`repro.mir`,
-shared with every other virtual target.
+Operand kinds, block/function containers and the instruction record's
+validation and printing come from :mod:`repro.mir`, shared with every
+other virtual target; this module names the RISC-V registers and opcode
+tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
+from repro import mir
 from repro.mir import (
     Imm,
     Label,
@@ -190,50 +192,8 @@ OPCODES: dict[str, tuple[bool, int]] = {
 
 
 @dataclass(frozen=True)
-class MInstr:
-    """One machine instruction: ``result = opcode(operands)``."""
+class MInstr(mir.MInstr):
+    """One Virtual RISC-V instruction: ``result = opcode(operands)``."""
 
-    opcode: str
-    operands: tuple[Operand, ...] = ()
-    result: Union[VReg, XReg, None] = None
-
-    def __post_init__(self):
-        if self.opcode not in OPCODES:
-            raise ValueError(f"unknown opcode {self.opcode!r}")
-        has_result, arity = OPCODES[self.opcode]
-        if has_result and self.result is None:
-            raise ValueError(f"{self.opcode} requires a result register")
-        if not has_result and self.result is not None:
-            raise ValueError(f"{self.opcode} does not produce a result")
-        if arity >= 0 and len(self.operands) != arity:
-            raise ValueError(
-                f"{self.opcode} expects {arity} operands, got {len(self.operands)}"
-            )
-
-    def __str__(self) -> str:
-        opcode = self.opcode
-        if opcode in ("load", "store"):
-            # Print the access width so the textual form parses back
-            # unambiguously (immediates carry no width of their own).
-            mem = self.operands[0]
-            assert isinstance(mem, MemRef)
-            opcode = f"{opcode}{mem.width_bytes * 8}"
-        parts = ", ".join(str(operand) for operand in self.operands)
-        if self.result is not None:
-            return f"{self.result} = {opcode} {parts}".rstrip()
-        return f"{opcode} {parts}".rstrip()
-
-    def branch_targets(self) -> list[str]:
-        if self.opcode == "j":
-            target = self.operands[0]
-            assert isinstance(target, Label)
-            return [target.name]
-        if self.opcode in BRANCH_OPS:
-            target = self.operands[2]
-            assert isinstance(target, Label)
-            return [target.name]
-        return []
-
-    @property
-    def is_terminator(self) -> bool:
-        return self.opcode in ("j", "ret") or self.opcode in BRANCH_OPS
+    OPCODES = OPCODES
+    BRANCHES = {"j": 0, **dict.fromkeys(BRANCH_OPS, 2)}

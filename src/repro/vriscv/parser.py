@@ -1,247 +1,49 @@
 """Line-based parser for textual Virtual RISC-V.
 
-Grammar (one construct per line; ``;`` starts a comment):
+The notation is the shared machine-IR one (:mod:`repro.mir.parser`), the
+same as the virtual x86 notation, so corpora and tooling can treat both
+targets' textual programs uniformly.  Virtual RISC-V spells a physical
+register by its ABI name, with a ``.<width>`` suffix for a narrow view:
 
 .. code-block:: text
 
-    <function-name>:
-    frame <object-name>, <bytes>          ; optional frame declarations
-    .LBB0:                                ; block labels
-      %vr8_32 = COPY a2.32                ; instructions
+    f:
+    frame stack.f.x, 4
+    .LBB0:
+      %vr8_32 = COPY a2.32
       %vr9_32 = li 1
       blt %vr8_32, %vr2_32, .LBB4
       j .LBB1
-      %vr1_32 = load [b + 4]              ; width from the destination
-      store [b + 2], %vr1_16              ; width from the source register
-      store16 [b + 3], 2                  ; explicit width for immediates
-      %vr5_64 = la [stack.foo.x]
+      %vr5_64 = la [stack.f.x]
       call @callee, a0, a1
       a0.32 = COPY %vr0_32
       ret
-
-Memory operands are ``[object]``, ``[object + disp]``, ``[reg]``,
-``[reg + disp]`` or ``[object + reg + disp]`` — the same shapes as the
-virtual x86 notation, so corpora and tooling can treat both targets'
-textual programs uniformly.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.vriscv.insns import (
-    BRANCH_OPS,
-    Imm,
-    Label,
-    MachineBlock,
-    MachineFunction,
-    MemRef,
-    MInstr,
-    REGISTERS,
-    VReg,
-    XReg,
-)
+from repro.mir import MachineFunction
+from repro.mir.parser import MachineParseError, MachineParser
+from repro.vriscv.insns import MInstr, REGISTERS, XReg
 
+__all__ = ["MachineParseError", "parse_machine_function"]
 
-class MachineParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-_VREG_RE = re.compile(r"%vr(\d+)_(\d+)$")
 _XREG_RE = re.compile(r"([a-z][a-z0-9]*)(?:\.(8|16|32|64))?$")
-_INT_RE = re.compile(r"-?\d+$")
-_LABEL_LINE_RE = re.compile(r"([A-Za-z_.$][\w.$]*):$")
-_MEM_RE = re.compile(r"\[([^\]]*)\]$")
 
 
-def _parse_register(text: str) -> VReg | XReg | None:
-    match = _VREG_RE.match(text)
-    if match:
-        return VReg(int(match.group(1)), int(match.group(2)))
-    match = _XREG_RE.match(text)
-    if match and match.group(1) in REGISTERS:
-        width = int(match.group(2)) if match.group(2) else 64
-        return XReg(match.group(1), width)
-    return None
+class _RiscvParser(MachineParser):
+    MINSTR = MInstr
+    LEA = "la"
 
-
-class _RawImm:
-    """An immediate whose width is resolved from instruction context."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-
-def _parse_operand(text: str, line: int):
-    text = text.strip()
-    register = _parse_register(text)
-    if register is not None:
-        return register
-    if _INT_RE.match(text):
-        return _RawImm(int(text))
-    mem_match = _MEM_RE.match(text)
-    if mem_match:
-        return _parse_memref(mem_match.group(1), line)
-    if text.startswith("@"):
-        return Label(text[1:])
-    if re.match(r"[A-Za-z_.$][\w.$]*$", text):
-        return Label(text)
-    raise MachineParseError(f"cannot parse operand {text!r}", line)
-
-
-def _parse_memref(inner: str, line: int) -> MemRef:
-    object_name: str | None = None
-    base = None
-    disp = 0
-    # Normalize "a - 4" to "a + -4" before splitting.
-    inner = inner.replace("-", "+ -").replace("+ +", "+")
-    for part in inner.split("+"):
-        part = part.strip()
-        if not part:
-            continue
-        register = _parse_register(part)
-        if register is not None:
-            if base is not None:
-                raise MachineParseError("two base registers in memory operand", line)
-            base = register
-            continue
-        if _INT_RE.match(part):
-            disp += int(part)
-            continue
-        if re.match(r"[A-Za-z_.$][\w.$]*$", part):
-            if object_name is not None:
-                raise MachineParseError("two objects in memory operand", line)
-            object_name = part
-            continue
-        raise MachineParseError(f"bad memory operand component {part!r}", line)
-    # width_bytes is patched in by the instruction that owns the operand.
-    return MemRef(width_bytes=0, object=object_name, base=base, disp=disp)
-
-
-def _split_operands(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current = ""
-    for char in text:
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += char
-    if current.strip():
-        parts.append(current)
-    return [part.strip() for part in parts]
-
-
-def _resolve_widths(
-    opcode: str, result, operands: list, explicit_bytes: int | None, line: int
-) -> tuple[str, list]:
-    """Resolve raw immediates and memory widths from context."""
-    resolved = list(operands)
-
-    def width_from_registers() -> int | None:
-        if result is not None:
-            return result.width
-        for operand in resolved:
-            if isinstance(operand, (VReg, XReg)):
-                return operand.width
+    def parse_physical(self, text: str) -> XReg | None:
+        match = _XREG_RE.match(text)
+        if match and match.group(1) in REGISTERS:
+            width = int(match.group(2)) if match.group(2) else 64
+            return XReg(match.group(1), width)
         return None
-
-    context_width = width_from_registers()
-    for index, operand in enumerate(resolved):
-        if isinstance(operand, _RawImm):
-            width = context_width
-            if explicit_bytes is not None:
-                width = explicit_bytes * 8
-            if width is None:
-                raise MachineParseError(
-                    f"cannot infer immediate width in {opcode}", line
-                )
-            resolved[index] = Imm(operand.value, width)
-        elif isinstance(operand, MemRef) and operand.width_bytes == 0:
-            if explicit_bytes is not None:
-                bytes_ = explicit_bytes
-            elif opcode == "la":
-                bytes_ = 8
-            elif context_width is not None:
-                bytes_ = context_width // 8
-            else:
-                raise MachineParseError(
-                    f"cannot infer access width in {opcode}", line
-                )
-            resolved[index] = MemRef(
-                width_bytes=bytes_,
-                object=operand.object,
-                base=operand.base,
-                disp=operand.disp,
-            )
-    return opcode, resolved
 
 
 def parse_machine_function(text: str) -> MachineFunction:
-    function: MachineFunction | None = None
-    current: MachineBlock | None = None
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split(";")[0].strip()
-        if not line:
-            continue
-        label_match = _LABEL_LINE_RE.match(line)
-        if label_match:
-            name = label_match.group(1)
-            if function is None:
-                function = MachineFunction(name)
-            else:
-                current = function.add_block(MachineBlock(name))
-            continue
-        if function is None:
-            raise MachineParseError("instruction before function label", line_number)
-        if line.startswith("frame "):
-            body = line[len("frame ") :]
-            object_name, _, size_text = body.partition(",")
-            function.frame_objects[object_name.strip()] = int(size_text)
-            continue
-        if current is None:
-            current = function.add_block(MachineBlock(".LBB0"))
-        current.instructions.append(_parse_instruction(line, line_number))
-    if function is None:
-        raise MachineParseError("empty machine function", 0)
-    return function
-
-
-def _parse_instruction(line: str, line_number: int) -> MInstr:
-    result = None
-    if "=" in line.split("[")[0]:  # '=' before any memory bracket
-        left, _, rest = line.partition("=")
-        result = _parse_register(left.strip())
-        if result is None:
-            raise MachineParseError(f"bad result register {left.strip()!r}", line_number)
-        line = rest.strip()
-    mnemonic, _, operand_text = line.partition(" ")
-    mnemonic = mnemonic.strip()
-    explicit_bytes: int | None = None
-    width_match = re.match(r"(load|store)(8|16|32|64)$", mnemonic)
-    if width_match:
-        mnemonic = width_match.group(1)
-        explicit_bytes = int(width_match.group(2)) // 8
-    operands = [
-        _parse_operand(part, line_number) for part in _split_operands(operand_text)
-    ]
-    if mnemonic in ("j", "call"):
-        if not operands or not isinstance(operands[0], Label):
-            raise MachineParseError(f"{mnemonic} needs a label target", line_number)
-    if mnemonic in BRANCH_OPS:
-        if len(operands) != 3 or not isinstance(operands[2], Label):
-            raise MachineParseError(f"{mnemonic} needs a label target", line_number)
-    mnemonic, operands = _resolve_widths(
-        mnemonic, result, operands, explicit_bytes, line_number
-    )
-    try:
-        return MInstr(mnemonic, tuple(operands), result)
-    except ValueError as error:
-        raise MachineParseError(str(error), line_number) from error
+    return _RiscvParser().parse_function(text)

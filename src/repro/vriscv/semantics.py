@@ -1,52 +1,36 @@
 """Symbolic operational semantics for Virtual RISC-V.
 
-State environment layout:
+The register file, memory accesses, PHIs, moves, jumps, calls and ``ret``
+are the shared machine-IR core (:mod:`repro.mir.semantics`): physical
+registers live under their ABI names (``a0`` ... ``t6``), and narrow
+views zero-extend into the full 64-bit register on write and truncate on
+read.  What is RISC-V's own:
 
-- virtual registers under ``vr<id>_<width>`` (the same key scheme every
-  virtual target uses, so liveness and sync-point machinery are shared);
-- physical registers under their ABI names (``a0`` ... ``t6``); narrow
-  views zero-extend into the full 64-bit register on write and truncate
-  on read;
 - ``zero`` (x0) is hardwired: reads yield 0, writes are discarded and
-  never enter the environment.
-
-There is no flags register — conditional control flow is fused
-compare-and-branch, and comparisons materialize through ``slt``/``seqz``.
-Division follows the RISC-V integer spec and never traps: dividing by
-zero yields the all-ones quotient (and the dividend as remainder), and
-``INT_MIN / -1`` wraps — both in a single successor state, which the
-equivalence check accepts because the LLVM side's division errors are
-handled by the acceptability relation (paper Section 4.6).  Memory
-accesses still fork out-of-bounds error branches, mirroring the LLVM
-side's error kinds.
+  never enter the environment, not even at entry;
+- there is no flags register — conditional control flow is fused
+  compare-and-branch, and comparisons materialize through
+  ``slt``/``sltu``/``seqz``/``snez``; ``sel`` selects on a register;
+- division follows the RISC-V integer spec and never traps: dividing by
+  zero yields the all-ones quotient (and the dividend as remainder), and
+  ``INT_MIN / -1`` wraps — both in a single successor state, which the
+  equivalence check accepts because the LLVM side's division errors are
+  handled by the acceptability relation (paper Section 4.6).  Memory
+  accesses still fork out-of-bounds error branches, mirroring the LLVM
+  side's error kinds.
 """
 
 from __future__ import annotations
 
-from repro.memory import (
-    Memory,
-    MemoryObject,
-    PointerValue,
-    interpret_pointer,
-)
-from repro.semantics.state import (
-    CallMarker,
-    ErrorInfo,
-    Location,
-    ProgramState,
-    StatusKind,
-    Value,
-    value_term,
-)
+from repro.memory import Memory
+from repro.mir import semantics
+from repro.mir.semantics import MachineSemantics, MachineSemanticsError, Step
+from repro.semantics.state import ProgramState, Value
 from repro.smt import terms as t
 from repro.smt.terms import Term
 from repro.vriscv import insns
 from repro.vriscv.insns import (
-    BRANCH_OPS,
-    Imm,
-    Label,
     MachineFunction,
-    MemRef,
     MInstr,
     RETURN_REGISTER,
     VReg,
@@ -54,13 +38,7 @@ from repro.vriscv.insns import (
     ZERO_REGISTER,
 )
 
-
-class MachineSemanticsError(Exception):
-    pass
-
-
-def _vreg_key(reg: VReg) -> str:
-    return f"vr{reg.id}_{reg.width}"
+__all__ = ["MachineSemanticsError", "VRiscvSemantics", "machine_entry_state"]
 
 
 def machine_entry_state(
@@ -70,100 +48,49 @@ def machine_entry_state(
 ) -> ProgramState:
     """Initial state at the machine function's entry.
 
-    ``register_values`` maps ABI register names to initial values (the VC
-    generator supplies argument symbols shared with the LLVM side here).
-    Frame objects are materialized into memory.
+    ``register_values`` maps ABI register names to initial values; a value
+    for ``zero`` is dropped (see :func:`repro.mir.semantics.machine_entry_state`).
     """
-    env: dict[str, Value] = dict(register_values or {})
-    env.pop(ZERO_REGISTER, None)
-    for object_name, size in function.frame_objects.items():
-        if not memory.has_object(object_name):
-            memory = memory.add_object(MemoryObject(object_name, size, kind="stack"))
-    entry = function.entry_block
-    return ProgramState(
-        location=Location(function.name, entry.name, 0),
-        env=env,
-        memory=memory,
-    )
+    registers = dict(register_values or {})
+    registers.pop(ZERO_REGISTER, None)
+    return semantics.machine_entry_state(function, memory, registers)
 
 
-class VRiscvSemantics:
+class VRiscvSemantics(MachineSemantics):
     """The Virtual RISC-V language definition consumed by KEQ."""
 
     language_name = "vriscv"
-    deterministic = True
 
-    def __init__(self, function_map: dict[str, MachineFunction]):
-        self.functions = function_map
+    MOV = "li"
+    LEA = "la"
+    JMP = "j"
+    ZEXT = "zext"
+    SEXT = "sext"
+    RETURN_REGISTER = RETURN_REGISTER
+
+    def _isa_steps(self) -> dict[str, Step]:
+        return {
+            **dict.fromkeys(insns.ALU_OPS, self._step_alu),
+            **dict.fromkeys(insns.COMPARE_OPS, self._step_compare),
+            "seqz": self._step_zero_test,
+            "snez": self._step_zero_test,
+            "sel": self._step_sel,
+            **dict.fromkeys(insns.BRANCH_OPS, self._step_branch),
+        }
 
     # -- register file ------------------------------------------------------------
 
     def read_reg(self, state: ProgramState, reg: VReg | XReg) -> Value:
-        if isinstance(reg, VReg):
-            return state.lookup(_vreg_key(reg))
-        if reg.name == ZERO_REGISTER:
+        if isinstance(reg, XReg) and reg.name == ZERO_REGISTER:
             return t.zero(reg.width)
-        full = state.env.get(reg.name)
-        if full is None:
-            # Reading a never-written physical register yields a
-            # deterministic unknown (named per register).
-            full = t.bv_var(f"reg_{reg.name}", 64)
-        if isinstance(full, PointerValue):
-            if reg.width == 64:
-                return full
-            full = full.materialize()
-        if reg.width == 64:
-            return full
-        return t.trunc(full, reg.width)
+        return super().read_reg(state, reg)
 
     def write_reg(
         self, state: ProgramState, reg: VReg | XReg, value: Value
     ) -> ProgramState:
-        if isinstance(reg, VReg):
-            if isinstance(value, Term) and value.width != reg.width:
-                raise MachineSemanticsError(
-                    f"width mismatch writing {reg}: {value.width} bits"
-                )
-            return state.bind(_vreg_key(reg), value)
-        if reg.name == ZERO_REGISTER:
+        if isinstance(reg, XReg) and reg.name == ZERO_REGISTER:
             return state  # x0 is hardwired to zero: the write is discarded.
-        if reg.width == 64:
-            return state.bind(reg.name, value)
-        # Narrow views zero-extend into the full register.
-        return state.bind(reg.name, t.zext(value_term(value), 64))
-
-    def _operand_value(self, state: ProgramState, operand) -> Value:
-        if isinstance(operand, (VReg, XReg)):
-            return self.read_reg(state, operand)
-        if isinstance(operand, Imm):
-            return t.bv_const(operand.value, operand.width)
-        raise MachineSemanticsError(f"cannot evaluate operand {operand!r}")
-
-    def _operand_term(self, state: ProgramState, operand) -> Term:
-        return value_term(self._operand_value(state, operand))
-
-    def _resolve_mem(self, state: ProgramState, mem: MemRef) -> PointerValue:
-        if mem.object is not None:
-            offset = t.bv_const(mem.disp, 64)
-            if mem.base is not None:
-                base_value = self._operand_value(state, mem.base)
-                if isinstance(base_value, PointerValue):
-                    # [object + reg] with reg itself a pointer is not a
-                    # supported addressing shape.
-                    raise MachineSemanticsError("pointer register with object base")
-                offset = t.add(offset, _to_64(base_value))
-            return PointerValue(mem.object, offset)
-        if mem.base is None:
-            raise MachineSemanticsError("memory operand without object or base")
-        base_value = self._operand_value(state, mem.base)
-        if isinstance(base_value, PointerValue):
-            return base_value.moved(t.bv_const(mem.disp, 64))
-        recovered = interpret_pointer(_to_64(base_value))
-        if recovered is None:
-            raise MachineSemanticsError(
-                f"register {mem.base} does not hold a known object pointer"
-            )
-        return recovered.moved(t.bv_const(mem.disp, 64))
+        return super().write_reg(state, reg, value)
 
     # -- branch conditions ---------------------------------------------------------
 
@@ -187,118 +114,38 @@ class VRiscvSemantics:
 
     # -- stepping -------------------------------------------------------------------
 
-    def step(self, state: ProgramState) -> list[ProgramState]:
-        if state.status is not StatusKind.RUNNING:
-            return []
-        location = state.location
-        assert location is not None
-        function = self.functions[location.function]
-        block = function.block(location.block)
-        instruction = block.instructions[location.index]
-        if instruction.opcode == "PHI":
-            return self._step_phis(state, block)
-        successors = self._dispatch(state, instruction)
-        return [s for s in successors if s.is_feasible_syntactically]
+    def _step_branch(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        condition = self._branch_condition(state, instr)
+        return self._branch(state, condition, instr.operands[2])
 
-    def _step_phis(self, state: ProgramState, block) -> list[ProgramState]:
-        phis = block.phis()
-        previous = state.prev_block
-        if previous is None:
-            raise MachineSemanticsError(f"PHI in {block.name} without predecessor")
-        bindings: dict[str, Value] = {}
-        for phi in phis:
-            operands = phi.operands
-            chosen: Value | None = None
-            for value_op, label in zip(operands[0::2], operands[1::2]):
-                assert isinstance(label, Label)
-                if label.name == previous:
-                    chosen = self._operand_value(state, value_op)
-                    break
-            if chosen is None:
-                raise MachineSemanticsError(
-                    f"PHI {phi.result} has no arm for predecessor {previous}"
-                )
-            assert isinstance(phi.result, VReg)
-            bindings[_vreg_key(phi.result)] = chosen
-        location = state.location
-        assert location is not None
-        return [
-            state.bind_many(bindings).at(
-                Location(location.function, location.block, location.index + len(phis))
-            )
-        ]
+    def _step_compare(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        lhs = self._operand_term(state, instr.operands[0])
+        rhs = self._operand_term(state, instr.operands[1])
+        dest = instr.result
+        assert dest is not None
+        compare = t.slt if instr.opcode == "slt" else t.ult
+        value = t.bool_to_bv(compare(lhs, rhs), dest.width)
+        return [self.write_reg(state, dest, value).advanced()]
 
-    def _dispatch(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        opcode = instr.opcode
-        if opcode in ("COPY", "li"):
-            value = self._operand_value(state, instr.operands[0])
-            dest = instr.result
-            assert dest is not None
-            if isinstance(value, Term) and value.width != dest.width:
-                if value.width > dest.width:
-                    value = t.trunc(value, dest.width)
-                else:
-                    raise MachineSemanticsError(
-                        f"{opcode} widens {value.width} -> {dest.width}"
-                    )
-            if isinstance(value, PointerValue) and dest.width != 64:
-                value = t.trunc(value.materialize(), dest.width)
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode in insns.ALU_OPS:
-            return self._step_alu(state, instr)
-        if opcode in insns.COMPARE_OPS:
-            lhs = self._operand_term(state, instr.operands[0])
-            rhs = self._operand_term(state, instr.operands[1])
-            dest = instr.result
-            assert dest is not None
-            compare = t.slt if opcode == "slt" else t.ult
-            value = t.bool_to_bv(compare(lhs, rhs), dest.width)
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode in ("seqz", "snez"):
-            source = self._operand_term(state, instr.operands[0])
-            dest = instr.result
-            assert dest is not None
-            is_zero = t.eq(source, t.zero(source.width))
-            condition = is_zero if opcode == "seqz" else t.not_(is_zero)
-            value = t.bool_to_bv(condition, dest.width)
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode == "sel":
-            return self._step_sel(state, instr)
-        if opcode == "zext":
-            source = self._operand_term(state, instr.operands[0])
-            dest = instr.result
-            return [self.write_reg(state, dest, t.zext(source, dest.width)).advanced()]
-        if opcode == "sext":
-            source = self._operand_term(state, instr.operands[0])
-            dest = instr.result
-            return [self.write_reg(state, dest, t.sext(source, dest.width)).advanced()]
-        if opcode == "load":
-            return self._step_load(state, instr)
-        if opcode == "store":
-            return self._step_store(state, instr)
-        if opcode == "la":
-            mem = instr.operands[0]
-            assert isinstance(mem, MemRef)
-            pointer = self._resolve_mem(state, mem)
-            return [self.write_reg(state, instr.result, pointer).advanced()]
-        if opcode == "j":
-            target = instr.operands[0]
-            assert isinstance(target, Label)
-            location = state.location
-            return [
-                state.at(
-                    Location(location.function, target.name, 0),
-                    prev_block=location.block,
-                )
-            ]
-        if opcode in BRANCH_OPS:
-            return self._step_branch(state, instr)
-        if opcode == "call":
-            return self._step_call(state, instr)
-        if opcode == "ret":
-            returned = state.env.get(RETURN_REGISTER)
-            return [state.exited(returned)]
-        raise MachineSemanticsError(f"unhandled opcode {opcode!r}")
+    def _step_zero_test(
+        self, state: ProgramState, instr: MInstr
+    ) -> list[ProgramState]:
+        source = self._operand_term(state, instr.operands[0])
+        dest = instr.result
+        assert dest is not None
+        is_zero = t.eq(source, t.zero(source.width))
+        condition = is_zero if instr.opcode == "seqz" else t.not_(is_zero)
+        value = t.bool_to_bv(condition, dest.width)
+        return [self.write_reg(state, dest, value).advanced()]
+
+    def _step_sel(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        cond = self._operand_term(state, instr.operands[0])
+        condition = t.not_(t.eq(cond, t.zero(cond.width)))
+        taken = self._operand_value(state, instr.operands[1])
+        not_taken = self._operand_value(state, instr.operands[2])
+        dest = instr.result
+        assert dest is not None
+        return self._select(state, dest, condition, taken, not_taken)
 
     def _step_alu(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
         opcode = instr.opcode
@@ -320,114 +167,6 @@ class VRiscvSemantics:
             fallback = t.ones(width) if opcode in ("div", "divu") else lhs
             result = t.ite(zero_divisor, fallback, result)
         return [self.write_reg(state, dest, result).advanced()]
-
-    def _step_sel(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        cond = self._operand_term(state, instr.operands[0])
-        condition = t.not_(t.eq(cond, t.zero(cond.width)))
-        taken = self._operand_value(state, instr.operands[1])
-        not_taken = self._operand_value(state, instr.operands[2])
-        dest = instr.result
-        assert dest is not None
-        if isinstance(taken, PointerValue) or isinstance(not_taken, PointerValue):
-            # Mirror the LLVM side's select-over-pointers case split.
-            return [
-                self.write_reg(state.assuming(condition), dest, taken).advanced(),
-                self.write_reg(
-                    state.assuming(t.not_(condition)), dest, not_taken
-                ).advanced(),
-            ]
-        value = t.ite(condition, value_term(taken), value_term(not_taken))
-        return [self.write_reg(state, dest, value).advanced()]
-
-    def _step_load(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        mem = instr.operands[0]
-        assert isinstance(mem, MemRef)
-        pointer = self._resolve_mem(state, mem)
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
-        successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"load {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
-        raw = state.memory.load(pointer, mem.width_bytes)
-        dest = instr.result
-        assert dest is not None
-        value: Value = raw
-        if dest.width == 64:
-            recovered = interpret_pointer(raw)
-            if recovered is not None:
-                value = recovered
-        if isinstance(value, Term) and value.width != dest.width:
-            raise MachineSemanticsError(
-                f"load width {value.width} into {dest.width}-bit register"
-            )
-        successors.append(self.write_reg(state, dest, value).advanced())
-        return successors
-
-    def _step_store(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        mem = instr.operands[0]
-        assert isinstance(mem, MemRef)
-        pointer = self._resolve_mem(state, mem)
-        source = self._operand_value(state, instr.operands[1])
-        raw = value_term(source)
-        if raw.width != mem.width_bytes * 8:
-            raise MachineSemanticsError(
-                f"store width mismatch: {raw.width} bits into {mem.width_bytes} bytes"
-            )
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
-        successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"store {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
-        memory = state.memory.store(pointer, raw, mem.width_bytes)
-        successors.append(state.with_memory(memory).advanced())
-        return successors
-
-    def _step_branch(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        target = instr.operands[2]
-        assert isinstance(target, Label)
-        condition = self._branch_condition(state, instr)
-        location = state.location
-        assert location is not None
-        taken = state.assuming(condition).at(
-            Location(location.function, target.name, 0), prev_block=location.block
-        )
-        not_taken = state.assuming(t.not_(condition)).advanced()
-        return [taken, not_taken]
-
-    def _step_call(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        target = instr.operands[0]
-        assert isinstance(target, Label)
-        arguments = tuple(
-            self._operand_value(state, operand) for operand in instr.operands[1:]
-        )
-        location = state.location
-        assert location is not None
-        marker = CallMarker(
-            callee=target.name,
-            arguments=arguments,
-            result_name=RETURN_REGISTER,
-            return_location=Location(
-                location.function, location.block, location.index + 1
-            ),
-        )
-        return [state.calling(marker)]
-
-
-def _to_64(value: Value) -> Term:
-    term = value_term(value)
-    if term.width < 64:
-        return t.zext(term, 64)
-    if term.width > 64:
-        return t.trunc(term, 64)
-    return term
 
 
 _ALU_BUILDERS = {

@@ -11,6 +11,14 @@ Register semantics follow x86-64: writing a 32-bit view (``eax``) zeroes
 the upper 32 bits of the full register, while 8/16-bit writes preserve
 them.  That detail is load-bearing: the paper's load-narrowing bug
 (Fig. 10/11) is only observable because of it.
+
+The containers, the instruction record, the textual parser and the
+semantics of registers, memory accesses, PHIs, moves, jumps and calls are
+the machine-IR layer shared with Virtual RISC-V (:mod:`repro.mir`).  This
+package adds what is x86's own: the registers and their sub-register
+aliases, the opcode tables, the four-flag model with ``cmp``/``test`` and
+the condition codes, ``cmov``/``setcc``, ``inc``/``dec``/``neg``/``not``,
+trapping division and the 8/16-bit sub-register merge.
 """
 
 from repro.vx86.insns import (

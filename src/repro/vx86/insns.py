@@ -12,16 +12,18 @@ Division is modelled with explicit quotient/remainder opcodes
 expansions before register allocation, and the trap behaviour (#DE on zero
 divisor or quotient overflow) is preserved in the semantics.
 
-The operand kinds and the block/function containers are shared with the
-other virtual targets via :mod:`repro.mir`; this module re-exports them
-so existing importers keep working.
+The operand kinds, the block/function containers and the instruction
+record's validation and printing are shared with the other virtual
+targets via :mod:`repro.mir`; this module names the x86 registers and
+opcode tables and re-exports the shared shapes so existing importers keep
+working.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
+from repro import mir
 from repro.mir import (
     Imm,
     Label,
@@ -96,7 +98,9 @@ for _i in range(8, 16):
     ALIASES[f"r{_i}b"] = (f"r{_i}", 8)
 for _r64, _r16 in zip(GPR64[:8], ("ax", "bx", "cx", "dx", "si", "di", "bp", "sp")):
     ALIASES[_r16] = (_r64, 16)
-for _r64, _r8 in zip(GPR64[:4], ("al", "bl", "cl", "dl")):
+for _r64, _r8 in zip(
+    GPR64[:8], ("al", "bl", "cl", "dl", "sil", "dil", "bpl", "spl")
+):
     ALIASES[_r8] = (_r64, 8)
 
 #: SysV AMD64 integer argument registers, in order.
@@ -212,46 +216,8 @@ OPCODES: dict[str, tuple[bool, int]] = {
 
 
 @dataclass(frozen=True)
-class MInstr:
-    """One machine instruction: ``result = opcode(operands)``."""
+class MInstr(mir.MInstr):
+    """One Virtual x86 instruction: ``result = opcode(operands)``."""
 
-    opcode: str
-    operands: tuple[Operand, ...] = ()
-    result: Union[VReg, PReg, None] = None
-
-    def __post_init__(self):
-        if self.opcode not in OPCODES:
-            raise ValueError(f"unknown opcode {self.opcode!r}")
-        has_result, arity = OPCODES[self.opcode]
-        if has_result and self.result is None:
-            raise ValueError(f"{self.opcode} requires a result register")
-        if not has_result and self.result is not None:
-            raise ValueError(f"{self.opcode} does not produce a result")
-        if arity >= 0 and len(self.operands) != arity:
-            raise ValueError(
-                f"{self.opcode} expects {arity} operands, got {len(self.operands)}"
-            )
-
-    def __str__(self) -> str:
-        opcode = self.opcode
-        if opcode in ("load", "store"):
-            # Print the access width so the textual form parses back
-            # unambiguously (immediates carry no width of their own).
-            mem = self.operands[0]
-            assert isinstance(mem, MemRef)
-            opcode = f"{opcode}{mem.width_bytes * 8}"
-        parts = ", ".join(str(operand) for operand in self.operands)
-        if self.result is not None:
-            return f"{self.result} = {opcode} {parts}".rstrip()
-        return f"{opcode} {parts}".rstrip()
-
-    def branch_targets(self) -> list[str]:
-        if self.opcode == "jmp" or self.opcode in CONDITION_CODES:
-            target = self.operands[0]
-            assert isinstance(target, Label)
-            return [target.name]
-        return []
-
-    @property
-    def is_terminator(self) -> bool:
-        return self.opcode in ("jmp", "ret") or self.opcode in CONDITION_CODES
+    OPCODES = OPCODES
+    BRANCHES = {"jmp": 0, **dict.fromkeys(CONDITION_CODES, 0)}

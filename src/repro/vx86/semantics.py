@@ -1,164 +1,74 @@
 """Symbolic operational semantics for Virtual x86.
 
-State environment layout:
+The register file, memory accesses, PHIs, moves, jumps, calls and ``ret``
+are the shared machine-IR core (:mod:`repro.mir.semantics`).  What is
+x86's own:
 
-- virtual registers under ``vr<id>_<width>``;
-- physical registers under their canonical 64-bit names (``rax`` ...);
-  sub-register access follows x86-64: 32-bit writes zero the upper half,
-  8/16-bit writes preserve it;
+- sub-register access follows x86-64: 32-bit writes zero the upper half
+  (as in the core), while 8/16-bit writes preserve it;
 - ``eflags`` as four boolean entries — ``cf``, ``zf``, ``sf`` and ``lt``
   (``lt`` is the ``SF != OF`` combination used by signed conditions, stored
   directly so that compare-then-branch path conditions match the LLVM
-  side's syntactically in the common case).
-
-Division traps (#DE on zero divisor / quotient overflow) and out-of-bounds
-accesses become marked error states, mirroring the LLVM side's error kinds
-so the acceptability relation can match them (paper Section 4.6).
+  side's syntactically in the common case), set by the ALU, ``cmp`` and
+  ``test`` and read by ``jcc``, ``cmovcc`` and ``setcc``;
+- division traps (#DE on zero divisor / quotient overflow) become marked
+  error states, mirroring the LLVM side's error kinds so the acceptability
+  relation can match them (paper Section 4.6).
 """
 
 from __future__ import annotations
 
-from repro.memory import (
-    Memory,
-    MemoryObject,
-    PointerValue,
-    interpret_pointer,
+from repro.mir.semantics import (
+    MachineSemantics,
+    MachineSemanticsError,
+    Step,
+    machine_entry_state,
 )
-from repro.semantics.state import (
-    CallMarker,
-    ErrorInfo,
-    Location,
-    ProgramState,
-    StatusKind,
-    Value,
-    value_term,
-)
+from repro.semantics.state import ErrorInfo, ProgramState, Value, value_term
 from repro.smt import terms as t
 from repro.smt.terms import Term
 from repro.vx86 import insns
-from repro.vx86.insns import (
-    CONDITION_CODES,
-    Imm,
-    Label,
-    MachineFunction,
-    MemRef,
-    MInstr,
-    PReg,
-    VReg,
-)
+from repro.vx86.insns import MInstr, PReg, RETURN_REGISTER, VReg
+
+__all__ = ["MachineSemanticsError", "Vx86Semantics", "machine_entry_state"]
 
 
-class MachineSemanticsError(Exception):
-    pass
-
-
-def _vreg_key(reg: VReg) -> str:
-    return f"vr{reg.id}_{reg.width}"
-
-
-def machine_entry_state(
-    function: MachineFunction,
-    memory: Memory,
-    register_values: dict[str, Value] | None = None,
-) -> ProgramState:
-    """Initial state at the machine function's entry.
-
-    ``register_values`` maps canonical 64-bit register names to initial
-    values (the VC generator supplies argument symbols shared with the
-    LLVM side here).  Frame objects are materialized into memory.
-    """
-    env: dict[str, Value] = dict(register_values or {})
-    for object_name, size in function.frame_objects.items():
-        if not memory.has_object(object_name):
-            memory = memory.add_object(MemoryObject(object_name, size, kind="stack"))
-    entry = function.entry_block
-    return ProgramState(
-        location=Location(function.name, entry.name, 0),
-        env=env,
-        memory=memory,
-    )
-
-
-class Vx86Semantics:
+class Vx86Semantics(MachineSemantics):
     """The Virtual x86 language definition consumed by KEQ."""
 
     language_name = "vx86"
-    deterministic = True
 
-    def __init__(self, function_map: dict[str, MachineFunction]):
-        self.functions = function_map
+    MOV = "mov"
+    LEA = "lea"
+    JMP = "jmp"
+    ZEXT = "movzx"
+    SEXT = "movsx"
+    RETURN_REGISTER = RETURN_REGISTER
+
+    def _isa_steps(self) -> dict[str, Step]:
+        return {
+            **dict.fromkeys(insns.ALU_OPS, self._step_alu),
+            **dict.fromkeys(insns.UNARY_OPS, self._step_unary),
+            "cmp": self._step_cmp,
+            "test": self._step_test,
+            **dict.fromkeys(insns.CONDITION_CODES, self._step_jcc),
+            **dict.fromkeys(insns.CMOV_OPS, self._step_cmov),
+            **dict.fromkeys(insns.SETCC_OPS, self._step_setcc),
+        }
 
     # -- register file ------------------------------------------------------------
-
-    def read_reg(self, state: ProgramState, reg: VReg | PReg) -> Value:
-        if isinstance(reg, VReg):
-            return state.lookup(_vreg_key(reg))
-        full = state.env.get(reg.name)
-        if full is None:
-            # Reading a never-written physical register yields a
-            # deterministic unknown (named per register).
-            full = t.bv_var(f"reg_{reg.name}", 64)
-        if isinstance(full, PointerValue):
-            if reg.width == 64:
-                return full
-            full = full.materialize()
-        if reg.width == 64:
-            return full
-        return t.trunc(full, reg.width)
 
     def write_reg(
         self, state: ProgramState, reg: VReg | PReg, value: Value
     ) -> ProgramState:
-        if isinstance(reg, VReg):
-            if isinstance(value, Term) and value.width != reg.width:
-                raise MachineSemanticsError(
-                    f"width mismatch writing {reg}: {value.width} bits"
-                )
-            return state.bind(_vreg_key(reg), value)
-        if reg.width == 64:
-            return state.bind(reg.name, value)
-        term = value_term(value)
-        if reg.width == 32:
-            # 32-bit writes zero-extend into the full register (x86-64).
-            return state.bind(reg.name, t.zext(term, 64))
-        # 8/16-bit writes preserve the upper bits.
-        old = self.read_reg(state, PReg(reg.name, 64))
-        old_term = value_term(old)
-        merged = t.concat(t.extract(old_term, 63, reg.width), term)
-        return state.bind(reg.name, merged)
-
-    def _operand_value(self, state: ProgramState, operand) -> Value:
-        if isinstance(operand, (VReg, PReg)):
-            return self.read_reg(state, operand)
-        if isinstance(operand, Imm):
-            return t.bv_const(operand.value, operand.width)
-        raise MachineSemanticsError(f"cannot evaluate operand {operand!r}")
-
-    def _operand_term(self, state: ProgramState, operand) -> Term:
-        return value_term(self._operand_value(state, operand))
-
-    def _resolve_mem(self, state: ProgramState, mem: MemRef) -> PointerValue:
-        if mem.object is not None:
-            offset = t.bv_const(mem.disp, 64)
-            if mem.base is not None:
-                base_value = self._operand_value(state, mem.base)
-                if isinstance(base_value, PointerValue):
-                    # [object + reg] with reg itself a pointer is not a
-                    # supported addressing shape.
-                    raise MachineSemanticsError("pointer register with object base")
-                offset = t.add(offset, _to_64(base_value))
-            return PointerValue(mem.object, offset)
-        if mem.base is None:
-            raise MachineSemanticsError("memory operand without object or base")
-        base_value = self._operand_value(state, mem.base)
-        if isinstance(base_value, PointerValue):
-            return base_value.moved(t.bv_const(mem.disp, 64))
-        recovered = interpret_pointer(_to_64(base_value))
-        if recovered is None:
-            raise MachineSemanticsError(
-                f"register {mem.base} does not hold a known object pointer"
-            )
-        return recovered.moved(t.bv_const(mem.disp, 64))
+        if isinstance(reg, PReg) and reg.width < 32:
+            # 8/16-bit writes preserve the upper bits.
+            term = value_term(value)
+            old = self.read_reg(state, PReg(reg.name, 64))
+            old_term = value_term(old)
+            merged = t.concat(t.extract(old_term, 63, reg.width), term)
+            return state.bind(reg.name, merged)
+        return super().write_reg(state, reg, value)
 
     # -- flags ---------------------------------------------------------------------
 
@@ -231,136 +141,34 @@ class Vx86Semantics:
 
     # -- stepping -------------------------------------------------------------------
 
-    def step(self, state: ProgramState) -> list[ProgramState]:
-        if state.status is not StatusKind.RUNNING:
-            return []
-        location = state.location
-        assert location is not None
-        function = self.functions[location.function]
-        block = function.block(location.block)
-        instruction = block.instructions[location.index]
-        if instruction.opcode == "PHI":
-            return self._step_phis(state, block)
-        successors = self._dispatch(state, instruction)
-        return [s for s in successors if s.is_feasible_syntactically]
+    def _step_cmp(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        lhs = self._operand_term(state, instr.operands[0])
+        rhs = self._operand_term(state, instr.operands[1])
+        return [self._flags_for_sub(state, lhs, rhs).advanced()]
 
-    def _step_phis(self, state: ProgramState, block) -> list[ProgramState]:
-        phis = block.phis()
-        previous = state.prev_block
-        if previous is None:
-            raise MachineSemanticsError(f"PHI in {block.name} without predecessor")
-        bindings: dict[str, Value] = {}
-        for phi in phis:
-            operands = phi.operands
-            chosen: Value | None = None
-            for value_op, label in zip(operands[0::2], operands[1::2]):
-                assert isinstance(label, Label)
-                if label.name == previous:
-                    chosen = self._operand_value(state, value_op)
-                    break
-            if chosen is None:
-                raise MachineSemanticsError(
-                    f"PHI {phi.result} has no arm for predecessor {previous}"
-                )
-            assert isinstance(phi.result, VReg)
-            bindings[_vreg_key(phi.result)] = chosen
-        location = state.location
-        assert location is not None
-        return [
-            state.bind_many(bindings).at(
-                Location(location.function, location.block, location.index + len(phis))
-            )
-        ]
+    def _step_test(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        lhs = self._operand_term(state, instr.operands[0])
+        rhs = self._operand_term(state, instr.operands[1])
+        return [self._flags_for_logic(state, t.bvand(lhs, rhs)).advanced()]
 
-    def _dispatch(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        opcode = instr.opcode
-        if opcode in ("COPY", "mov"):
-            value = self._operand_value(state, instr.operands[0])
-            dest = instr.result
-            assert dest is not None
-            if isinstance(value, Term) and value.width != dest.width:
-                if value.width > dest.width:
-                    value = t.trunc(value, dest.width)
-                else:
-                    raise MachineSemanticsError(
-                        f"{opcode} widens {value.width} -> {dest.width}"
-                    )
-            if isinstance(value, PointerValue) and dest.width != 64:
-                value = t.trunc(value.materialize(), dest.width)
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode in insns.ALU_OPS:
-            return self._step_alu(state, instr)
-        if opcode in insns.UNARY_OPS:
-            return self._step_unary(state, instr)
-        if opcode == "movzx":
-            source = self._operand_term(state, instr.operands[0])
-            dest = instr.result
-            return [self.write_reg(state, dest, t.zext(source, dest.width)).advanced()]
-        if opcode == "movsx":
-            source = self._operand_term(state, instr.operands[0])
-            dest = instr.result
-            return [self.write_reg(state, dest, t.sext(source, dest.width)).advanced()]
-        if opcode == "cmp":
-            lhs = self._operand_term(state, instr.operands[0])
-            rhs = self._operand_term(state, instr.operands[1])
-            return [self._flags_for_sub(state, lhs, rhs).advanced()]
-        if opcode == "test":
-            lhs = self._operand_term(state, instr.operands[0])
-            rhs = self._operand_term(state, instr.operands[1])
-            return [self._flags_for_logic(state, t.bvand(lhs, rhs)).advanced()]
-        if opcode == "load":
-            return self._step_load(state, instr)
-        if opcode == "store":
-            return self._step_store(state, instr)
-        if opcode == "lea":
-            mem = instr.operands[0]
-            assert isinstance(mem, MemRef)
-            pointer = self._resolve_mem(state, mem)
-            return [self.write_reg(state, instr.result, pointer).advanced()]
-        if opcode == "jmp":
-            target = instr.operands[0]
-            assert isinstance(target, Label)
-            location = state.location
-            return [
-                state.at(
-                    Location(location.function, target.name, 0),
-                    prev_block=location.block,
-                )
-            ]
-        if opcode in CONDITION_CODES:
-            return self._step_jcc(state, instr)
-        if opcode in insns.CMOV_OPS:
-            condition = self._condition(state, insns.CMOV_CONDITION[opcode])
-            taken = self._operand_value(state, instr.operands[0])
-            not_taken = self._operand_value(state, instr.operands[1])
-            dest = instr.result
-            assert dest is not None
-            if isinstance(taken, PointerValue) or isinstance(
-                not_taken, PointerValue
-            ):
-                # Mirror the LLVM side's select-over-pointers case split.
-                return [
-                    self.write_reg(
-                        state.assuming(condition), dest, taken
-                    ).advanced(),
-                    self.write_reg(
-                        state.assuming(t.not_(condition)), dest, not_taken
-                    ).advanced(),
-                ]
-            value = t.ite(condition, value_term(taken), value_term(not_taken))
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode in insns.SETCC_OPS:
-            condition = self._condition(state, insns.SETCC_CONDITION[opcode])
-            dest = instr.result
-            assert dest is not None
-            value = t.bool_to_bv(condition, dest.width)
-            return [self.write_reg(state, dest, value).advanced()]
-        if opcode == "call":
-            return self._step_call(state, instr)
-        if opcode == "ret":
-            returned = state.env.get("rax")
-            return [state.exited(returned)]
-        raise MachineSemanticsError(f"unhandled opcode {opcode!r}")
+    def _step_jcc(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        condition = self._condition(state, instr.opcode)
+        return self._branch(state, condition, instr.operands[0])
+
+    def _step_cmov(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        condition = self._condition(state, insns.CMOV_CONDITION[instr.opcode])
+        taken = self._operand_value(state, instr.operands[0])
+        not_taken = self._operand_value(state, instr.operands[1])
+        dest = instr.result
+        assert dest is not None
+        return self._select(state, dest, condition, taken, not_taken)
+
+    def _step_setcc(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
+        condition = self._condition(state, insns.SETCC_CONDITION[instr.opcode])
+        dest = instr.result
+        assert dest is not None
+        value = t.bool_to_bv(condition, dest.width)
+        return [self.write_reg(state, dest, value).advanced()]
 
     def _step_alu(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
         opcode = instr.opcode
@@ -431,96 +239,6 @@ class Vx86Semantics:
         else:  # pragma: no cover
             raise MachineSemanticsError(f"unhandled unary opcode {opcode!r}")
         return [self.write_reg(state, dest, result).advanced()]
-
-    def _step_load(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        mem = instr.operands[0]
-        assert isinstance(mem, MemRef)
-        pointer = self._resolve_mem(state, mem)
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
-        successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"load {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
-        raw = state.memory.load(pointer, mem.width_bytes)
-        dest = instr.result
-        assert dest is not None
-        value: Value = raw
-        if dest.width == 64:
-            recovered = interpret_pointer(raw)
-            if recovered is not None:
-                value = recovered
-        if isinstance(value, Term) and value.width != dest.width:
-            raise MachineSemanticsError(
-                f"load width {value.width} into {dest.width}-bit register"
-            )
-        successors.append(self.write_reg(state, dest, value).advanced())
-        return successors
-
-    def _step_store(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        mem = instr.operands[0]
-        assert isinstance(mem, MemRef)
-        pointer = self._resolve_mem(state, mem)
-        source = self._operand_value(state, instr.operands[1])
-        raw = value_term(source)
-        if raw.width != mem.width_bytes * 8:
-            raise MachineSemanticsError(
-                f"store width mismatch: {raw.width} bits into {mem.width_bytes} bytes"
-            )
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
-        successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"store {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
-        memory = state.memory.store(pointer, raw, mem.width_bytes)
-        successors.append(state.with_memory(memory).advanced())
-        return successors
-
-    def _step_jcc(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        target = instr.operands[0]
-        assert isinstance(target, Label)
-        condition = self._condition(state, instr.opcode)
-        location = state.location
-        assert location is not None
-        taken = state.assuming(condition).at(
-            Location(location.function, target.name, 0), prev_block=location.block
-        )
-        not_taken = state.assuming(t.not_(condition)).advanced()
-        return [taken, not_taken]
-
-    def _step_call(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
-        target = instr.operands[0]
-        assert isinstance(target, Label)
-        arguments = tuple(
-            self._operand_value(state, operand) for operand in instr.operands[1:]
-        )
-        location = state.location
-        assert location is not None
-        marker = CallMarker(
-            callee=target.name,
-            arguments=arguments,
-            result_name="rax",
-            return_location=Location(
-                location.function, location.block, location.index + 1
-            ),
-        )
-        return [state.calling(marker)]
-
-
-def _to_64(value: Value) -> Term:
-    term = value_term(value)
-    if term.width < 64:
-        return t.zext(term, 64)
-    if term.width > 64:
-        return t.trunc(term, 64)
-    return term
 
 
 _ALU_BUILDERS = {
