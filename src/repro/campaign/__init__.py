@@ -11,12 +11,14 @@ batch into a *campaign*:
   per-function outcomes (atomic line appends, torn tails tolerated), plus
   the campaign manifest, so ``resume`` skips completed work and re-queues
   in-flight functions after a crash;
-- :mod:`repro.campaign.supervisor` — drives the shards over a pool of
-  worker processes with per-function wall-clock budgets, classifies
-  failures into the paper's taxonomy (``timeout`` / ``oom`` /
-  ``inadequate_sync`` / ``crash``), retries transient worker deaths with
-  exponential backoff, and quarantines poison-pill functions that kill a
-  worker twice;
+- :mod:`repro.campaign.schedule` — the failure handling policy both
+  campaign drivers share: shard round-robin, re-queue with exponential
+  backoff after a worker death, poison-pill quarantine at ``max_kills``,
+  resume's orphan rule, and the journal event shape;
+- :mod:`repro.campaign.supervisor` — plans campaigns and drives the shards
+  over a pool of worker processes with per-function wall-clock budgets,
+  failures classified into the paper's taxonomy (``timeout`` / ``oom`` /
+  ``inadequate_sync`` / ``crash``);
 - :mod:`repro.campaign.merge` — folds shard results into one
   deterministic campaign report (byte-identical regardless of shard
   completion order).
@@ -38,11 +40,11 @@ from repro.campaign.journal import (
     write_manifest,
 )
 from repro.campaign.merge import CampaignReport, merge_campaign
+from repro.campaign.schedule import Job
 from repro.campaign.supervisor import (
     CampaignConfig,
     CampaignError,
     CampaignInterrupted,
-    Job,
     PreparedCampaign,
     campaign_status,
     prepare_campaign,

@@ -301,23 +301,21 @@ class JournalState:
             return None
         return outcome_from_json(ledger.outcome)
 
-
-def load_state(directory: str) -> JournalState:
-    state = JournalState()
-    for event in read_events(directory):
+    def apply(self, event: dict) -> None:
+        """Fold one journal event into the ledgers."""
         kind = event["event"]
         if kind == "halt":
-            state.halts += 1
+            self.halts += 1
             # A halt names the function whose worker death triggered it:
             # that death is charged to the function.
             name = event.get("fn")
             if name:
-                state.ledger(name).deaths += 1
-            continue
+                self.ledger(name).deaths += 1
+            return
         name = event.get("fn")
         if not name:
-            continue
-        ledger = state.ledger(name)
+            return
+        ledger = self.ledger(name)
         if event.get("shard") is not None:
             ledger.shard = event["shard"]
         if kind == "start":
@@ -340,4 +338,10 @@ def load_state(directory: str) -> JournalState:
                 ledger.deaths += 1
         elif kind == "quarantine":
             ledger.quarantined = event.get("reason", "quarantined")
+
+
+def load_state(directory: str) -> JournalState:
+    state = JournalState()
+    for event in read_events(directory):
+        state.apply(event)
     return state

@@ -1,4 +1,4 @@
-"""The campaign supervisor: shards × worker pool × journal × retry policy.
+"""The campaign supervisor: shards × worker pool × journal.
 
 ``run_campaign`` turns a corpus into a durable campaign directory; crashes
 (of workers *or* of the supervisor itself) lose at most the functions that
@@ -6,19 +6,12 @@ were in flight, and ``resume_campaign`` re-queues exactly those and drives
 the rest to completion.  ``campaign_status`` inspects a directory without
 running anything.
 
-Failure handling policy (the paper's Section 5 taxonomy, operationalised):
-
-- deterministic failures — ``timeout`` (step/wall budget), ``oom``
-  (spec-size budget), ``inadequate_sync`` (liveness-inadequate sync
-  points) — are terminal outcomes, recorded once and never retried;
-- a *worker death* (SIGKILL, OOM-kill, segfault) is transient from the
-  campaign's point of view: the function is re-queued with exponential
-  backoff.  A function whose worker dies ``max_kills`` times is a poison
-  pill and is quarantined (journalled, excluded from scheduling, reported
-  under the ``crash`` class) instead of wedging the campaign;
-- with ``halt_on_worker_death`` the supervisor instead stops at the first
-  death — the mode CI uses to simulate a mid-campaign crash and assert
-  that ``resume`` recovers cleanly.
+Which job runs next, the re-queue with backoff after a worker death and
+the poison-pill quarantine are the failure handling policy of
+:mod:`repro.campaign.schedule`, which the service coordinator shares.
+The supervisor adds one mode of its own: with ``halt_on_worker_death`` it
+stops at the first death — the mode CI uses to simulate a mid-campaign
+crash and assert that ``resume`` recovers cleanly.
 
 Workers run in the :class:`repro.tv.parallel.WorkerPool` (module shipped
 as text, hard deadline per function, per-worker query cache); the
@@ -31,7 +24,6 @@ import dataclasses
 import importlib
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 
@@ -51,11 +43,12 @@ from repro.campaign.merge import (
     build_status,
     merge_campaign,
 )
+from repro.campaign.schedule import Scheduler, recover_orphans
 from repro.campaign.shard import ShardItem, plan_shards
 from repro.targets import DEFAULT_TARGET
 from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
-from repro.tv.driver import TvOptions, TvOutcome
+from repro.tv.driver import TvOptions
 from repro.tv.parallel import Worker, WorkerPool, hard_budget
 from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
 
@@ -162,42 +155,25 @@ def _resolve_validate(reference: str | None):
 
 
 @dataclass
-class Job:
-    """One scheduled validation attempt (a :class:`WorkerPool` task)."""
-
-    name: str
-    shard: int
-    attempt: int
-    not_before: float = 0.0
-
-
-@dataclass
 class PreparedCampaign:
     """Everything a driver — the in-process pool or the network
     coordinator (:mod:`repro.service`) — needs to run a campaign: the
     published manifest, the module as spawn-safe text, resolved options,
-    the pending job list, and the journal-derived kill counts."""
+    and the journal state the run starts from (empty for a fresh
+    campaign), from which its :class:`~repro.campaign.schedule.Scheduler`
+    takes the pending jobs and kill counts."""
 
     directory: str
     manifest: dict
     module_text: str
     base: TvOptions
     overrides: dict[str, TvOptions]
-    jobs: list[Job]
-    kills: dict[str, int]
+    state: JournalState
     validate: object | None
 
     @property
     def cache_dir(self) -> str:
         return self.manifest["cache_dir"]
-
-    @property
-    def max_kills(self) -> int:
-        return self.manifest["max_kills"]
-
-    @property
-    def backoff_seconds(self) -> float:
-        return self.manifest["backoff_seconds"]
 
 
 def prepare_campaign(
@@ -274,20 +250,13 @@ def prepare_campaign(
         "shard_lists": shard_plan.shards,
     }
     write_manifest(directory, manifest)
-    jobs = [
-        Job(name, shard_plan.shard_of(name), attempt=1)
-        for shard in shard_plan.shards
-        for name in shard
-        if name in run_set
-    ]
     return PreparedCampaign(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
         base=base,
         overrides=overrides,
-        jobs=jobs,
-        kills={},
+        state=JournalState(),
         validate=config.validate,
     )
 
@@ -300,13 +269,12 @@ def prepare_resume(
 ) -> tuple[PreparedCampaign, list[dict]]:
     """Plan the continuation of a crashed or halted campaign.
 
-    Returns the prepared plan (completed and quarantined work excluded,
-    attempt counters continued from the journal) plus the *recovery
-    events* — one ``requeue`` per orphaned in-flight function, or a
-    ``quarantine`` if its journal-derived kill count already crossed the
-    poison-pill threshold — which the caller must append to the journal
-    before driving the jobs, so the re-queue happens exactly once even if
-    the resuming process itself crashes.
+    Returns the prepared plan (its journal state continues attempt
+    counters and kill counts) plus the *recovery events* of
+    :func:`~repro.campaign.schedule.recover_orphans` — one ``requeue`` or
+    ``quarantine`` per orphaned in-flight function — which the caller must
+    append to the journal before driving the jobs, so the re-queue happens
+    exactly once even if the resuming process itself crashes.
     """
     try:
         manifest = load_manifest(directory)
@@ -340,63 +308,14 @@ def prepare_resume(
     )
     overrides = corpus_overrides(corpus, base)
     state = load_state(directory)
-    max_kills = manifest["max_kills"]
-    run_names = manifest["run_names"]
-    assignment = {
-        name: index
-        for index, shard in enumerate(manifest["shard_lists"])
-        for name in shard
-    }
-    kills = {
-        name: ledger.kills for name, ledger in state.ledgers.items()
-    }
-    recovery: list[dict] = []
-    quarantined_now: set[str] = set()
-    for orphan in state.orphans():
-        attempt = state.ledger(orphan).starts
-        if kills.get(orphan, 0) >= max_kills:
-            recovery.append(
-                {
-                    "event": "quarantine",
-                    "fn": orphan,
-                    "shard": assignment.get(orphan),
-                    "attempt": attempt,
-                    "reason": (
-                        f"poison pill: {kills[orphan]} worker deaths"
-                        " without an outcome"
-                    ),
-                }
-            )
-            quarantined_now.add(orphan)
-        else:
-            recovery.append(
-                {
-                    "event": "requeue",
-                    "fn": orphan,
-                    "shard": assignment.get(orphan),
-                    "attempt": attempt,
-                    "reason": "in flight at supervisor crash/halt",
-                    "delay": 0.0,
-                }
-            )
-    completed = state.completed
-    quarantined = set(state.quarantined) | quarantined_now
-    jobs = [
-        Job(name, assignment[name], attempt=state.ledger(name).starts + 1)
-        for shard in manifest["shard_lists"]
-        for name in shard
-        if name in set(run_names)
-        and name not in completed
-        and name not in quarantined
-    ]
+    recovery = recover_orphans(manifest, state)
     prepared = PreparedCampaign(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
         base=base,
         overrides=overrides,
-        jobs=jobs,
-        kills=kills,
+        state=state,
         validate=validate,
     )
     return prepared, recovery
@@ -416,20 +335,7 @@ def run_campaign(
     config = config or CampaignConfig()
     prepared = prepare_campaign(directory, config, corpus)
     with Journal(directory) as journal:
-        _drive(
-            journal=journal,
-            jobs=prepared.jobs,
-            kills=prepared.kills,
-            module_text=prepared.module_text,
-            base=prepared.base,
-            overrides=prepared.overrides,
-            cache_dir=prepared.cache_dir,
-            validate=prepared.validate,
-            pool_size=config.jobs,
-            max_kills=config.max_kills,
-            backoff_seconds=config.backoff_seconds,
-            halt_on_worker_death=config.halt_on_worker_death,
-        )
+        _drive(Scheduler(prepared, journal), prepared)
     return merge_campaign(prepared.manifest, load_state(directory))
 
 
@@ -446,25 +352,11 @@ def resume_campaign(
     a mismatch raises :class:`CampaignError` instead of silently mixing
     per-target verdicts."""
     prepared, recovery = prepare_resume(directory, corpus, validate, target)
-    manifest = prepared.manifest
     with Journal(directory) as journal:
         for event in recovery:
             journal.append(event)
-        _drive(
-            journal=journal,
-            jobs=prepared.jobs,
-            kills=prepared.kills,
-            module_text=prepared.module_text,
-            base=prepared.base,
-            overrides=prepared.overrides,
-            cache_dir=prepared.cache_dir,
-            validate=prepared.validate,
-            pool_size=manifest["jobs"],
-            max_kills=prepared.max_kills,
-            backoff_seconds=prepared.backoff_seconds,
-            halt_on_worker_death=manifest["halt_on_worker_death"],
-        )
-    return merge_campaign(manifest, load_state(directory))
+        _drive(Scheduler(prepared, journal), prepared)
+    return merge_campaign(prepared.manifest, load_state(directory))
 
 
 def campaign_status(directory: str) -> CampaignStatus:
@@ -476,122 +368,58 @@ def campaign_status(directory: str) -> CampaignStatus:
     return build_status(manifest, load_state(directory))
 
 
-def _drive(
-    journal: Journal,
-    jobs: list[Job],
-    kills: dict[str, int],
-    module_text: str,
-    base: TvOptions,
-    overrides: dict[str, TvOptions],
-    cache_dir: str | None,
-    validate,
-    pool_size: int,
-    max_kills: int,
-    backoff_seconds: float,
-    halt_on_worker_death: bool,
-) -> None:
-    """Drain ``jobs`` through a worker pool, journaling every transition.
+def _drive(scheduler: Scheduler, prepared: PreparedCampaign) -> None:
+    """Run the scheduler's jobs on a worker pool until none is unresolved.
 
     The :class:`~repro.tv.parallel.WorkerPool` owns the worker lifecycle
-    (spawn, hard deadline kill, death detection, cleanup); this loop
-    adds the campaign policies: shard-interleaved scheduling, re-queue with
-    exponential backoff on worker death, poison-pill quarantine, and the
-    journal writes that make all of it resumable.
+    (spawn, hard deadline kill, death detection, cleanup) and the
+    :class:`~repro.campaign.schedule.Scheduler` every policy and journal
+    write; this loop moves jobs between the two and, under
+    ``halt_on_worker_death``, stops at the first death.
     """
-    if not jobs:
+    if scheduler.finished:
         return
-
-    #: per-shard queues, drained round-robin so every shard progresses.
-    shard_ids = sorted({job.shard for job in jobs})
-    queues: dict[int, deque[Job]] = {shard: deque() for shard in shard_ids}
-    for job in jobs:
-        queues[job.shard].append(job)
-    unresolved = {job.name for job in jobs}
-    rotation = 0
-
-    def next_ready(now: float) -> Job | None:
-        nonlocal rotation
-        for offset in range(len(shard_ids)):
-            shard = shard_ids[(rotation + offset) % len(shard_ids)]
-            queue = queues[shard]
-            if queue and queue[0].not_before <= now:
-                rotation = (rotation + offset + 1) % len(shard_ids)
-                return queue.popleft()
-        return None
-
-    def journal_event(kind: str, job: Job, **extra) -> None:
-        journal.append(
-            {
-                "event": kind,
-                "fn": job.name,
-                "shard": job.shard,
-                "attempt": job.attempt,
-                **extra,
-            }
-        )
-
-    def record_done(job: Job, outcome: TvOutcome) -> None:
-        journal_event("done", job, outcome=outcome_to_json(outcome))
-        unresolved.discard(job.name)
-
-    def on_worker_death(job: Job, detail: str) -> None:
-        kills[job.name] = kills.get(job.name, 0) + 1
-        if halt_on_worker_death:
-            # The halt names the function so load_state charges the death
-            # to it (the poison-pill counter survives the restart).
-            journal.append(
-                {
-                    "event": "halt",
-                    "fn": job.name,
-                    "shard": job.shard,
-                    "attempt": job.attempt,
-                    "reason": detail,
-                }
-            )
-            raise CampaignInterrupted(
-                f"halted on worker death while validating {job.name!r}"
-                f" ({detail}); resume to continue"
-            )
-        if kills[job.name] >= max_kills:
-            journal_event(
-                "quarantine",
-                job,
-                reason=f"poison pill: killed {kills[job.name]} workers"
-                f" ({detail})",
-            )
-            unresolved.discard(job.name)
-            return
-        delay = backoff_seconds * (2 ** (kills[job.name] - 1))
-        journal_event("requeue", job, reason=detail, delay=delay, death=True)
-        queues[job.shard].append(
-            dataclasses.replace(
-                job,
-                attempt=job.attempt + 1,
-                not_before=time.monotonic() + delay,
-            )
-        )
-
+    base, overrides = prepared.base, prepared.overrides
     # ``Worker`` and ``mp_connection`` are looked up on every call: the
     # benchmark's tracer (perfbench/spans.py) rebinds both names in this
     # module to time worker spawns and waits.
     pool = WorkerPool(
-        lambda: Worker(module_text, base, overrides, cache_dir, validate),
-        pool_size,
-        clamp=validate is None,
-        tasks=len(jobs),
+        lambda: Worker(
+            prepared.module_text,
+            base,
+            overrides,
+            prepared.cache_dir,
+            prepared.validate,
+        ),
+        prepared.manifest["jobs"],
+        clamp=prepared.validate is None,
+        tasks=len(scheduler.unresolved),
     )
     with pool:
-        while unresolved:
+        while not scheduler.finished:
             now = time.monotonic()
             while pool.free:
-                job = next_ready(now)
+                job = scheduler.next_ready(now)
                 if job is None:
                     break
                 pool.assign(job, hard_budget(overrides.get(job.name, base)))
-                journal_event("start", job)
+                scheduler.journal_event("start", job.name, job.attempt)
             for event in pool.poll(wait=mp_connection.wait):
-                if event.kind == "died":
-                    # May raise CampaignInterrupted.
-                    on_worker_death(event.task, event.outcome.detail)
+                job, outcome = event.task, event.outcome
+                if event.kind != "died":
+                    scheduler.done(
+                        job.name, job.attempt, outcome_to_json(outcome)
+                    )
+                elif prepared.manifest["halt_on_worker_death"]:
+                    # The halt names the function so load_state charges
+                    # the death to it (the poison-pill counter survives
+                    # the restart).
+                    scheduler.journal_event(
+                        "halt", job.name, job.attempt, reason=outcome.detail
+                    )
+                    raise CampaignInterrupted(
+                        f"halted on worker death while validating"
+                        f" {job.name!r} ({outcome.detail}); resume to continue"
+                    )
                 else:
-                    record_done(event.task, event.outcome)
+                    scheduler.died(job.name, job.attempt, outcome.detail)

@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 from repro.mir import VReg
 
 
-def vreg_key(reg: VReg) -> str:
-    """Environment key for a virtual register: :attr:`VReg.key`."""
-    return reg.key
-
-
 @dataclass
 class IselHints:
     #: LLVM SSA name -> corresponding machine virtual register.

@@ -3,30 +3,26 @@
 The coordinator is the only process that touches the campaign directory.
 It plans the campaign exactly like the single-host supervisor
 (:func:`repro.campaign.supervisor.prepare_campaign` /
-:func:`~repro.campaign.supervisor.prepare_resume` — same manifest, same
-dedup-class-aware shard plan), then serves work units to
-:mod:`repro.service.worker` clients over the length-prefixed JSON
-protocol instead of driving a local process pool:
+:func:`~repro.campaign.supervisor.prepare_resume`) and schedules it with
+the same :class:`~repro.campaign.schedule.Scheduler`, whose module
+documents the failure handling policy (shard rotation, backoff,
+poison-pill quarantine, first write wins).  It adds the transport: units
+go to :mod:`repro.service.worker` clients over the length-prefixed JSON
+protocol instead of to a local process pool.
 
 - **Leases, not assignments.**  A granted unit carries a lease that the
   worker must keep renewed by heartbeat.  A worker that vanishes —
   SIGKILL, kernel panic, network partition — simply stops renewing; the
   sweep re-queues each of its in-flight units *exactly once* after lease
   expiry (the lease table pops entries, so a second expiry cannot
-  happen), without charging the function a poison-pill kill: a silent
-  worker is indistinguishable from a partition, and the journal's rule is
-  that only *observed* deaths count.
-- **Idempotent results.**  The first ``result`` for a unit wins and is
-  journaled as ``done``; anything later — the presumed-dead worker's
-  answer surfacing after its unit was re-run elsewhere — is journaled as
-  ``duplicate`` and dropped.  Validation is structure-deterministic, so
-  duplicates agree with the accepted outcome; dropping them keeps every
-  unit accounted exactly once.
-- **Observed deaths quarantine.**  A worker client that sees its own
-  *validation subprocess* die reports ``worker_death``; those are the
-  deaths that feed the poison-pill counter, exactly as in the single-host
-  supervisor, so a function that keeps killing workers is quarantined
-  after ``max_kills`` observed deaths no matter how many hosts it burned.
+  happen), as an attempt nobody saw die.
+- **Stale reports.**  A ``result`` for a settled unit is a duplicate.  A
+  ``worker_death`` — a validation subprocess the client saw die — counts
+  toward ``max_kills`` however many hosts the function burned, unless
+  its lease is no longer held (it expired, and the sweep already
+  re-queued the unit) or the unit is settled: then it is stale,
+  acknowledged but neither journaled nor charged.  A unit is thus only
+  ever queued, leased or settled, one at a time.
 - **One journal.**  Every transition goes through the campaign journal
   (events tagged with ``worker``/``host``), so ``repro campaign
   status|resume`` and the deterministic merger work unchanged on a
@@ -42,14 +38,13 @@ import socketserver
 import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.campaign.journal import Journal, load_state
 from repro.campaign.merge import CampaignReport, build_status, merge_campaign
+from repro.campaign.schedule import Scheduler
 from repro.campaign.supervisor import (
     CampaignConfig,
-    Job,
     PreparedCampaign,
     prepare_campaign,
     prepare_resume,
@@ -117,25 +112,10 @@ class Coordinator:
     ):
         self.prepared = prepared
         self.service = service or ServiceConfig()
-        self._journal = journal
+        self._scheduler = Scheduler(prepared, journal)
         self._lock = threading.RLock()
         self._leases = LeaseTable(self.service.lease_seconds)
-        self._kills = prepared.kills
         self._workers: dict[str, WorkerInfo] = {}
-        manifest = prepared.manifest
-        self._assignment = {
-            name: index
-            for index, shard in enumerate(manifest["shard_lists"])
-            for name in shard
-        }
-        self._unresolved = {job.name for job in prepared.jobs}
-        self._shard_ids = sorted({job.shard for job in prepared.jobs})
-        self._queues: dict[int, deque[Job]] = {
-            shard: deque() for shard in self._shard_ids
-        }
-        for job in prepared.jobs:
-            self._queues[job.shard].append(job)
-        self._rotation = 0
         self._imprecise = sorted(
             name
             for name, options in prepared.overrides.items()
@@ -147,47 +127,14 @@ class Coordinator:
     @property
     def finished(self) -> bool:
         with self._lock:
-            return not self._unresolved
+            return self._scheduler.finished
 
     @property
     def outstanding_leases(self) -> int:
         with self._lock:
             return len(self._leases)
 
-    # -- scheduling ------------------------------------------------------------
-
-    def _next_ready(self, now: float) -> Job | None:
-        """Round-robin over shard queues, honouring retry backoff and
-        dropping entries resolved while they waited (late duplicate
-        acceptance can settle a queued retry)."""
-        for offset in range(len(self._shard_ids)):
-            shard = self._shard_ids[
-                (self._rotation + offset) % len(self._shard_ids)
-            ]
-            queue = self._queues[shard]
-            while queue and queue[0].name not in self._unresolved:
-                queue.popleft()  # stale: settled while queued
-            if (
-                queue
-                and queue[0].not_before <= now
-                and self._leases.lease_of(queue[0].name) is None
-            ):
-                self._rotation = (
-                    self._rotation + offset + 1
-                ) % len(self._shard_ids)
-                return queue.popleft()
-        return None
-
-    def _requeue(self, name: str, attempt: int, delay: float) -> None:
-        job = Job(
-            name=name,
-            shard=self._assignment[name],
-            attempt=attempt,
-            not_before=time.monotonic() + delay,
-        )
-        self._queues.setdefault(job.shard, deque()).append(job)
-        if job.shard not in self._shard_ids:
-            self._shard_ids = sorted(self._queues)
+    # -- lease expiry ----------------------------------------------------------
 
     def sweep(self, now: float | None = None) -> list[str]:
         """Re-queue units whose leases expired; returns their names."""
@@ -198,40 +145,21 @@ class Coordinator:
                 info = self._workers.get(lease.worker_id)
                 if info is not None:
                     info.expired_leases += 1
-                if lease.unit not in self._unresolved:
-                    continue
-                self._journal_event(
-                    "requeue",
+                if self._scheduler.lost(
                     lease.unit,
-                    attempt=lease.attempt,
-                    reason=(
-                        f"lease expired ({lease.lease_id},"
-                        f" worker {lease.worker_id} presumed dead)"
-                    ),
-                    delay=0.0,
-                    death=False,
+                    lease.attempt,
+                    f"lease expired ({lease.lease_id},"
+                    f" worker {lease.worker_id} presumed dead)",
                     worker=lease.worker_id,
-                )
-                self._requeue(lease.unit, lease.attempt + 1, 0.0)
-                requeued.append(lease.unit)
-                logger.warning(
-                    "lease %s on %r expired (worker %s); re-queued",
-                    lease.lease_id,
-                    lease.unit,
-                    lease.worker_id,
-                )
+                ):
+                    requeued.append(lease.unit)
+                    logger.warning(
+                        "lease %s on %r expired (worker %s); re-queued",
+                        lease.lease_id,
+                        lease.unit,
+                        lease.worker_id,
+                    )
         return requeued
-
-    # -- journal helpers -------------------------------------------------------
-
-    def _journal_event(self, kind: str, name: str, **extra) -> None:
-        event = {
-            "event": kind,
-            "fn": name,
-            "shard": self._assignment.get(name),
-            **extra,
-        }
-        self._journal.append(event)
 
     # -- message dispatch ------------------------------------------------------
 
@@ -282,17 +210,17 @@ class Coordinator:
         info = self._touch(message, peer_host)
         now = time.monotonic()
         self._leases.renew_worker(info.worker_id, now)
-        if not self._unresolved:
+        if self._scheduler.finished:
             return {"type": "drain"}
-        job = self._next_ready(now)
+        job = self._scheduler.next_ready(now)
         if job is None:
             return {"type": "wait", "seconds": self.service.wait_seconds}
         lease = self._leases.grant(job.name, info.worker_id, job.attempt, now)
         info.leased += 1
-        self._journal_event(
+        self._scheduler.journal_event(
             "start",
             job.name,
-            attempt=job.attempt,
+            job.attempt,
             worker=info.worker_id,
             host=info.host,
             lease=lease.lease_id,
@@ -311,7 +239,7 @@ class Coordinator:
         return {
             "type": "ack",
             "renewed": renewed,
-            "drain": not self._unresolved,
+            "drain": self._scheduler.finished,
         }
 
     def _on_result(self, message: dict, peer_host: str) -> dict:
@@ -319,32 +247,22 @@ class Coordinator:
         unit = message.get("unit", "")
         lease = self._leases.release(message.get("lease_id", ""))
         attempt = lease.attempt if lease else message.get("attempt", 0)
-        if unit not in self._unresolved:
+        if not self._scheduler.done(
+            unit,
+            attempt,
+            message.get("outcome"),
+            worker=info.worker_id,
+            host=info.host,
+        ):
             # First write won already: the unit was re-run elsewhere after
             # this worker's lease expired.  Log, tally, drop.
             info.duplicates += 1
-            self._journal_event(
-                "duplicate",
-                unit,
-                attempt=attempt,
-                worker=info.worker_id,
-                host=info.host,
-            )
             logger.info(
                 "duplicate result for %r from %s dropped (first write wins)",
                 unit,
                 info.worker_id,
             )
             return {"type": "ack", "duplicate": True}
-        self._journal_event(
-            "done",
-            unit,
-            attempt=attempt,
-            outcome=message.get("outcome"),
-            worker=info.worker_id,
-            host=info.host,
-        )
-        self._unresolved.discard(unit)
         info.completed += 1
         return {"type": "ack", "duplicate": False}
 
@@ -352,57 +270,30 @@ class Coordinator:
         info = self._touch(message, peer_host)
         info.deaths_reported += 1
         unit = message.get("unit", "")
-        detail = message.get("detail", "validation subprocess died")
         lease = self._leases.release(message.get("lease_id", ""))
-        if unit not in self._unresolved:
+        if lease is None or unit not in self._scheduler.unresolved:
+            # The lease expired (the sweep re-queued the attempt already)
+            # or the unit is settled: nothing left to charge.
             return {"type": "ack", "stale": True}
-        attempt = lease.attempt if lease else message.get("attempt", 0)
-        self._kills[unit] = self._kills.get(unit, 0) + 1
-        max_kills = self.prepared.max_kills
-        if self._kills[unit] >= max_kills:
-            self._journal_event(
-                "quarantine",
-                unit,
-                attempt=attempt,
-                reason=(
-                    f"poison pill: killed {self._kills[unit]} workers"
-                    f" ({detail})"
-                ),
-                worker=info.worker_id,
-                host=info.host,
-            )
-            self._unresolved.discard(unit)
-            return {"type": "ack", "quarantined": True}
-        delay = self.prepared.backoff_seconds * (2 ** (self._kills[unit] - 1))
-        self._journal_event(
-            "requeue",
+        quarantined = self._scheduler.died(
             unit,
-            attempt=attempt,
-            reason=detail,
-            delay=delay,
-            death=True,
+            lease.attempt,
+            message.get("detail", "validation subprocess died"),
             worker=info.worker_id,
             host=info.host,
         )
-        self._requeue(unit, attempt + 1, delay)
-        return {"type": "ack", "quarantined": False}
+        return {"type": "ack", "quarantined": quarantined}
 
     def _on_goodbye(self, message: dict, peer_host: str) -> dict:
         info = self._touch(message, peer_host)
         info.departed = True
         for lease in self._leases.release_worker(info.worker_id):
-            if lease.unit not in self._unresolved:
-                continue
-            self._journal_event(
-                "requeue",
+            self._scheduler.lost(
                 lease.unit,
-                attempt=lease.attempt,
-                reason=f"worker {info.worker_id} drained mid-lease",
-                delay=0.0,
-                death=False,
+                lease.attempt,
+                f"worker {info.worker_id} drained mid-lease",
                 worker=info.worker_id,
             )
-            self._requeue(lease.unit, lease.attempt + 1, 0.0)
         logger.info("worker %s departed", info.worker_id)
         return {"type": "ack"}
 
@@ -414,7 +305,7 @@ class Coordinator:
         return {
             "type": "status",
             "complete": status.complete,
-            "unresolved": len(self._unresolved),
+            "unresolved": len(self._scheduler.unresolved),
             "leases": len(self._leases),
             "workers": len(self._workers),
             "render": "\n".join(lines),

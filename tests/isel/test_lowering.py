@@ -4,7 +4,6 @@ and the two reintroduced bugs."""
 import pytest
 
 from repro.isel import BugMode, IselError, IselOptions, select_function
-from repro.isel.hints import vreg_key
 from repro.llvm import parse_module
 from repro.vx86.insns import Imm, MemRef, PReg, VReg
 

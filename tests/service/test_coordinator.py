@@ -269,6 +269,36 @@ class TestLeaseExpiry:
         state = load_state(coordinator.prepared.directory)
         assert state.ledger(grant["unit"]).duplicates == 1
 
+    def test_death_after_expiry_is_stale(self, coordinator):
+        """A ``worker_death`` for a lease the sweep already expired is
+        stale: the sweep's requeue accounted for the attempt, so nothing
+        is journaled or charged and the unit is queued once — its regrant
+        reads as in flight, where resume would find it."""
+        hello(coordinator, "w1")
+        grant = lease(coordinator, "w1")
+        time.sleep(0.06)
+        assert coordinator.sweep() == [grant["unit"]]
+        reply = coordinator.handle(
+            {
+                "type": "worker_death",
+                "worker_id": "w1",
+                "unit": grant["unit"],
+                "lease_id": grant["lease_id"],
+                "attempt": grant["attempt"],
+                "detail": "worker process died (exitcode=-9)",
+            }
+        )
+        assert reply == {"type": "ack", "stale": True}
+        directory = coordinator.prepared.directory
+        requeues = [
+            e
+            for e in read_events(directory)
+            if e["event"] == "requeue" and e["fn"] == grant["unit"]
+        ]
+        assert len(requeues) == 1
+        self.lease_until(coordinator, grant["unit"], "w2")
+        assert grant["unit"] in load_state(directory).orphans()
+
     def test_heartbeat_keeps_the_lease_alive(self, coordinator):
         hello(coordinator)
         grant = lease(coordinator)

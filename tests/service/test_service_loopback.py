@@ -23,7 +23,12 @@ from repro.campaign import (
     read_events,
     run_campaign,
 )
-from repro.campaign.hooks import KILL_DIR_ENV, KILL_ONCE_ENV, sigkill_injector
+from repro.campaign.hooks import (
+    KILL_ALWAYS_ENV,
+    KILL_DIR_ENV,
+    KILL_ONCE_ENV,
+    sigkill_injector,
+)
 from repro.service import (
     ServiceConfig,
     ServiceWorker,
@@ -269,6 +274,65 @@ class TestLoopbackService:
             include_timing=False
         )
         assert report.function_table() == baseline.function_table()
+
+
+class TestDriverParity:
+    def test_poison_pill_runs_alike_under_both_drivers(
+        self, tmp_path, monkeypatch
+    ):
+        """The supervisor and the service schedule through one policy, so
+        the same poison pill leaves the victim the same journal history
+        (backoff, kill count, quarantine) and the same report."""
+        monkeypatch.setenv(KILL_ALWAYS_ENV, VICTIM)
+        pill = CampaignConfig(
+            scale=8, seed=7, shards=2, jobs=1, validate=sigkill_injector
+        )
+        local_dir, svc_dir = str(tmp_path / "local"), str(tmp_path / "svc")
+        local = run_campaign(local_dir, pill)
+        with CoordinatorThread(
+            svc_dir, pill, ServiceConfig(heartbeat_seconds=1.0)
+        ) as coordinator:
+            ServiceWorker(
+                WorkerConfig(
+                    connect=coordinator.address,
+                    worker_id="w0",
+                    jobs=1,
+                    validate=sigkill_injector,
+                )
+            ).run()
+        served = coordinator.join()
+
+        def history(directory):
+            return [
+                (
+                    e["event"],
+                    e["attempt"],
+                    e.get("reason"),
+                    e.get("delay"),
+                    e.get("death"),
+                )
+                for e in read_events(directory)
+                if e.get("fn") == VICTIM
+            ]
+
+        died = "worker process died (exitcode=-9)"
+        expected = [
+            ("start", 1, None, None, None),
+            ("requeue", 1, died, 0.5, True),
+            ("start", 2, None, None, None),
+            (
+                "quarantine",
+                2,
+                f"poison pill: killed 2 workers ({died})",
+                None,
+                None,
+            ),
+        ]
+        assert history(local_dir) == expected
+        assert history(svc_dir) == expected
+        assert served.summary(include_timing=False) == local.summary(
+            include_timing=False
+        )
 
 
 class DeadOnFirstAssign(Worker):
