@@ -3,8 +3,10 @@
 Queries are first run through the rewriting simplifier; formulas that
 normalize to a constant are answered without touching the SAT solver (the
 common case for the equality-constraint checks KEQ emits, because
-synchronization-point constraints are applied by substitution).  Everything
-else is bit-blasted and decided by the CDCL solver.
+synchronization-point constraints are applied by substitution).  The rest
+go through the per-solver memo, the shared query cache, the boolean
+skeleton (which refutes) and a bounded witness search (which satisfies);
+only what all of them leave open is bit-blasted and decided by CDCL.
 
 The façade also implements the paper's *positive-form optimization*
 (Section 3): for deterministic transition systems, proving ``φ1 ⇒ φ2`` via
@@ -19,13 +21,16 @@ import time
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # cache.py imports Result from here; avoid the cycle.
     from repro.smt.cache import QueryCache
 
+from repro.smt import eval as smt_eval
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
+from repro.smt.eval import compile_node
 from repro.smt.portfolio import REVERSED, run_portfolio
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import simplify
@@ -54,8 +59,13 @@ class QueryStats:
     """
 
     queries: int = 0
-    fast_path: int = 0  # answered by simplification alone
+    fast_path: int = 0  # answered without bit-blasting
+    #: fast-path SATs whose witness the bounded search found
+    witnessed: int = 0
     sat_calls: int = 0
+    #: SAT-core calls that answered SAT / UNSAT (UNKNOWN: ``unknowns``)
+    sat_calls_sat: int = 0
+    sat_calls_unsat: int = 0
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
@@ -142,14 +152,10 @@ class TrivialModel(Model):
         pass
 
     def eval_bv(self, term: Term) -> int:
-        from repro.smt.eval import evaluate
-
-        return int(evaluate(term, _ZERO_ENV, _zero_select))
+        return int(smt_eval.evaluate(term, _ZERO_ENV, _zero_select))
 
     def eval_bool(self, term: Term) -> bool:
-        from repro.smt.eval import evaluate
-
-        return bool(evaluate(term, _ZERO_ENV, _zero_select))
+        return bool(smt_eval.evaluate(term, _ZERO_ENV, _zero_select))
 
 
 def _fingerprint(*parts) -> int:
@@ -163,37 +169,295 @@ def _fingerprint(*parts) -> int:
     return zlib.crc32(data) | (zlib.crc32(data[::-1]) << 32)
 
 
-def _random_witness(goal: Term, attempts: int = 4) -> bool:
-    """Try a few deterministic pseudo-random assignments; True iff one
-    satisfies ``goal`` (a sound SAT witness).  Never returns a wrong
-    answer — failure just falls through to the SAT solver."""
-    from repro.smt.eval import EvalError, evaluate
+#: node evaluations one witness search may spend, shared by its start points
+WITNESS_BUDGET = 20_000
 
-    variables = t.free_vars(goal)
-    if len(variables) > 64:
-        return False
 
-    def select_handler(array: str, offset: int, width: int) -> int:
-        return _fingerprint(array, offset, seed) & t.mask(width)
+class _WitnessSearch:
+    """Bounded, deterministic search for an assignment that satisfies a goal.
 
-    for seed in range(attempts):
-        env = {}
-        for var in variables:
-            fingerprint = _fingerprint(var.name, seed)
-            if var.sort is t.BOOL:
-                env[var.name] = bool(fingerprint & 1)
-            elif seed == 0:
-                env[var.name] = 0
-            elif seed == 1:
-                env[var.name] = 1
+    KEQ's positive-form implication checks (``pc1 ∧ Ψ2``) are satisfiable
+    whenever a successor pair does not match, and such goals usually have
+    witnesses that plain evaluation finds far faster than bit-blasting and
+    CDCL.  The search is a plain form of local search for bit-vectors
+    (Niemetz, Preiner & Biere, FMSD 2017): it probes candidate values by
+    evaluation, without propagating target values down the DAG.
+
+    - **Start points.**  Four fixed assignments: bitvectors all 0, all 1,
+      then two per-name fingerprints; booleans always take a fingerprint
+      bit, and ``select`` reads a fingerprint of (array, offset, start).
+      All four are evaluated before any descent.
+    - **Descent.**  Greedy coordinate descent from each start point in turn:
+      every probe sets one variable to one candidate value (0, 1, all-ones,
+      the signed extremes, and ``c-1``, ``c``, ``c+1`` for every bitvector
+      constant ``c`` of the goal, truncated), and the best probe is taken
+      if it raises the score.  A descent ends when the goal holds, at a
+      local optimum, or when :data:`WITNESS_BUDGET` node evaluations are
+      spent (the budget is shared by all start points, and counts their
+      evaluation too).
+    - **Score.**  The number of satisfied conjuncts, with negation pushed
+      through ``and``/``or`` and an ``or`` scoring its best child: exact
+      integers, so no rounding can order two probes differently.
+    - **Evaluation.**  The goal's DAG is laid out once in topological order
+      on one flat list; a probe re-evaluates in place only the nodes (and
+      score entries) that depend on the changed variable, then undoes them.
+
+    The search is a pure function of the goal, independent of operand
+    order (which follows interning order): variables are visited by name,
+    candidates by value, ties go to the first (name, value), and the cost
+    of a probe is the size of a variable's cone.  Every process therefore
+    finds the same witness, which is what makes a cost-0 SAT entry in the
+    shared cache sound.  A witness counts only when
+    :func:`repro.smt.eval.evaluate` confirms it; an :class:`EvalError`
+    there just moves on to the next start point.
+    """
+
+    STARTS = 4
+
+    def __init__(self, goal: Term):
+        self.goal = goal
+        #: node and score-entry evaluations spent so far
+        self.evaluations = 0
+        self._start = 0
+        order = _topological(goal)
+        widths: dict[str, int] = {}  # 0 for a boolean-only name
+        for var in t.free_vars(goal):
+            width = 0 if var.sort is t.BOOL else var.width
+            widths[var.name] = max(width, widths.get(var.name, 0))
+        self._names = names = sorted(widths)
+        self._widths = [widths[name] for name in names]
+        name_slots = {name: index for index, name in enumerate(names)}
+        slots: dict[Term, int] = {}
+        values: list = [None] * len(names)
+        cones: dict[str, list] = {name: [] for name in names}
+        program: list = []
+        constants: set[int] = set()
+        for node in order:
+            slot = slots[node] = len(values)
+            values.append(None)
+            op = node.op
+            if op == "bvconst" or op == "boolconst":
+                values[slot] = node.value
+                if op == "bvconst":
+                    constants.add(node.value)
+                continue
+            if op == "bvvar" or op == "boolvar":
+                fn = _read_variable(name_slots[node.name], node)
             else:
-                env[var.name] = fingerprint & t.mask(var.width)
+                fn = compile_node(node, slots, self._select)
+            program.append((slot, fn))
+            for name in _names_of(node):
+                cones[name].append((slot, fn))
+        score_entries: list = []
+        self._score_slot = _score_slot(goal, True, slots, {}, score_entries, values)
+        for slot, fn, node in score_entries:
+            program.append((slot, fn))
+            for name in _names_of(node):
+                cones[name].append((slot, fn))
+        self._values = values
+        self._slots = slots
+        self._program = program
+        self._goal_slot = slots[goal]
+        candidates = {
+            width: _candidates(width, constants) for width in widths.values()
+        }
+        self._coordinates = [
+            (index, candidates[width], cones[name])
+            for index, (name, width) in enumerate(zip(names, self._widths))
+        ]
+
+    def run(self) -> dict[str, int | bool] | None:
+        """The witness (name -> value) for the goal, or None."""
+        for start in range(self.STARTS):
+            self._load(start)
+            if self._values[self._goal_slot]:
+                witness = self._confirm()
+                if witness is not None:
+                    return witness
+        for start in range(self.STARTS):
+            if self.evaluations + len(self._program) > WITNESS_BUDGET:
+                break
+            self._load(start)
+            if self._descend():
+                witness = self._confirm()
+                if witness is not None:
+                    return witness
+        return None
+
+    def _select(self, array: str, offset: int, width: int) -> int:
+        return _fingerprint(array, offset, self._start) & t.mask(width)
+
+    def _load(self, start: int) -> None:
+        """Assign start point ``start`` and evaluate the whole layout."""
+        self._start = start
+        values = self._values
+        for index, (name, width) in enumerate(zip(self._names, self._widths)):
+            fingerprint = _fingerprint(name, start)
+            if not width:
+                values[index] = bool(fingerprint & 1)
+            elif start < 2:
+                values[index] = start
+            else:
+                values[index] = fingerprint & t.mask(width)
+        for slot, fn in self._program:
+            values[slot] = fn(values)
+        self.evaluations += len(self._program)
+
+    def _descend(self) -> bool:
+        """Greedy coordinate descent from the loaded assignment; True iff
+        it reaches one where the goal holds (left loaded)."""
+        values = self._values
+        goal_slot = self._goal_slot
+        score_slot = self._score_slot
+        while not values[goal_slot]:
+            best = values[score_slot]
+            move = None
+            for index, candidates, cone in self._coordinates:
+                current = values[index]
+                saved = [values[slot] for slot, _ in cone]
+                for value in candidates:
+                    if value == current:
+                        continue
+                    if not self._assign(index, value, cone):
+                        self._undo(index, current, cone, saved)
+                        return False  # budget spent
+                    if values[goal_slot]:
+                        return True
+                    if values[score_slot] > best:
+                        best = values[score_slot]
+                        move = (index, value, cone)
+                self._undo(index, current, cone, saved)
+            if move is None or not self._assign(*move):
+                return False  # a local optimum, or the budget is spent
+        return True
+
+    def _assign(self, index: int, value, cone: list) -> bool:
+        """Set one variable and re-evaluate its cone in place; False, with
+        nothing changed, when that would overrun the budget."""
+        if self.evaluations + len(cone) > WITNESS_BUDGET:
+            return False
+        self.evaluations += len(cone)
+        values = self._values
+        values[index] = value
+        for slot, fn in cone:
+            values[slot] = fn(values)
+        return True
+
+    def _undo(self, index: int, value, cone: list, saved: list) -> None:
+        values = self._values
+        values[index] = value
+        for (slot, _), old in zip(cone, saved):
+            values[slot] = old
+
+    def _confirm(self) -> dict[str, int | bool] | None:
+        """The loaded assignment, if the reference evaluator agrees that it
+        satisfies the goal."""
+        values = self._values
+        env = {name: values[index] for index, name in enumerate(self._names)}
         try:
-            if evaluate(goal, env, select_handler) is True:
-                return True
-        except EvalError:
-            continue  # a later assignment may avoid the failing path
-    return False
+            if smt_eval.evaluate(self.goal, env, self._select) is True:
+                return env
+        except smt_eval.EvalError:
+            pass  # a later start point may avoid the failing path
+        return None
+
+
+def _topological(goal: Term) -> list[Term]:
+    """The DAG under ``goal``, every node after its operands."""
+    order: list[Term] = []
+    seen: set[Term] = set()
+    stack: list[tuple[Term, bool]] = [(goal, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        stack.extend((arg, False) for arg in node.args if arg not in seen)
+    return order
+
+
+def _names_of(node: Term) -> set[str]:
+    return {var.name for var in t.free_vars(node)}
+
+
+def _read_variable(slot: int, node: Term):
+    """A variable node reads its name's value, as :func:`evaluate` reads
+    the environment."""
+    if node.sort is t.BOOL:
+        return lambda values: bool(values[slot])
+    mask = t.mask(node.width)
+    return lambda values: values[slot] & mask
+
+
+def _candidates(width: int, constants: set[int]) -> list:
+    """A variable's probe values, ascending."""
+    if not width:
+        return [False, True]
+    mask = t.mask(width)
+    pool = {0, 1, mask, 1 << (width - 1), mask >> 1}
+    for constant in constants:
+        for near in (constant - 1, constant, constant + 1):
+            pool.add(near & mask)
+    return sorted(pool)
+
+
+def _score_slot(
+    node: Term,
+    positive: bool,
+    slots: dict[Term, int],
+    memo: dict[tuple[Term, bool], int],
+    entries: list,
+    values: list,
+) -> int:
+    """The slot holding the score of ``node`` under ``positive`` polarity,
+    appending any new score entries (children first) to ``entries``."""
+    key = (node, positive)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    op = node.op
+    if op == "not":
+        slot = _score_slot(node.args[0], not positive, slots, memo, entries, values)
+    elif op == "and" or op == "or":
+        children = itemgetter(
+            *[
+                _score_slot(arg, positive, slots, memo, entries, values)
+                for arg in node.args
+            ]
+        )
+        if (op == "and") == positive:
+            fn = lambda v: sum(children(v))  # noqa: E731
+        else:
+            fn = lambda v: max(children(v))  # noqa: E731
+        slot = len(values)
+        values.append(None)
+        entries.append((slot, fn, node))
+    elif positive:
+        slot = slots[node]  # a satisfied atom reads True, which counts 1
+    else:
+        atom = slots[node]
+        fn = lambda v: not v[atom]  # noqa: E731
+        slot = len(values)
+        values.append(None)
+        entries.append((slot, fn, node))
+    memo[key] = slot
+    return slot
+
+
+#: goals with more free variables than this are left to CDCL
+_WITNESS_MAX_VARIABLES = 64
+
+
+def _witness(goal: Term) -> dict[str, int | bool] | None:
+    """A confirmed satisfying assignment found by :class:`_WitnessSearch`,
+    or None (which proves nothing)."""
+    if len(t.free_vars(goal)) > _WITNESS_MAX_VARIABLES:
+        return None
+    return _WitnessSearch(goal).run()
 
 
 def _skeleton_unsat(goal: Term) -> bool:
@@ -378,7 +642,7 @@ class Solver:
         """Decide satisfiability of a formula (or conjunction of formulas).
 
         ``need_model=True`` guarantees ``last_model`` is populated on SAT
-        (the memo and random-witness shortcuts answer SAT without one).
+        (the memo, cache and witness-search shortcuts answer SAT without one).
         """
         if isinstance(formula, Term):
             goal = formula
@@ -408,11 +672,13 @@ class Solver:
         # conflict, so a run that decided after c conflicts needs c + 1.
         cost = sat_solver.stats.conflicts + 1
         if outcome is SatResult.SAT:
+            self.stats.sat_calls_sat += 1
             self.last_model = Model(blaster)
             self._memo[bare_goal] = Result.SAT
             self._share(bare_goal, Result.SAT, cost)
             return Result.SAT
         if outcome is SatResult.UNSAT:
+            self.stats.sat_calls_unsat += 1
             self._memo[bare_goal] = Result.UNSAT
             self._share(bare_goal, Result.UNSAT, cost)
             return Result.UNSAT
@@ -456,9 +722,11 @@ class Solver:
         if outcome.winner == REVERSED:
             stats.portfolio_reversed_wins += 1
         if outcome.result is SatResult.SAT:
+            stats.sat_calls_sat += 1
             self.last_model = Model(outcome.winner_blaster)
             self._memo[bare_goal] = Result.SAT
             return Result.SAT
+        stats.sat_calls_unsat += 1
         self._memo[bare_goal] = Result.UNSAT
         return Result.UNSAT
 
@@ -509,16 +777,6 @@ class Solver:
                     self.stats.cache_hits_unused += 1
                 else:
                     self.stats.cache_misses += 1
-        if not need_model and _random_witness(goal):
-            # A concrete assignment satisfies the formula: SAT without
-            # touching the SAT solver.  This discharges most feasibility
-            # checks, including multiplication-heavy ones that are
-            # expensive to bit-blast.
-            self._memo[goal] = Result.SAT
-            self._share(goal, Result.SAT, cost=0)
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.SAT
         # Boolean-skeleton check, strengthened with the comparison-theory
         # lemmas *at the atom level*: UNSATness that follows from branch
         # structure plus trichotomy never needs arithmetic bit-blasting.
@@ -528,6 +786,16 @@ class Solver:
             self.stats.fast_path += 1
             self.stats.time_seconds += time.perf_counter() - started
             return Result.UNSAT
+        # A skeleton-refuted goal has no witness, so the search runs only
+        # here.  A confirmed witness is SAT in every process (the search is
+        # a pure function of the goal), so it is shared at cost 0.
+        if not need_model and _witness(goal) is not None:
+            self._memo[goal] = Result.SAT
+            self._share(goal, Result.SAT, cost=0)
+            self.stats.witnessed += 1
+            self.stats.fast_path += 1
+            self.stats.time_seconds += time.perf_counter() - started
+            return Result.SAT
         return None
 
     def _share(self, goal: Term, result: Result, cost: int) -> None:
@@ -767,10 +1035,12 @@ class SolverSession:
         # UNKNOWN — breaking cached-vs-uncached outcome identity (see the
         # budget-monotonicity policy in cache.py).
         if outcome is SatResult.SAT:
+            stats.sat_calls_sat += 1
             solver.last_model = Model(blaster)
             solver._memo[combined] = Result.SAT
             return Result.SAT
         if outcome is SatResult.UNSAT:
+            stats.sat_calls_unsat += 1
             core_lits = set(sat_solver.core or ())
             self.last_core = [
                 term

@@ -107,6 +107,9 @@ class BatchResult:
             rate = 100 * stats.cache_hits / lookups if lookups else 0.0
             lines.append(
                 f"solver: queries={stats.queries} sat_calls={stats.sat_calls}"
+                f" sat_calls_sat={stats.sat_calls_sat}"
+                f" sat_calls_unsat={stats.sat_calls_unsat}"
+                f" witnessed={stats.witnessed}"
                 f" cache_hits={stats.cache_hits}"
                 f" cache_misses={stats.cache_misses}"
                 f" hit-rate={rate:.1f}%"

@@ -36,6 +36,21 @@ class TestOutcomeSerialization:
         assert after.solver_stats.queries == 7
         assert after.solver_stats.cache_hits == 3
 
+    def test_witness_and_answer_counters_roundtrip(self):
+        stats = QueryStats(
+            sat_calls=5, sat_calls_sat=1, sat_calls_unsat=3, witnessed=9
+        )
+        after = outcome_from_json(outcome_to_json(outcome(solver_stats=stats)))
+        assert after.solver_stats == stats
+        # A journal written before these counters existed reads them as 0.
+        payload = outcome_to_json(outcome(solver_stats=stats))
+        for name in ("sat_calls_sat", "sat_calls_unsat", "witnessed"):
+            del payload["solver_stats"][name]
+        older = outcome_from_json(payload).solver_stats
+        assert older.sat_calls == 5
+        assert older.sat_calls_sat == older.sat_calls_unsat == 0
+        assert older.witnessed == 0
+
     def test_failure_class_and_dedup_markers_survive(self):
         before = outcome(
             category=Category.TIMEOUT,

@@ -159,6 +159,12 @@ class TestQuarantine:
         assert "worker deaths" in report.quarantined[VICTIM]
 
 
+#: corpus seed of the portfolio campaigns: at scale 8 two of its functions
+#: issue UNSAT checks that reach CDCL, so the escalation engages whatever
+#: the witness search decides (at seed 7 every query ends on a fast path).
+PORTFOLIO_SEED = 13
+
+
 class TestPortfolioCampaign:
     """The portfolio escalation must never change campaign verdicts.
 
@@ -169,10 +175,12 @@ class TestPortfolioCampaign:
 
     def test_report_byte_identical_to_single_solver(self, tmp_path):
         plain = run_campaign(
-            str(tmp_path / "plain"), config(incremental=False)
+            str(tmp_path / "plain"),
+            config(incremental=False, seed=PORTFOLIO_SEED),
         )
         raced = run_campaign(
-            str(tmp_path / "raced"), config(incremental=False, portfolio=True)
+            str(tmp_path / "raced"),
+            config(incremental=False, portfolio=True, seed=PORTFOLIO_SEED),
         )
         assert raced.complete
         assert raced.batch.solver_stats.portfolio_queries > 0
@@ -186,7 +194,8 @@ class TestPortfolioCampaign:
         self, tmp_path, monkeypatch
     ):
         plain = run_campaign(
-            str(tmp_path / "plain"), config(incremental=False)
+            str(tmp_path / "plain"),
+            config(incremental=False, seed=PORTFOLIO_SEED),
         )
 
         crash_dir = str(tmp_path / "crash")
@@ -198,6 +207,7 @@ class TestPortfolioCampaign:
                 config(
                     incremental=False,
                     portfolio=True,
+                    seed=PORTFOLIO_SEED,
                     halt_on_worker_death=True,
                     validate=sigkill_injector,
                 ),

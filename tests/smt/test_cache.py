@@ -18,6 +18,14 @@ def _sat_query():
     return t.eq(t.mul(a, b), t.bv_const(12345, 16))
 
 
+def _cdcl_sat_query(width):
+    """A SAT query only CDCL decides: its witnesses are square roots of a
+    constant, values the bounded witness search never probes."""
+    root = 0x9E3779B1 & t.mask(width)
+    x = t.bv_var(f"r{width}", width)
+    return t.eq(t.mul(x, x), t.bv_const(root * root, width))
+
+
 def _unsat_query():
     a = t.bv_var("a", 8)
     return t.and_(t.ult(a, t.bv_const(3, 8)), t.ult(t.bv_const(5, 8), a))
@@ -73,14 +81,7 @@ class TestMemoryCache:
         assert cache.lookup(goal, None) is None
         # End to end: a budget-starved solver must not poison the cache.
         starved = Solver(conflict_budget=1, cache=cache)
-        a = t.bv_var("u1", 32)
-        b = t.bv_var("u2", 32)
-        c = t.bv_var("u3", 32)
-        hard = t.eq(
-            t.mul(t.mul(a, b), c),
-            # No witness among the deterministic assignments: forces CDCL.
-            t.add(t.mul(a, a), t.bv_const(0x9E3779B1, 32)),
-        )
+        hard = _cdcl_sat_query(32)  # no witness the search probes: CDCL
         outcome = starved.check_sat(hard)
         if outcome is Result.UNKNOWN:
             stored = [
@@ -154,11 +155,7 @@ class TestBudgetSoundness:
         # UNKNOWN (outcome-identity with the uncached run).
         cache = QueryCache()
         rich = Solver(conflict_budget=200_000, cache=cache)
-        a = t.bv_var("q1", 24)
-        b = t.bv_var("q2", 24)
-        goal = t.eq(
-            t.mul(a, b), t.add(t.mul(a, a), t.bv_const(0x123457, 24))
-        )
+        goal = _cdcl_sat_query(24)
         outcome = rich.check_sat(goal)
         if rich.stats.sat_calls == 0 or outcome is Result.UNKNOWN:
             pytest.skip("query decided on a fast path; cannot starve it")
@@ -343,7 +340,7 @@ class TestTargetNamespacing:
 
     def test_views_do_not_alias_in_memory(self):
         cache = QueryCache()
-        goal = _sat_query()
+        goal = _cdcl_sat_query(16)
         first = Solver(cache=cache.for_target("vx86"))
         assert first.check_sat(goal) is Result.SAT
         # Identical formula under the other target: decided fresh.

@@ -16,7 +16,6 @@ import pytest
 
 from repro.smt import QueryCache, Result, Solver, t
 from repro.smt import solver as solver_mod
-from repro.smt.eval import EvalError
 
 
 class TestTrivialTrueModel:
@@ -100,42 +99,6 @@ class TestCacheMissAccounting:
         left.merge(right)
         for index, field in enumerate(fields):
             assert getattr(left, field.name) == 101 * (index + 1), field.name
-
-
-class TestRandomWitnessRecovery:
-    """_random_witness must try the next seed after an EvalError, not give
-    up on all remaining assignments."""
-
-    def test_later_seed_tried_after_eval_error(self, monkeypatch):
-        goal = t.eq(t.bv_var("rw", 8), t.bv_const(1, 8))
-
-        from repro.smt import eval as eval_mod
-
-        original = eval_mod.evaluate
-        calls = []
-
-        def flaky_evaluate(term, env, select_handler=None):
-            calls.append(dict(env))
-            if len(calls) == 1:
-                # Simulate an assignment whose evaluation path fails.
-                raise EvalError("injected failure on the first assignment")
-            return original(term, env, select_handler)
-
-        monkeypatch.setattr(eval_mod, "evaluate", flaky_evaluate)
-        # Seed 1 assigns 1 to every bitvector variable, satisfying rw == 1;
-        # before the fix the injected seed-0 failure aborted the search.
-        assert solver_mod._random_witness(goal) is True
-        assert len(calls) >= 2
-
-    def test_all_seeds_failing_is_still_false(self, monkeypatch):
-        from repro.smt import eval as eval_mod
-
-        def always_fails(term, env, select_handler=None):
-            raise EvalError("injected")
-
-        monkeypatch.setattr(eval_mod, "evaluate", always_fails)
-        goal = t.eq(t.bv_var("rw2", 8), t.bv_const(1, 8))
-        assert solver_mod._random_witness(goal) is False
 
 
 class TestStoreRefreshesRecency:
