@@ -71,6 +71,7 @@ def _accounted_outcomes(
             outcomes[name] = TvOutcome(
                 name,
                 Category.OTHER,
+                target=manifest.get("target", "vx86"),
                 detail=f"quarantined: {quarantined[name]}",
                 failure_class=FAILURE_CLASS_CRASH,
             )

@@ -209,14 +209,38 @@ class ObjectMemory:
     def equal_term(self, other: "ObjectMemory") -> Term:
         """A formula stating that two object contents are equal, byte-wise.
 
-        Requires all writes on both sides to be concrete (after symbolic
-        execution of supported programs this holds; symbolic-offset writes
-        compare via the generic load path).
+        Only offsets that either side wrote or holds in its base map are
+        compared: a byte neither side touched reads the same interned
+        :func:`_initial_byte` on both sides, so its equality is ``TRUE``
+        and drops out of the conjunction.  The result is the very term the
+        byte-by-byte comparison builds.  A write at a symbolic offset, or
+        two different descriptors, take that full comparison.
         """
+        if self is other:
+            return t.TRUE
         size = self.descriptor.size
-        return t.conj(
-            t.eq(self.load_byte(i), other.load_byte(i)) for i in range(size)
+        touched = self._touched_offsets(other)
+        offsets = (
+            range(size)
+            if touched is None
+            else sorted(i for i in touched if 0 <= i < size)
         )
+        return t.conj(
+            t.eq(self.load_byte(i), other.load_byte(i)) for i in offsets
+        )
+
+    def _touched_offsets(self, other: "ObjectMemory") -> set[int] | None:
+        """Every concrete offset either side wrote or holds in its base map,
+        or None when only a full comparison is exact."""
+        if self.descriptor != other.descriptor:
+            return None
+        touched = set(self.base)
+        touched.update(other.base)
+        for write_offset, data in self.writes + other.writes:
+            if not isinstance(write_offset, int):
+                return None
+            touched.update(range(write_offset, write_offset + len(data)))
+        return touched
 
 
 @dataclass(frozen=True)

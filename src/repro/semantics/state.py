@@ -10,7 +10,7 @@ can treat call boundaries as cut points (paper Section 4.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
@@ -97,16 +97,28 @@ class ProgramState:
     steps: int = 0
 
     # -- functional updates -----------------------------------------------------
+    #
+    # Symbolic execution copies a state at every step, so updates copy the
+    # fields directly instead of going through ``dataclasses.replace`` and
+    # the frozen ``__init__`` (about twice as fast).
+
+    def _updated(self, **changes) -> "ProgramState":
+        """A copy of this state with ``changes`` applied to its fields."""
+        state = object.__new__(self.__class__)
+        fields = state.__dict__
+        fields.update(self.__dict__)
+        fields.update(changes)
+        return state
 
     def bind(self, name: str, value: Value) -> "ProgramState":
         env = dict(self.env)
         env[name] = value
-        return replace(self, env=env)
+        return self._updated(env=env)
 
     def bind_many(self, bindings: Mapping[str, Value]) -> "ProgramState":
         env = dict(self.env)
         env.update(bindings)
-        return replace(self, env=env)
+        return self._updated(env=env)
 
     def lookup(self, name: str) -> Value:
         if name not in self.env:
@@ -114,11 +126,10 @@ class ProgramState:
         return self.env[name]
 
     def with_memory(self, memory: Memory) -> "ProgramState":
-        return replace(self, memory=memory)
+        return self._updated(memory=memory)
 
     def at(self, location: Location, prev_block: str | None = None) -> "ProgramState":
-        return replace(
-            self,
+        return self._updated(
             location=location,
             prev_block=prev_block if prev_block is not None else self.prev_block,
             steps=self.steps + 1,
@@ -128,30 +139,28 @@ class ProgramState:
         """Move to the next instruction in the current block."""
         location = self.location
         assert location is not None
-        return replace(
-            self,
+        return self._updated(
             location=Location(location.function, location.block, location.index + 1),
             steps=self.steps + 1,
         )
 
     def assuming(self, condition: Term) -> "ProgramState":
-        return replace(self, path_condition=t.and_(self.path_condition, condition))
+        return self._updated(path_condition=t.and_(self.path_condition, condition))
 
     def exited(self, value: Value | None) -> "ProgramState":
-        return replace(
-            self, status=StatusKind.EXITED, returned=value, steps=self.steps + 1
+        return self._updated(
+            status=StatusKind.EXITED, returned=value, steps=self.steps + 1
         )
 
     def errored(self, kind: str, detail: str = "") -> "ProgramState":
-        return replace(
-            self,
+        return self._updated(
             status=StatusKind.ERROR,
             error=ErrorInfo(kind, detail),
             steps=self.steps + 1,
         )
 
     def calling(self, marker: CallMarker) -> "ProgramState":
-        return replace(self, status=StatusKind.CALLING, call=marker)
+        return self._updated(status=StatusKind.CALLING, call=marker)
 
     @property
     def is_running(self) -> bool:

@@ -850,6 +850,38 @@ class SatSolver:
         del trail[boundary:]
         del trail_lim[level:]
         self._prop_head = len(trail)
+        if len(heap) > 2 * self._num_vars + 64:
+            self._compact_heap()
+
+    def _compact_heap(self) -> None:
+        """Drop every stale entry and every entry of an assigned variable,
+        keeping the existing tuple of each unassigned variable's current
+        entry.  A session whose checks all answer UNSAT never pops the
+        heap empty, so without this every conflict's bumps pile up.
+
+        Pop order is by (activity, variable) and the dropped entries would
+        have been skipped, so no decision changes; an assigned variable
+        loses its ``queued`` flag and is pushed again when unassigned.
+        """
+        activity = self._activity
+        values = self._values
+        queued = self._queued
+        for var in range(1, self._num_vars + 1):
+            queued[var] = False
+        heap = self._heap
+        kept = 0
+        for entry in heap:
+            var = entry[1]
+            if (
+                not queued[var]
+                and values[var << 1] == UNASSIGNED
+                and -entry[0] == activity[var]
+            ):
+                queued[var] = True
+                heap[kept] = entry
+                kept += 1
+        del heap[kept:]
+        heapq.heapify(heap)
 
     # -- branching ------------------------------------------------------------------
 

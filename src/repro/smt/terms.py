@@ -232,6 +232,8 @@ def not_(a: Term) -> Term:
 def _flatten(op: str, operands: Iterable[Term], unit: Term, zero: Term) -> Term:
     """Build a flattened, duplicate-free n-ary and/or."""
     seen: set[Term] = set()
+    #: the atoms ``x`` of the kept ``not x`` children
+    negated: set[Term] = set()
     flat: list[Term] = []
     for operand in operands:
         _expect_bool(operand, op)
@@ -245,9 +247,14 @@ def _flatten(op: str, operands: Iterable[Term], unit: Term, zero: Term) -> Term:
                 return zero
             if child is unit or child in seen:
                 continue
-            # x AND NOT x -> false ; x OR NOT x -> true
-            negation = not_(child)
-            if negation in seen:
+            # x AND NOT x -> false ; x OR NOT x -> true.  Matched by atom and
+            # polarity, so testing a child interns no negation.
+            if child.op == "not":
+                atom = child.args[0]
+                if atom in seen:
+                    return zero
+                negated.add(atom)
+            elif child in negated:
                 return zero
             seen.add(child)
             flat.append(child)

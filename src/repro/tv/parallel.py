@@ -65,6 +65,12 @@ def default_validate(module, name, options, cache):
     return validate_function(module, name, options, cache)
 
 
+def _task_options(options, overrides, name) -> TvOptions:
+    """The options ``name`` validates under: its override, else the base
+    options, else the defaults."""
+    return overrides.get(name, options) or TvOptions()
+
+
 def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
     """Worker loop: re-parse the module, then serve tasks off the pipe."""
     from repro.llvm import parse_module
@@ -85,10 +91,12 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
         if message[0] == "stop":
             return
         _, name = message
+        target = _task_options(options, overrides, name).target
         if module is None:
             outcome = TvOutcome(
                 name,
                 Category.OTHER,
+                target=target,
                 detail=f"module re-parse failed:\n{detail}",
                 failure_class=FAILURE_CLASS_CRASH,
             )
@@ -101,6 +109,7 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
                 outcome = TvOutcome(
                     name,
                     Category.OTHER,
+                    target=target,
                     detail=traceback.format_exc(limit=12),
                     failure_class=FAILURE_CLASS_CRASH,
                 )
@@ -123,6 +132,9 @@ class Worker:
         )
         self.process.start()
         child_conn.close()
+        # Kept so the outcomes the pool builds itself name the target.
+        self.options = options
+        self.overrides = overrides
         self.task = None
         self.started: float = 0.0
         self.deadline: float | None = None
@@ -324,9 +336,11 @@ class WorkerPool:
         self._slots[slot] = None
         worker.kill()
         task = worker.task
+        options = _task_options(worker.options, worker.overrides, task.name)
         outcome = TvOutcome(
             task.name,
             category,
+            target=options.target,
             detail=detail,
             seconds=time.perf_counter() - worker.started,
             failure_class=failure_class,

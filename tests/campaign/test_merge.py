@@ -117,6 +117,18 @@ class TestMergeCampaign:
         assert "poison pill" in by_name["e"].detail
         assert report.quarantined == {"e": "poison pill"}
 
+    def test_quarantine_outcome_carries_the_campaign_target(self, tmp_path):
+        events = [
+            start("e"),
+            {"event": "quarantine", "fn": "e", "reason": "poison pill"},
+        ]
+        state = journal_state(tmp_path, events)
+        vriscv = merge_campaign({**MANIFEST, "target": "vriscv"}, state)
+        default = merge_campaign(MANIFEST, state)
+        by_name = {o.function: o for o in vriscv.batch.outcomes}
+        assert by_name["e"].target == "vriscv"
+        assert [o.target for o in default.batch.outcomes] == ["vx86"]
+
     def test_partial_campaign_is_incomplete(self, tmp_path):
         state = journal_state(tmp_path, self._events()[:4])  # a, b only
         report = merge_campaign(MANIFEST, state)

@@ -140,6 +140,20 @@ class TestQuarantine:
         others = [o for o in report.batch.outcomes if o.function != VICTIM]
         assert all(o.failure_class != "crash" for o in others)
 
+    def test_quarantined_vriscv_campaign_reports_one_target(
+        self, tmp_path, monkeypatch
+    ):
+        """The synthesized quarantine outcome carries the campaign's target,
+        so the report names vriscv alone."""
+        directory = str(tmp_path / "camp")
+        monkeypatch.setenv(KILL_ALWAYS_ENV, VICTIM)
+        report = run_campaign(
+            directory, config(target="vriscv", validate=sigkill_injector)
+        )
+        assert list(report.quarantined) == [VICTIM]
+        assert {o.target for o in report.batch.outcomes} == {"vriscv"}
+        assert "target: vriscv" in report.summary().splitlines()
+
     def test_kill_counts_survive_restarts(self, tmp_path, monkeypatch):
         """Two halted runs, each killing the victim once: the resume after
         the second derives kills=2 from the journal and quarantines the

@@ -1,6 +1,7 @@
 """Unit tests for the hash-consed term layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as t
 
@@ -159,6 +160,89 @@ class TestBooleans:
 
     def test_empty_disj_is_false(self):
         assert t.disj([]) is t.FALSE
+
+
+def negation_interning_flatten(op, operands, unit, zero):
+    """The reference flattening: each kept child's negation is interned
+    and looked up among the kept children."""
+    seen = set()
+    flat = []
+    for operand in operands:
+        if operand is unit:
+            continue
+        if operand is zero:
+            return zero
+        children = operand.args if operand.op == op else (operand,)
+        for child in children:
+            if child is zero:
+                return zero
+            if child is unit or child in seen:
+                continue
+            if t.not_(child) in seen:
+                return zero
+            seen.add(child)
+            flat.append(child)
+    if not flat:
+        return unit
+    if len(flat) == 1:
+        return flat[0]
+    return t.Term(op, tuple(flat), (), t.BOOL)
+
+
+_ATOMS = [t.bool_var(name) for name in ("fl_p", "fl_q", "fl_r")]
+_ATOMS += [
+    t.eq(t.bv_var("fl_x", 8), t.bv_const(3, 8)),
+    t.ult(t.bv_var("fl_x", 8), t.bv_var("fl_y", 8)),
+]
+
+literals = st.sampled_from(_ATOMS).flatmap(
+    lambda atom: st.sampled_from([atom, t.not_(atom)])
+)
+operands = st.recursive(
+    literals | st.sampled_from([t.TRUE, t.FALSE]),
+    lambda inner: st.builds(
+        lambda build, children: build(*children),
+        st.sampled_from([t.and_, t.or_]),
+        st.lists(inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+class TestFlattenByPolarity:
+    """Complementary children are found by atom and polarity: the same
+    result as interning each child's negation, and no term but the result
+    is interned."""
+
+    @given(
+        op=st.sampled_from(["and", "or"]),
+        operands=st.lists(operands, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_term_as_negation_interning(self, op, operands):
+        build, unit, zero = {
+            "and": (t.and_, t.TRUE, t.FALSE),
+            "or": (t.or_, t.FALSE, t.TRUE),
+        }[op]
+        before = t.interned_count()
+        result = build(*operands)
+        created = t.interned_count() - before
+        assert created == (1 if result.serial >= before else 0)
+        assert result is negation_interning_flatten(op, operands, unit, zero)
+
+    def test_no_negation_is_interned(self):
+        a, b = t.bool_var("fl_fresh_a"), t.bool_var("fl_fresh_b")
+        before = t.interned_count()
+        conjunction = t.and_(a, b)
+        disjunction = t.or_(a, b)
+        assert t.interned_count() == before + 2
+        assert conjunction.args == disjunction.args == (a, b)
+
+    def test_complement_found_in_either_order(self):
+        a, b = t.bool_var("fl_fresh_c"), t.bool_var("fl_fresh_d")
+        assert t.and_(a, b, t.not_(a)) is t.FALSE
+        assert t.and_(t.not_(a), b, a) is t.FALSE
+        assert t.or_(t.or_(b, t.not_(b)), a) is t.TRUE
 
 
 class TestExtractConcat:

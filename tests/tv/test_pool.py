@@ -27,12 +27,15 @@ from repro.workloads import FunctionShape, generate_module
 
 
 def marked_validate(module, name, options, cache):
-    """Hangs on ``hang*`` names and SIGKILLs its own worker on ``sigkill*``
-    names; both act before validation, so those names need no function."""
+    """Hangs on ``hang*`` names, SIGKILLs its own worker on ``sigkill*``
+    names and raises on ``raise*`` names; all act before validation, so
+    those names need no function."""
     if name.startswith("hang"):
         time.sleep(3600)
     if name.startswith("sigkill"):
         os.kill(os.getpid(), signal.SIGKILL)
+    if name.startswith("raise"):
+        raise RuntimeError("validation blew up")
     return default_validate(module, name, options, cache)
 
 
@@ -57,13 +60,27 @@ class Factory:
     before the pool sees it, so its first ``assign`` hits a broken pipe.
     """
 
-    def __init__(self, dead_on_arrival=False):
-        self.module_text = str(_module())
+    def __init__(
+        self,
+        dead_on_arrival=False,
+        options=None,
+        overrides=None,
+        module_text=None,
+    ):
+        self.module_text = module_text or str(_module())
         self.dead_on_arrival = dead_on_arrival
+        self.options = TvOptions() if options is None else options
+        self.overrides = overrides or {}
         self.spawned = []
 
     def __call__(self):
-        worker = Worker(self.module_text, TvOptions(), {}, None, marked_validate)
+        worker = Worker(
+            self.module_text,
+            self.options,
+            self.overrides,
+            None,
+            marked_validate,
+        )
         if self.dead_on_arrival and not self.spawned:
             worker.process.kill()
             worker.process.join()
@@ -119,6 +136,56 @@ class TestEvents:
             events = drain(pool)
         assert kinds(events) == [("done", "ok_one")]
         assert events[0].outcome.category == Category.SUCCEEDED
+
+
+VRISCV = TvOptions(target="vriscv")
+
+
+class TestTargetStamp:
+    """Every outcome the pool or the worker loop builds itself carries the
+    target its task was validated against, not the default."""
+
+    def test_died_and_overdue_outcomes(self):
+        factory = Factory(options=VRISCV)
+        with WorkerPool(factory, 2, clamp=False) as pool:
+            pool.assign(Task("sigkill_me"), None)
+            pool.assign(Task("hang_me"), 1.0)
+            events = drain(pool)
+        assert sorted(kinds(events)) == [
+            ("died", "sigkill_me"),
+            ("overdue", "hang_me"),
+        ]
+        assert [event.outcome.target for event in events] == ["vriscv"] * 2
+
+    def test_override_options_name_the_target(self):
+        factory = Factory(overrides={"sigkill_me": VRISCV})
+        with WorkerPool(factory, 1, clamp=False) as pool:
+            pool.assign(Task("sigkill_me"), None)
+            events = drain(pool)
+        assert kinds(events) == [("died", "sigkill_me")]
+        assert events[0].outcome.target == "vriscv"
+
+    def test_validation_exception_outcome(self):
+        factory = Factory(options=VRISCV)
+        with WorkerPool(factory, 1, clamp=False) as pool:
+            pool.assign(Task("raise_me"), None)
+            events = drain(pool)
+        assert kinds(events) == [("done", "raise_me")]
+        outcome = events[0].outcome
+        assert outcome.category == Category.OTHER
+        assert outcome.failure_class == "crash"
+        assert "validation blew up" in outcome.detail
+        assert outcome.target == "vriscv"
+
+    def test_reparse_failure_outcome(self):
+        factory = Factory(options=VRISCV, module_text="not a module")
+        with WorkerPool(factory, 1, clamp=False) as pool:
+            pool.assign(Task("ok_one"), None)
+            events = drain(pool)
+        assert kinds(events) == [("done", "ok_one")]
+        outcome = events[0].outcome
+        assert outcome.detail.startswith("module re-parse failed")
+        assert outcome.target == "vriscv"
 
 
 class TestSlots:
