@@ -48,7 +48,7 @@ SAT_OBLIGATIONS = 6
 SAT_ROOTS = (37, 91, 133, 201)
 CORPUS_SEED = 2021
 #: wall-clock lines excluded from the summary-identity comparison.
-_NONDETERMINISTIC_LINES = ("time:", "solver:", "session:", "portfolio:")
+_NONDETERMINISTIC_LINES = ("time:", "solver:", "session:")
 
 
 def _const(value):

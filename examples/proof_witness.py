@@ -44,7 +44,7 @@ def main() -> None:
     )
     report = keq.check_equivalence(points)
     assert report.ok
-    proof = keq.last_proof
+    proof = report.proof
     print(proof.render())
 
     print()

@@ -165,7 +165,7 @@ class CampaignReport:
         ]
         for line in self.batch.summary().splitlines():
             if not include_timing and line.startswith(
-                ("time:", "solver:", "session:", "portfolio:")
+                ("time:", "solver:", "session:")
             ):
                 continue
             lines.append(line)

@@ -89,9 +89,6 @@ class CampaignConfig:
     validate: object | None = None
     #: assumption-based incremental solving (see repro.smt.SolverSession).
     incremental: bool = True
-    #: decide fresh and session-UNKNOWN queries through the reversed-form
-    #: escalation (see repro.smt.portfolio).
-    portfolio: bool = False
     #: target ISA every function of the campaign validates against.
     target: str = DEFAULT_TARGET
 
@@ -99,7 +96,6 @@ class CampaignConfig:
 def _base_options(
     wall_budget: float | None,
     incremental: bool = True,
-    portfolio: bool = False,
     target: str = DEFAULT_TARGET,
 ) -> TvOptions:
     if wall_budget is None:
@@ -107,19 +103,19 @@ def _base_options(
     else:
         options = TvOptions.for_campaign(wall_budget_seconds=wall_budget)
     options.keq = dataclasses.replace(
-        options.keq, incremental_solving=incremental, portfolio=portfolio
+        options.keq, incremental_solving=incremental
     )
     options.target = target
     return options
 
 
-def manifest_portfolio(manifest: dict) -> bool:
-    """The manifest's portfolio flag, refusing solver settings that are gone.
+def check_solver_settings(manifest: dict) -> None:
+    """Refuse a manifest whose solver settings are gone.
 
-    Older manifests store a portfolio *width* (1 meant off) and a session
-    scope.  Only width 1 and the ``"function"`` scope still search as they
-    did, so a resumed run could not match the uninterrupted one under any
-    other value.
+    Older manifests store a session scope and a portfolio setting: a width
+    (1 meant off), later a flag.  Only the ``"function"`` scope and a
+    portfolio that was off still search as they did, so a resumed run could
+    not match the uninterrupted one under any other value.
     """
     scope = manifest.get("session_scope", "function")
     if scope != "function":
@@ -128,14 +124,14 @@ def manifest_portfolio(manifest: dict) -> bool:
             " sessions remain, so this campaign cannot be resumed"
         )
     portfolio = manifest.get("portfolio", False)
-    if isinstance(portfolio, bool):  # before the width test: True == 1
-        return portfolio
-    if portfolio == 1:
-        return False
-    raise CampaignError(
-        f"manifest field 'portfolio' is {portfolio!r}; portfolio widths"
-        " other than 1 are gone, so this campaign cannot be resumed"
-    )
+    # Missing, ``false`` and the width ``1`` meant off.  ``True == 1`` in
+    # Python, so the type tells the flag from the width.
+    off = portfolio is False or (portfolio == 1 and not isinstance(portfolio, bool))
+    if not off:
+        raise CampaignError(
+            f"manifest field 'portfolio' is {portfolio!r}; the portfolio"
+            " escalation is gone, so this campaign cannot be resumed"
+        )
 
 
 def _validate_ref(validate) -> str | None:
@@ -197,9 +193,7 @@ def prepare_campaign(
             "seed": config.seed,
         }
     module = corpus.build_module()
-    base = _base_options(
-        config.wall_budget, config.incremental, config.portfolio, config.target
-    )
+    base = _base_options(config.wall_budget, config.incremental, config.target)
     overrides = corpus_overrides(corpus, base)
     names = list(module.functions)
     run_names, replay, classes = names, {}, 0
@@ -241,7 +235,6 @@ def prepare_campaign(
         "halt_on_worker_death": config.halt_on_worker_death,
         "validate": _validate_ref(config.validate),
         "incremental": config.incremental,
-        "portfolio": config.portfolio,
         "target": config.target,
         "functions": names,
         "run_names": run_names,
@@ -289,7 +282,7 @@ def prepare_resume(
             f"campaign in {directory!r} targets {campaign_target!r};"
             f" refusing to resume with target {target!r}"
         )
-    portfolio = manifest_portfolio(manifest)
+    check_solver_settings(manifest)
     if corpus is None:
         desc = manifest["corpus"]
         if desc.get("kind") != "gcc_like":
@@ -303,7 +296,6 @@ def prepare_resume(
     base = _base_options(
         manifest["wall_budget"],
         manifest.get("incremental", True),
-        portfolio,
         campaign_target,
     )
     overrides = corpus_overrides(corpus, base)

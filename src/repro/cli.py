@@ -30,6 +30,7 @@ import sys
 
 from repro.isel import BugMode, IselOptions
 from repro.keq import KeqOptions
+from repro.keq.proof import ProofChecker
 from repro.llvm import parse_module
 from repro.targets import DEFAULT_TARGET, TARGET_NAMES, get_target
 from repro.tv import TvOptions, validate_function
@@ -58,7 +59,6 @@ def _tv_options(args) -> TvOptions:
         keq=KeqOptions(
             max_steps=args.max_steps,
             incremental_solving=not getattr(args, "no_incremental", False),
-            portfolio=getattr(args, "portfolio", False),
         ),
         imprecise_liveness=args.imprecise_liveness,
         target=getattr(args, "target", DEFAULT_TARGET),
@@ -80,37 +80,18 @@ def cmd_single(args) -> int:
     module = parse_module(open(args.file).read())
     function = _pick_function(module, args.function)
     options = _tv_options(args)
-    target = get_target(options.target)
-    if args.proof:
-        options.keq.record_proof = True
-        # Reuse the pipeline pieces so the Keq instance is accessible.
-        from repro.keq import Keq
-        from repro.keq.proof import ProofChecker
-        from repro.llvm.semantics import LlvmSemantics
-
-        machine, hints = target.select_function(module, function, options.isel)
-        points = generate_sync_points(
-            module, function, machine, hints, target=target.name
-        )
-        keq = Keq(
-            LlvmSemantics(module),
-            target.semantics({machine.name: machine}),
-            target.acceptability(),
-            options.keq,
-        )
-        report = keq.check_equivalence(points)
-        print(report.summary())
-        if keq.last_proof is not None:
-            print()
-            print(keq.last_proof.render())
-            outcome = ProofChecker().check(keq.last_proof)
-            print(f"proof re-check: ok={outcome.ok}"
-                  f" ({outcome.obligations_checked} obligations)")
-        return 0 if report.ok else 1
+    options.keq.record_proof = args.proof
     outcome = validate_function(module, function.name, options)
     print(outcome)
-    if outcome.report is not None:
-        print(outcome.report.summary())
+    report = outcome.report
+    if report is not None:
+        print(report.summary())
+        if report.proof is not None:
+            print()
+            print(report.proof.render())
+            checked = ProofChecker().check(report.proof)
+            print(f"proof re-check: ok={checked.ok}"
+                  f" ({checked.obligations_checked} obligations)")
     return 0 if outcome.ok else 1
 
 
@@ -170,7 +151,6 @@ def cmd_campaign_run(args) -> int:
         )
         options = TvOptions.for_campaign(wall_budget_seconds=args.wall_budget)
         options.keq.incremental_solving = not args.no_incremental
-        options.keq.portfolio = args.portfolio
         options.target = args.target
         result = run_corpus(
             corpus,
@@ -199,7 +179,6 @@ def cmd_campaign_run(args) -> int:
         halt_on_worker_death=args.halt_on_worker_death,
         validate=_campaign_injection(args),
         incremental=not args.no_incremental,
-        portfolio=args.portfolio,
         target=args.target,
     )
     print(
@@ -255,7 +234,6 @@ def cmd_service_coordinate(args) -> int:
         cache_dir=args.cache_dir,
         dedup=not args.no_dedup,
         strategy=args.strategy,
-        portfolio=args.portfolio,
         target=args.target,
     )
     service = ServiceConfig(
@@ -363,14 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_portfolio(p):
-        p.add_argument(
-            "--portfolio",
-            action="store_true",
-            help="when the baseline solver cannot decide a query within"
-            " a small probe, race it against the reversed conjunction",
-        )
-
     def _add_target(p):
         p.add_argument(
             "--target",
@@ -397,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable assumption-based incremental solving",
         )
-        _add_portfolio(p)
         p.add_argument(
             "--proof",
             action="store_true",
@@ -470,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable assumption-based incremental solving",
     )
-    _add_portfolio(run)
     run.add_argument(
         "--halt-on-worker-death",
         action="store_true",
@@ -541,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="size_balanced",
     )
     coordinate.add_argument("--no-dedup", action="store_true")
-    _add_portfolio(coordinate)
     coordinate.add_argument("--host", default="127.0.0.1")
     coordinate.add_argument(
         "--port",

@@ -26,9 +26,7 @@ from repro.fuzz.oracles import (
     check_implication_forms,
     check_incremental_vs_fresh,
     check_model_soundness,
-    check_portfolio_vs_single,
     check_simplify_eval,
-    check_triage_vs_always,
 )
 from repro.fuzz.shrink import shrink
 from repro.smt import terms as t
@@ -195,25 +193,10 @@ def run_fuzz(
                 iteration,
             )
 
-        # 7. portfolio escalation vs single solver on the iteration's
-        #    formula.  Every fourth iteration (sharing the odd slots with
-        #    oracle 9, both off oracle 6's even cadence) — the oracle
-        #    solves the formula up to five times.
-        if iteration % 4 == 1:
-            ran("portfolio-vs-single")
-            record(check_portfolio_vs_single(formula), iteration)
-
-        # 9. triaged race vs always-race on the iteration's formula:
-        #    probing the baseline first must be verdict-invisible, down
-        #    to the exhausted set on UNKNOWN.
-        if iteration % 4 == 3:
-            ran("triage-vs-always-portfolio")
-            record(check_triage_vs_always(formula), iteration)
-
-        # 10. cross-target lowering execution: one generated LLVM
-        #     function co-executed against its vx86 and vriscv lowerings
-        #     on concrete inputs.  Every fifth iteration — each round
-        #     runs instruction selection twice and three interpreters.
+        # 7. cross-target lowering execution: one generated LLVM
+        #    function co-executed against its vx86 and vriscv lowerings
+        #    on concrete inputs.  Every fifth iteration — each round
+        #    runs instruction selection twice and three interpreters.
         if iteration % 5 == 2:
             ran("cross-target-exec")
             record(

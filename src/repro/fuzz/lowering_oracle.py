@@ -28,6 +28,7 @@ import random
 from repro.fuzz.oracles import Violation
 from repro.llvm.semantics import LlvmSemantics, entry_state, module_memory
 from repro.memory import PointerValue
+from repro.semantics.run import run_concrete
 from repro.semantics.state import StatusKind
 from repro.smt import terms as t
 from repro.targets import TARGET_NAMES, get_target
@@ -40,24 +41,9 @@ STEP_LIMIT = 200_000
 #: argument vectors tried per generated function.
 TRIALS = 2
 
-
-def run_concrete(semantics, state, limit: int = STEP_LIMIT):
-    """Drive one state to halt, asserting the execution stays concrete."""
-    frontier = [state]
-    for _ in range(limit):
-        advanced = []
-        for current in frontier:
-            successors = [
-                s for s in semantics.step(current) if s.path_condition is t.TRUE
-            ]
-            if successors:
-                advanced.extend(successors)
-            else:
-                assert current.status in (StatusKind.EXITED, StatusKind.ERROR)
-                return current
-        frontier = advanced
-        assert len(frontier) == 1, "concrete execution must not branch"
-    raise AssertionError("concrete execution did not halt")
+#: the statuses a run of a whole generated function may end in (the
+#: generated shapes call nothing, so a run never halts at a call).
+HALTED = (StatusKind.EXITED, StatusKind.ERROR)
 
 
 def concretize(memory):
@@ -80,10 +66,13 @@ def execute_llvm(module, function, argument_values):
         for (name, _), value in zip(function.parameters, argument_values)
     }
     memory = concretize(module_memory(module))
-    return run_concrete(
+    final = run_concrete(
         LlvmSemantics(module),
         entry_state(module, function, arguments=arguments, memory=memory),
+        STEP_LIMIT,
     )
+    assert final.status in HALTED
+    return final
 
 
 def execute_target(target_name, module, function, argument_values):
@@ -100,7 +89,11 @@ def execute_target(target_name, module, function, argument_values):
         machine, module_memory(module), registers
     )
     state = state.with_memory(concretize(state.memory))
-    return run_concrete(target.semantics({machine.name: machine}), state)
+    final = run_concrete(
+        target.semantics({machine.name: machine}), state, STEP_LIMIT
+    )
+    assert final.status in HALTED
+    return final
 
 
 def _mismatch(label, final, reference) -> str | None:

@@ -22,13 +22,7 @@ on mutated witnesses.  The layers cross-checked:
   SAT/UNSAT verdicts, and session models must satisfy the combined goal;
 - *function-scoped* sessions — one session spanning several sync-point
   assumption sets, with retraction, revisits, and permuted assumption
-  order — against fresh solving on the plain conjunctions;
-- the portfolio escalation (:mod:`repro.smt.portfolio`) against
-  single-solver runs — decided verdicts must agree, portfolio models must
-  replay, and a portfolio UNKNOWN requires both runners exhausted;
-- triaged escalations (probe-the-baseline-first) against races of both
-  runners from the start — exact verdict identity, including UNKNOWN and
-  the exhausted set.
+  order — against fresh solving on the plain conjunctions.
 
 Oracles never raise on stack bugs — they return violations — but they are
 allowed to raise on harness bugs (e.g. mis-sorted generated terms), which
@@ -44,9 +38,7 @@ from typing import Callable, Sequence
 from repro.fuzz.generator import deterministic_env, deterministic_select
 from repro.smt import terms as t
 from repro.smt.eval import EvalError, evaluate
-from repro.smt.portfolio import BASELINE, REVERSED, run_portfolio
 from repro.smt.printer import to_str
-from repro.smt.sat import SatResult
 from repro.smt.simplify import simplify
 from repro.smt.solver import Result, Solver
 from repro.smt.terms import BOOL, Term
@@ -537,121 +529,4 @@ def check_function_session_vs_fresh(
         detail=detail,
         witnesses=witnesses,
         predicate=lambda ws: _function_session_disagreement(ws) is not None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oracle 8: the portfolio escalation agrees with single-solver runs
-# ---------------------------------------------------------------------------
-
-
-def _portfolio_disagreement(formula: Term) -> str | None:
-    """Portfolio vs single-solver differential on one formula.
-
-    Decided verdicts must agree (both runners are sound deciders).  A
-    portfolio SAT model must replay through the reference interpreter — a
-    win by the reversed encoding with a corrupt model would surface here.
-    A portfolio UNKNOWN must mean *both* runners exhausted their budget
-    (first-answer-wins may never give up early).  UNKNOWN-vs-decided
-    divergence is not a defect — sliced searches and the monolithic single
-    run may give up at different points — so those comparisons are
-    skipped, mirroring the other budget-sensitive oracles.
-    """
-    if formula.sort is not BOOL:
-        return None
-    single = Solver(conflict_budget=ORACLE_BUDGET).check_sat(formula)
-    portfolio_solver = Solver(conflict_budget=ORACLE_BUDGET, portfolio=True)
-    raced = portfolio_solver.check_sat(formula, need_model=True)
-    if Result.UNKNOWN not in (single, raced) and single is not raced:
-        return f"single solver {single.value}, portfolio {raced.value}"
-    if raced is Result.SAT:
-        model = portfolio_solver.last_model
-        if model is None:
-            return "portfolio SAT with need_model=True but last_model is None"
-        detail = _model_violation(formula, model)
-        if detail is not None:
-            return f"portfolio {detail}"
-    if raced is Result.UNKNOWN:
-        outcome = run_portfolio(simplify(formula), ORACLE_BUDGET)
-        if outcome.result is SatResult.UNKNOWN and set(outcome.exhausted) != {
-            BASELINE,
-            REVERSED,
-        }:
-            return (
-                f"portfolio UNKNOWN with only {sorted(outcome.exhausted)}"
-                " exhausted"
-            )
-    return None
-
-
-def check_portfolio_vs_single(formula: Term) -> Violation | None:
-    """Portfolio races must refine, never contradict, single-solver runs."""
-    detail = _portfolio_disagreement(formula)
-    if detail is None:
-        return None
-    return Violation(
-        oracle="portfolio-vs-single",
-        detail=detail,
-        witnesses=(formula,),
-        predicate=lambda ws: _portfolio_disagreement(ws[0]) is not None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oracle 9: triaged escalations agree with races from the start
-# ---------------------------------------------------------------------------
-
-#: probe budget for the triage oracle.  Probe slices are ``INITIAL_SLICE``
-#: (256) conflicts minimum, so any value in [1, 256] means "exactly one
-#: baseline slice":
-#: easy formulas probe-decide, hard ones escalate — both paths exercised.
-TRIAGE_PROBE = 64
-
-
-def _triage_disagreement(formula: Term) -> str | None:
-    """Triaged vs always-race differential on one formula.
-
-    Adaptive triage (probe the baseline first, race only probe-exhausted
-    queries) must be *verdict-invisible*: the probe runner is reused by
-    the escalation race, so the baseline's slice schedule, learned
-    clauses, and budget accounting are identical to the always-race run —
-    the verdict must match exactly, **including** UNKNOWN and the
-    exhausted set.  This is strictly stronger than the portfolio-vs-single
-    oracle's refinement check.
-    """
-    if formula.sort is not BOOL:
-        return None
-    goal = simplify(formula)
-    if goal.sort is not BOOL:
-        return None
-    always = run_portfolio(goal, ORACLE_BUDGET, probe=0)
-    triaged = run_portfolio(goal, ORACLE_BUDGET, probe=TRIAGE_PROBE)
-    if triaged.result is not always.result:
-        return (
-            f"always-race {always.result.value},"
-            f" triaged (probe={TRIAGE_PROBE}) {triaged.result.value}"
-        )
-    if triaged.result is SatResult.UNKNOWN and set(
-        triaged.exhausted
-    ) != set(always.exhausted):
-        return (
-            f"UNKNOWN verdicts agree but exhausted sets differ:"
-            f" always {sorted(always.exhausted)},"
-            f" triaged {sorted(triaged.exhausted)}"
-        )
-    if triaged.probe_decided and triaged.escalated:
-        return "result flagged both probe_decided and escalated"
-    return None
-
-
-def check_triage_vs_always(formula: Term) -> Violation | None:
-    """Adaptive hard-query triage must never change a race's verdict."""
-    detail = _triage_disagreement(formula)
-    if detail is None:
-        return None
-    return Violation(
-        oracle="triage-vs-always-portfolio",
-        detail=detail,
-        witnesses=(formula,),
-        predicate=lambda ws: _triage_disagreement(ws[0]) is not None,
     )

@@ -31,7 +31,3 @@ class IselHints:
 
     def machine_block(self, llvm_block: str) -> str:
         return self.block_map[llvm_block]
-
-    def loop_pairs(self, llvm_headers: list[str]) -> list[tuple[str, str]]:
-        """The paper's loop-correspondence hint, derived from the block map."""
-        return [(header, self.block_map[header]) for header in llvm_headers]

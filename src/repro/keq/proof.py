@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.smt import Result, Solver
-from repro.smt import terms as t
 from repro.smt.printer import to_str
 from repro.smt.terms import Term
 
@@ -111,12 +110,3 @@ class ProofChecker:
                 )
         return outcome
 
-
-def pc_implication_claim(antecedent: Term, consequent: Term) -> Term:
-    """The unsatisfiability claim behind ``antecedent => consequent``."""
-    return t.and_(antecedent, t.not_(consequent))
-
-
-def validity_claim(goal: Term) -> Term:
-    """The unsatisfiability claim behind ``goal`` being valid."""
-    return t.not_(goal)

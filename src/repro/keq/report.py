@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.keq.proof import EquivalenceProof
+
 
 class Verdict(enum.Enum):
     VALIDATED = "validated"
@@ -75,6 +77,9 @@ class KeqReport:
     verdict: Verdict
     failures: list[CheckFailure] = field(default_factory=list)
     stats: KeqStats = field(default_factory=KeqStats)
+    #: the equivalence witness of a VALIDATED check run with
+    #: ``KeqOptions.record_proof`` (None otherwise).
+    proof: EquivalenceProof | None = None
 
     @property
     def ok(self) -> bool:

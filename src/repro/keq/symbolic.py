@@ -66,9 +66,6 @@ class KeqOptions:
     #: stays for callers that still pass it).
     session_scope: str = "function"
     solver_conflict_budget: int = 100_000
-    #: decide fresh and session-UNKNOWN queries through the reversed-form
-    #: escalation instead of one baseline solve (see repro.smt.portfolio).
-    portfolio: bool = False
     record_proof: bool = False  # build a machine-checkable witness
     #: wall-clock budget per function — the paper's actual mechanism (a
     #: 3-hour limit per verification run).  None disables it; the batch
@@ -82,9 +79,6 @@ class KeqOptions:
                 f"session_scope {self.session_scope!r} is not supported;"
                 " sessions are function-scoped"
             )
-        if not isinstance(self.portfolio, bool):
-            # Portfolio widths were integers once, and ``1`` meant off.
-            raise TypeError(f"portfolio is a bool, got {self.portfolio!r}")
 
 
 class _StepBudgetExceeded(Exception):
@@ -115,11 +109,8 @@ class Keq:
         self.acceptability = acceptability or default_acceptability()
         self.options = options or KeqOptions()
         self.solver = solver or Solver(
-            conflict_budget=self.options.solver_conflict_budget,
-            portfolio=self.options.portfolio,
+            conflict_budget=self.options.solver_conflict_budget
         )
-        #: the witness of the last VALIDATED check (when record_proof).
-        self.last_proof: EquivalenceProof | None = None
         self._proof: EquivalenceProof | None = None
         self._obligation_context: tuple[str, str] = ("?", "?")
         #: the active incremental session (None when disabled); opened per
@@ -134,7 +125,6 @@ class Keq:
         stats = KeqStats()
         failures: list[CheckFailure] = []
         started = time.perf_counter()
-        self.last_proof = None
         self._proof = None
         if self.options.record_proof and points:
             first = points[0]
@@ -185,10 +175,9 @@ class Keq:
         stats.solver_time = self.solver.stats.time_seconds
         stats.cache_hits = self.solver.stats.cache_hits
         stats.cache_misses = self.solver.stats.cache_misses
-        if verdict is Verdict.VALIDATED and self._proof is not None:
-            self.last_proof = self._proof
+        proof = self._proof if verdict is Verdict.VALIDATED else None
         self._proof = None
-        return KeqReport(verdict, failures, stats)
+        return KeqReport(verdict, failures, stats, proof)
 
     def _run_points(
         self, points, left_cuts, right_cuts, stats, failures, verdict

@@ -38,9 +38,6 @@ class FunctionBuilder:
         self._block = block
         return block
 
-    def switch_to(self, name: str) -> None:
-        self._block = self.function.block(name)
-
     def finish(self) -> ir.Function:
         self.module.add_function(self.function)
         return self.function

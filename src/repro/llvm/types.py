@@ -100,8 +100,3 @@ def bit_width(type_: Type) -> int:
     if isinstance(type_, PointerType):
         return POINTER_BYTES * 8
     raise TypeError(f"type {type_} is not a first-class scalar")
-
-
-def storage_bits(type_: Type) -> int:
-    """Bits occupied in memory (whole bytes)."""
-    return sizeof(type_) * 8

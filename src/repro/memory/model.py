@@ -258,9 +258,6 @@ class Memory:
             )
         )
 
-    def _as_dict(self) -> dict[str, ObjectMemory]:
-        return dict(self.objects)
-
     def object(self, name: str) -> ObjectMemory:
         for key, contents in self.objects:
             if key == name:

@@ -37,9 +37,6 @@ class Location:
     block: str
     index: int = 0
 
-    def at_block_start(self) -> bool:
-        return self.index == 0
-
     def __repr__(self) -> str:
         return f"{self.function}:{self.block}[{self.index}]"
 

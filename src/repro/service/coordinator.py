@@ -129,11 +129,6 @@ class Coordinator:
         with self._lock:
             return self._scheduler.finished
 
-    @property
-    def outstanding_leases(self) -> int:
-        with self._lock:
-            return len(self._leases)
-
     # -- lease expiry ----------------------------------------------------------
 
     def sweep(self, now: float | None = None) -> list[str]:
@@ -196,7 +191,6 @@ class Coordinator:
             "module_text": self.prepared.module_text,
             "wall_budget": manifest["wall_budget"],
             "incremental": manifest.get("incremental", True),
-            "portfolio": self.prepared.base.keq.portfolio,
             "target": manifest.get("target", "vx86"),
             "imprecise": self._imprecise,
             "cache_dir": manifest["cache_dir"],

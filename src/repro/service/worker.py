@@ -224,7 +224,6 @@ class ServiceWorker:
         base = _base_options(
             welcome.get("wall_budget"),
             welcome.get("incremental", True),
-            welcome.get("portfolio", False),
             welcome.get("target", "vx86"),
         )
         overrides = {

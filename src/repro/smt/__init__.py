@@ -12,9 +12,6 @@ Section 2).  It provides:
 - :mod:`repro.smt.bitblast` — a Tseitin bit-blaster from terms to CNF.
 - :mod:`repro.smt.solver` — the solver façade used by KEQ, including the
   paper's positive-form query optimization (Section 3).
-- :mod:`repro.smt.portfolio` — the escalation that races the reversed
-  conjunction against a baseline that cannot decide cheaply
-  (``Solver(portfolio=True)``).
 """
 
 from repro.smt.terms import (
@@ -31,11 +28,6 @@ from repro.smt.terms import (
 )
 from repro.smt import terms as t
 from repro.smt.simplify import simplify, substitute
-from repro.smt.portfolio import (
-    DEFAULT_PROBE_CONFLICTS,
-    PortfolioResult,
-    run_portfolio,
-)
 from repro.smt.solver import (
     QueryStats,
     Result,
@@ -46,12 +38,9 @@ from repro.smt.cache import CacheStats, QueryCache
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_PROBE_CONFLICTS",
-    "PortfolioResult",
     "QueryCache",
     "QueryStats",
     "canonical_assumption_order",
-    "run_portfolio",
     "BOOL",
     "BV1",
     "BV8",

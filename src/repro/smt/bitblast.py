@@ -404,9 +404,6 @@ class BitBlaster:
     def assert_term(self, term: Term) -> None:
         self.solver.add_clause([self.encode_bool(term)])
 
-    def literal_of(self, term: Term) -> int:
-        return self.encode_bool(term)
-
     def model_bv(self, term: Term) -> int:
         """Read the value of an encoded bitvector from the SAT model."""
         bits = self.encode_bv(term)

@@ -32,13 +32,12 @@ TIMEOUT outcome in the campaign).  This keeps cached and uncached runs
 *outcome-identical*, not merely logically consistent.
 
 Only *fresh-path* answers are stored.  Incremental sessions
-(:class:`SolverSession`) and portfolio escalations consult the cache under
-the same key a fresh ``check_sat`` of the combined conjunction would use —
-the paths share one namespace and can never contradict each other — but
-their decided results are not stored back: a session's deciding check
-leans on clauses learned by earlier checks, and a portfolio win may come
-from the reversed-form runner, so neither carries a fresh-equivalent cost.
-Storing an optimistic cost would let a later cached run decide under a
+(:class:`SolverSession`) consult the cache under the same key a fresh
+``check_sat`` of the combined conjunction would use — the paths share one
+namespace and can never contradict each other — but their decided results
+are not stored back: a session's deciding check leans on clauses learned
+by earlier checks, so it carries no fresh-equivalent cost.  Storing an
+optimistic cost would let a later cached run decide under a
 small budget where an uncached fresh run returns ``UNKNOWN``, breaking the
 outcome-identity guarantee above (this was a real bug, found by the
 cached-vs-uncached differential oracle; see the session-cost regression

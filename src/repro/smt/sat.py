@@ -8,7 +8,7 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   backjumping;
 - VSIDS-style branching activity with exponential decay (implemented via a
   lazily-cleaned binary heap);
-- Luby-sequence restarts;
+- Luby-sequence restarts (base :data:`RESTART_BASE` conflicts);
 - solving under assumptions (used by the solver façade to implement
   ``prove`` queries without re-encoding shared structure);
 - *incremental* use à la MiniSat: clauses may be added between
@@ -29,10 +29,7 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   subsumption, self-subsuming resolution, and failed-literal probing run
   under a propagation budget between incremental solve calls, so the
   retained clause database gets smaller and stronger instead of merely
-  larger;
-- search knobs via :class:`SolverConfig` (initial phase, deterministic
-  VSIDS activity seeding and decay, Luby vs geometric restarts); the
-  defaults are the configuration every caller uses.
+  larger.
 
 The public interface speaks DIMACS: variables are positive integers and a
 negated literal is the negated integer.  Inside the solver a literal is a
@@ -46,7 +43,6 @@ clause, counter, core and model) is pinned by the trajectory-lock test.
 from __future__ import annotations
 
 import heapq
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,6 +51,14 @@ TRUE = 1
 FALSE = -1
 
 _NO_LITERAL = -1
+
+#: VSIDS activity decay per conflict
+VAR_DECAY = 0.95
+#: conflicts before the first restart; later limits follow the Luby sequence
+RESTART_BASE = 32
+#: initial saved phase of every variable as a code's sign bit (negative);
+#: phase saving overwrites it as search proceeds
+_DEFAULT_PHASE = 1
 
 
 class SatResult(Enum):
@@ -113,31 +117,6 @@ class Stats:
     inprocessings: int = 0
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Search knobs for one solver instance.
-
-    Every solver in the pipeline runs the defaults; the trajectory-lock
-    test pins the other values too.  All of them are deterministic — the
-    activity seed feeds a CRC, not a PRNG stream.
-    """
-
-    #: initial saved phase for every variable (phase saving overwrites it
-    #: as search proceeds)
-    default_polarity: bool = False
-    #: nonzero: give each new variable a tiny CRC-derived activity nudge so
-    #: early VSIDS tie-breaks differ between configurations (0 disables)
-    activity_seed: int = 0
-    #: ``"luby"`` (default) or ``"geometric"``
-    restart_policy: str = "luby"
-    #: conflicts before the first restart
-    restart_base: int = 32
-    #: growth factor for the geometric policy
-    restart_growth: float = 1.5
-    #: VSIDS activity decay per conflict
-    var_decay: float = 0.95
-
-
 class _Clause:
     """A stored clause.  ``lits`` holds literal codes; positions 0 and 1
     are the watched literals."""
@@ -154,8 +133,7 @@ class _Clause:
 class SatSolver:
     """CDCL solver over clauses added with :meth:`add_clause`."""
 
-    def __init__(self, config: SolverConfig | None = None) -> None:
-        self._config = config or SolverConfig()
+    def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: list[_Clause] = []
         self._num_learned = 0
@@ -170,7 +148,6 @@ class SatSolver:
         self._activity: list[float] = [0.0]
         #: saved phase as a code's sign bit: 0 positive, 1 negative
         self._phase: list[int] = [0]
-        self._default_phase = 0 if self._config.default_polarity else 1
         #: conflict-analysis marks, all False between analyses
         self._seen: list[bool] = [False]
         #: the heap holds an entry at the variable's current activity.
@@ -180,7 +157,6 @@ class SatSolver:
         self._trail_lim: list[int] = []
         self._prop_head = 0
         self._var_inc = 1.0
-        self._var_decay = self._config.var_decay
         #: lazy VSIDS order: ``(-activity, var)``; entries whose activity
         #: is no longer current are skipped when popped
         self._heap: list[tuple[float, int]] = []
@@ -208,15 +184,11 @@ class SatSolver:
         self._watches += ([], [])
         self._level.append(0)
         self._reason.append(None)
-        activity = 0.0
-        if self._config.activity_seed:
-            crc = zlib.crc32(b"%d:%d" % (self._config.activity_seed, var))
-            activity = (crc & 0xFFFF) * 1e-9
-        self._activity.append(activity)
-        self._phase.append(self._default_phase)
+        self._activity.append(0.0)
+        self._phase.append(_DEFAULT_PHASE)
         self._seen.append(False)
         self._queued.append(True)
-        heapq.heappush(self._heap, (-activity, var))
+        heapq.heappush(self._heap, (0.0, var))
         self.stats.vars_allocated = var
         return var
 
@@ -909,13 +881,6 @@ class SatSolver:
 
     # -- main loop -------------------------------------------------------------------
 
-    def _restart_limit(self, index: int) -> int:
-        """Conflicts allowed before restart ``index`` (policy-dependent)."""
-        config = self._config
-        if config.restart_policy == "geometric":
-            return max(1, int(config.restart_base * config.restart_growth**index))
-        return config.restart_base * luby(index)
-
     def solve(
         self,
         assumptions: list[int] | None = None,
@@ -954,7 +919,7 @@ class SatSolver:
         trail_lim = self._trail_lim
         budget_left = conflict_budget
         restart_index = 0
-        restart_limit = self._restart_limit(restart_index)
+        restart_limit = RESTART_BASE * luby(restart_index)
         conflicts_since_restart = 0
         while True:
             conflict = self._propagate()
@@ -1005,12 +970,12 @@ class SatSolver:
                 else:
                     clause = self._store_learned(learned)
                     self._assign(learned[0], clause)
-                self._var_inc /= self._var_decay
+                self._var_inc /= VAR_DECAY
                 continue
             if conflicts_since_restart >= restart_limit and len(trail_lim) > prefix:
                 stats.restarts += 1
                 restart_index += 1
-                restart_limit = self._restart_limit(restart_index)
+                restart_limit = RESTART_BASE * luby(restart_index)
                 conflicts_since_restart = 0
                 self._backtrack(prefix)
                 continue

@@ -31,7 +31,6 @@ from repro.smt import eval as smt_eval
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.eval import compile_node
-from repro.smt.portfolio import REVERSED, run_portfolio
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -92,15 +91,6 @@ class QueryStats:
     #: because a model was requested (``need_model=True``).  Not misses: the
     #: cache knew the result, the caller just needed more than the result.
     cache_hits_unused: int = 0
-    #: queries decided (or attempted) through the portfolio escalation —
-    #: fresh misses under ``Solver(portfolio=True)`` plus session UNKNOWNs
-    portfolio_queries: int = 0
-    #: portfolio queries decided by the baseline triage probe alone
-    portfolio_probe_decided: int = 0
-    #: portfolio queries whose probe exhausted and the reversed form joined
-    portfolio_escalations: int = 0
-    #: escalated queries the reversed-form runner decided first
-    portfolio_reversed_wins: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         """Fold another solver's counters into this one (batch aggregation)."""
@@ -614,16 +604,8 @@ class Solver:
         self,
         conflict_budget: int | None = 200_000,
         cache: "QueryCache | None" = None,
-        portfolio: bool = False,
     ):
         self.conflict_budget = conflict_budget
-        if not isinstance(portfolio, bool):
-            # Portfolio widths were integers once, and ``1`` meant off.
-            raise TypeError(f"portfolio is a bool, got {portfolio!r}")
-        #: decide fresh misses and session UNKNOWNs through the reversed-form
-        #: escalation (see repro.smt.portfolio) instead of one baseline solve.
-        #: Sessions keep their single scoped solver for every other check.
-        self.portfolio = portfolio
         self.stats = QueryStats()
         self.last_model: Model | None = None
         #: simplified goal -> Result.  KEQ re-issues many identical queries
@@ -657,8 +639,6 @@ class Solver:
             return fast
         bare_goal = goal
         goal = t.and_(goal, _ackermann_lemmas(goal), _comparison_lemmas(goal))
-        if self.portfolio:
-            return self._portfolio_decide(bare_goal, goal, started)
         sat_solver = SatSolver()
         blaster = BitBlaster(sat_solver)
         blaster.assert_term(goal)
@@ -684,51 +664,6 @@ class Solver:
             return Result.UNSAT
         self.stats.unknowns += 1
         return Result.UNKNOWN
-
-    def _portfolio_decide(
-        self, bare_goal: Term, full_goal: Term, started: float
-    ) -> Result:
-        """Decide a query through the portfolio escalation.
-
-        ``full_goal`` is the lemma-augmented goal exactly as the
-        single-solver path would assert it; ``bare_goal`` is the memo key.
-        Both runners are sound and a SAT only wins after its model replays
-        through the evaluator, so a decided answer here always matches
-        what any single-solver run that decides would say; UNKNOWN is
-        returned only when both runners exhausted the budget.
-
-        Decided results feed the per-solver memo but **not** the shared
-        QueryCache: a reversed-form win carries no fresh-baseline cost,
-        and storing an optimistic one would let a cached run answer where
-        an uncached single-solver run returns UNKNOWN — the same
-        budget-monotonicity policy that keeps session results out of the
-        shared cache (see cache.py).
-        """
-        stats = self.stats
-        stats.sat_calls += 1
-        stats.portfolio_queries += 1
-        outcome = run_portfolio(full_goal, self.conflict_budget)
-        stats.conflicts += outcome.conflicts
-        stats.decisions += outcome.decisions
-        stats.propagations += outcome.propagations
-        stats.time_seconds += time.perf_counter() - started
-        if outcome.probe_decided:
-            stats.portfolio_probe_decided += 1
-        elif outcome.escalated:
-            stats.portfolio_escalations += 1
-        if outcome.result is SatResult.UNKNOWN:
-            stats.unknowns += 1
-            return Result.UNKNOWN
-        if outcome.winner == REVERSED:
-            stats.portfolio_reversed_wins += 1
-        if outcome.result is SatResult.SAT:
-            stats.sat_calls_sat += 1
-            self.last_model = Model(outcome.winner_blaster)
-            self._memo[bare_goal] = Result.SAT
-            return Result.SAT
-        stats.sat_calls_unsat += 1
-        self._memo[bare_goal] = Result.UNSAT
-        return Result.UNSAT
 
     def _try_fast_paths(
         self, goal: Term, need_model: bool, started: float
@@ -1049,18 +984,5 @@ class SolverSession:
             ]
             solver._memo[combined] = Result.UNSAT
             return Result.UNSAT
-        # UNKNOWN under the scoped solver.  With the portfolio on, escalate
-        # on fresh runners before giving up: they can only refine the
-        # UNKNOWN, never flip a decided verdict.
-        if solver.portfolio:
-            return solver._portfolio_decide(
-                combined,
-                t.and_(
-                    combined,
-                    _ackermann_lemmas(combined),
-                    _comparison_lemmas(combined),
-                ),
-                time.perf_counter(),
-            )
         stats.unknowns += 1
         return Result.UNKNOWN

@@ -124,9 +124,9 @@ class BatchResult:
 
 
 def solver_counter_lines(stats: QueryStats) -> list[str]:
-    """The ``session:`` and ``portfolio:`` summary lines, each present only
-    when its mechanism ran (batch summaries and ``campaign status`` share
-    this renderer)."""
+    """The ``session:`` summary line, present only when incremental
+    sessions ran (batch summaries and ``campaign status`` share this
+    renderer)."""
     lines = []
     if stats.incremental_checks:
         lines.append(
@@ -136,13 +136,6 @@ def solver_counter_lines(stats: QueryStats) -> list[str]:
             f" strengthened={stats.clauses_strengthened}"
             f" evicted={stats.clauses_evicted}"
             f" probe_failed_literals={stats.probe_failed_literals}"
-        )
-    if stats.portfolio_queries:
-        lines.append(
-            f"portfolio: queries={stats.portfolio_queries}"
-            f" probe_decided={stats.portfolio_probe_decided}"
-            f" escalations={stats.portfolio_escalations}"
-            f" reversed_wins={stats.portfolio_reversed_wins}"
         )
     return lines
 

@@ -129,9 +129,7 @@ def validate_function(
     size = _code_size(function)
     started = time.perf_counter()
     solver = Solver(
-        conflict_budget=options.keq.solver_conflict_budget,
-        cache=cache,
-        portfolio=options.keq.portfolio,
+        conflict_budget=options.keq.solver_conflict_budget, cache=cache
     )
 
     def done(

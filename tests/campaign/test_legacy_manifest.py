@@ -1,4 +1,4 @@
-"""Resuming campaign directories written before the portfolio became a flag.
+"""Resuming campaign directories written with solver settings that are gone.
 
 ``data/parent_halted`` holds a manifest and journal exactly as the previous
 release wrote them for a halted campaign (scale 8, seed 7, two shards, two
@@ -8,6 +8,11 @@ made relative).  The manifest stores the portfolio as a width
 ``portfolio_probe``, and the journal's ``done`` events carry QueryStats
 fields that no longer exist.  ``expected_report.txt`` is the timing-free
 report that release printed after resuming the same directory.
+
+The portfolio escalation was a flag in between and is gone now: a manifest
+whose portfolio is missing, ``false`` or the width ``1`` resumes, and
+anything else is refused, because the remaining functions would not be
+decided as the uninterrupted run decided them.
 """
 
 import json
@@ -18,7 +23,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, CampaignError, resume_campaign
 from repro.campaign.supervisor import (
-    manifest_portfolio,
+    check_solver_settings,
     prepare_campaign,
     prepare_resume,
 )
@@ -28,6 +33,7 @@ DATA = Path(__file__).resolve().parent / "data" / "parent_halted"
 
 #: solver settings a resumed run could not reproduce
 REFUSED = [
+    ("portfolio", True),
     ("portfolio", 0),
     ("portfolio", 2),
     ("portfolio", 4),
@@ -91,26 +97,27 @@ class TestRefusedSettings:
 
 
 class TestBooleanFlag:
-    @pytest.mark.parametrize("portfolio", [False, True])
-    def test_new_manifest_stores_a_json_bool(self, tmp_path, portfolio):
+    def test_new_manifest_has_no_portfolio_key(self, tmp_path):
         directory = tmp_path / "camp"
-        prepare_campaign(
-            str(directory), CampaignConfig(scale=4, portfolio=portfolio)
-        )
-        text = (directory / "manifest.json").read_text()
-        assert f'"portfolio": {json.dumps(portfolio)}' in text
+        prepare_campaign(str(directory), CampaignConfig(scale=4))
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "portfolio" not in manifest
 
-    def test_integer_width_refused_before_the_manifest(self, tmp_path):
-        directory = tmp_path / "camp"
-        with pytest.raises(TypeError):
-            prepare_campaign(str(directory), CampaignConfig(scale=4, portfolio=2))
-        assert not (directory / "manifest.json").exists()
+    def test_true_is_not_read_as_width_one(self):
+        # In Python ``True == 1``; a width of 1 meant "off", the flag
+        # ``true`` meant on.
+        for manifest in ({}, {"portfolio": False}, {"portfolio": 1}):
+            check_solver_settings(manifest)
+        with pytest.raises(CampaignError, match="field 'portfolio'"):
+            check_solver_settings({"portfolio": True})
 
-    def test_true_is_not_read_as_width_one(self, tmp_path):
-        # In Python ``True == 1``; a width of 1 meant "off".
-        assert manifest_portfolio({"portfolio": True}) is True
-        assert manifest_portfolio({"portfolio": 1}) is False
-        assert manifest_portfolio({"portfolio": False}) is False
-        assert manifest_portfolio({}) is False
-        prepared, _ = prepare_resume(legacy_copy(tmp_path, portfolio=True))
-        assert prepared.base.keq.portfolio is True
+    @pytest.mark.parametrize("value", [None, False, 1])
+    def test_portfolio_that_was_off_resumes(self, tmp_path, value):
+        directory = legacy_copy(tmp_path, portfolio=value)
+        if value is None:  # the key is missing
+            path = Path(directory) / "manifest.json"
+            manifest = json.loads(path.read_text())
+            del manifest["portfolio"]
+            path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        prepared, _ = prepare_resume(directory)
+        assert prepared.directory == directory

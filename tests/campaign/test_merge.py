@@ -195,10 +195,6 @@ class TestSolverCounterLines:
             clauses_strengthened=3,
             clauses_evicted=2,
             probe_failed_literals=1,
-            portfolio_queries=6,
-            portfolio_probe_decided=4,
-            portfolio_escalations=2,
-            portfolio_reversed_wins=1,
         )
         state = journal_state(
             tmp_path,
@@ -209,7 +205,7 @@ class TestSolverCounterLines:
             return [
                 line
                 for line in text.splitlines()
-                if line.startswith(("session:", "portfolio:"))
+                if line.startswith("session:")
             ]
 
         summary = merge_campaign(MANIFEST, state).batch.summary()
@@ -217,6 +213,4 @@ class TestSolverCounterLines:
         assert counter_lines(summary) == counter_lines(status) == [
             "session: checks=28 clauses_reused=20 subsumed=16 strengthened=12"
             " evicted=8 probe_failed_literals=4",
-            "portfolio: queries=24 probe_decided=16 escalations=8"
-            " reversed_wins=4",
         ]

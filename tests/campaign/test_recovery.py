@@ -173,43 +173,23 @@ class TestQuarantine:
         assert "worker deaths" in report.quarantined[VICTIM]
 
 
-#: corpus seed of the portfolio campaigns: at scale 8 two of its functions
-#: issue UNSAT checks that reach CDCL, so the escalation engages whatever
-#: the witness search decides (at seed 7 every query ends on a fast path).
-PORTFOLIO_SEED = 13
+#: corpus seed of the fresh-path campaign: at scale 8 two of its functions
+#: issue UNSAT checks that reach CDCL (at seed 7 every query ends on a fast
+#: path).
+FRESH_PATH_SEED = 13
 
 
-class TestPortfolioCampaign:
-    """The portfolio escalation must never change campaign verdicts.
+class TestFreshPathCampaign:
+    """With incremental solving off, every query that reaches the SAT layer
+    is solved fresh; such a campaign must resume to the report of the
+    uninterrupted run."""
 
-    Incremental solving is off on both sides, so every query that reaches
-    the SAT layer goes through the escalation (function-scoped sessions
-    would decide nearly all of them on their own).
-    """
-
-    def test_report_byte_identical_to_single_solver(self, tmp_path):
-        plain = run_campaign(
-            str(tmp_path / "plain"),
-            config(incremental=False, seed=PORTFOLIO_SEED),
-        )
-        raced = run_campaign(
-            str(tmp_path / "raced"),
-            config(incremental=False, portfolio=True, seed=PORTFOLIO_SEED),
-        )
-        assert raced.complete
-        assert raced.batch.solver_stats.portfolio_queries > 0
-        assert plain.batch.solver_stats.portfolio_queries == 0
-        assert raced.summary(include_timing=False) == plain.summary(
-            include_timing=False
-        )
-        assert raced.function_table() == plain.function_table()
-
-    def test_portfolio_survives_interrupt_and_resume(
+    def test_fresh_path_survives_interrupt_and_resume(
         self, tmp_path, monkeypatch
     ):
         plain = run_campaign(
             str(tmp_path / "plain"),
-            config(incremental=False, seed=PORTFOLIO_SEED),
+            config(incremental=False, seed=FRESH_PATH_SEED),
         )
 
         crash_dir = str(tmp_path / "crash")
@@ -220,17 +200,18 @@ class TestPortfolioCampaign:
                 crash_dir,
                 config(
                     incremental=False,
-                    portfolio=True,
-                    seed=PORTFOLIO_SEED,
+                    seed=FRESH_PATH_SEED,
                     halt_on_worker_death=True,
                     validate=sigkill_injector,
                 ),
             )
-        assert load_manifest(crash_dir)["portfolio"] is True
+        assert load_manifest(crash_dir)["incremental"] is False
 
         report = resume_campaign(crash_dir)
         assert report.complete
-        assert report.batch.solver_stats.portfolio_queries > 0
+        stats = report.batch.solver_stats
+        assert stats.sat_calls > 0
+        assert stats.incremental_checks == 0
         assert report.summary(include_timing=False) == plain.summary(
             include_timing=False
         )

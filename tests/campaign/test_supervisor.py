@@ -107,35 +107,6 @@ class TestStatusErrors:
             campaign_status(str(tmp_path / "void"))
 
 
-class TestPortfolioManifestRoundTrip:
-    """``--portfolio`` must survive halt/resume through the manifest so
-    resumed shards escalate exactly as the original run did."""
-
-    def test_portfolio_flag_persisted_and_resumed(self, tmp_path):
-        directory = str(tmp_path / "camp")
-        report = run_campaign(
-            directory,
-            CampaignConfig(shards=1, jobs=1, wall_budget=30.0, portfolio=True),
-            corpus=clone_corpus(),
-        )
-        assert report.complete
-        manifest = load_manifest(directory)
-        assert manifest["portfolio"] is True
-        # Resume of a complete campaign replays the merged report with
-        # the persisted flag (no KeyError / silent reset to off).
-        resumed = resume_campaign(directory, corpus=clone_corpus())
-        assert resumed.complete
-
-    def test_default_is_single_solver(self, tmp_path):
-        directory = str(tmp_path / "camp")
-        run_campaign(
-            directory,
-            CampaignConfig(shards=1, jobs=1, wall_budget=30.0),
-            corpus=clone_corpus(),
-        )
-        assert load_manifest(directory)["portfolio"] is False
-
-
 class TestTargetManifestRoundTrip:
     """``--target`` must survive halt/resume through the manifest, and a
     resume under a *different* target must refuse rather than silently

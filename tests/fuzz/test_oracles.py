@@ -206,131 +206,3 @@ class TestUnknownIsNoVerdict:
         formula = t.eq(t.mul(x, x), t.zext(y, 8))
         if brute_force_eligible(formula):
             assert check_brute_force(formula) is None
-
-
-class TestPortfolioVsSingleOracle:
-    def test_clean_formulas_pass(self):
-        from repro.fuzz.oracles import check_portfolio_vs_single
-
-        x = t.bv_var("x", 8)
-        for formula in [
-            t.ult(x, t.bv_const(3, 8)),
-            t.eq(t.mul(x, x), t.bv_const(49, 8)),
-            t.and_(
-                t.ult(x, t.bv_const(4, 8)), t.ult(t.bv_const(9, 8), x)
-            ),
-        ]:
-            assert check_portfolio_vs_single(formula) is None
-
-    def test_non_boolean_terms_skipped(self):
-        from repro.fuzz.oracles import check_portfolio_vs_single
-
-        assert check_portfolio_vs_single(t.bv_var("x", 8)) is None
-
-    def test_lying_portfolio_is_detected(self, monkeypatch):
-        from repro.fuzz.oracles import check_portfolio_vs_single
-        from repro.smt.solver import Solver
-
-        class LyingPortfolioSolver(Solver):
-            def check_sat(self, formula, need_model=False):
-                outcome = super().check_sat(formula, need_model=need_model)
-                if self.portfolio and outcome is Result.SAT:
-                    return Result.UNSAT
-                if self.portfolio and outcome is Result.UNSAT:
-                    return Result.SAT
-                return outcome
-
-        monkeypatch.setattr(oracles, "Solver", LyingPortfolioSolver)
-        x = t.bv_var("x", 8)
-        violation = check_portfolio_vs_single(t.ult(x, t.bv_const(3, 8)))
-        assert violation is not None
-        assert violation.oracle == "portfolio-vs-single"
-
-    def test_corrupt_portfolio_model_is_detected(self, monkeypatch):
-        from repro.fuzz.oracles import check_portfolio_vs_single
-        from repro.smt.solver import Solver
-
-        class Zeroed:
-            """A model claiming every variable is zero/False."""
-
-            def eval_bv(self, term):
-                return 0
-
-            def eval_bool(self, term):
-                return False
-
-        class CorruptModelSolver(Solver):
-            def check_sat(self, formula, need_model=False):
-                outcome = super().check_sat(formula, need_model=need_model)
-                if self.portfolio and outcome is Result.SAT:
-                    self.last_model = Zeroed()
-                return outcome
-
-        monkeypatch.setattr(oracles, "Solver", CorruptModelSolver)
-        x = t.bv_var("x", 8)
-        # Satisfiable only by nonzero x: the zeroed model must fail replay.
-        violation = check_portfolio_vs_single(
-            t.eq(x, t.bv_const(7, 8))
-        )
-        assert violation is not None
-        assert violation.oracle == "portfolio-vs-single"
-
-
-class TestTriageVsAlwaysOracle:
-    def test_stock_triage_is_clean(self):
-        from repro.fuzz.oracles import check_triage_vs_always
-
-        generator = TermGenerator(77, GenConfig())
-        for _ in range(10):
-            assert check_triage_vs_always(generator.formula()) is None
-
-    def test_verdict_flip_is_detected(self, monkeypatch):
-        from repro.fuzz.oracles import check_triage_vs_always
-        from repro.smt.sat import SatResult
-
-        real = oracles.run_portfolio
-
-        def lying(goal, budget, probe=0, **kwargs):
-            outcome = real(goal, budget, probe=probe, **kwargs)
-            if probe and outcome.result is SatResult.SAT:
-                outcome.result = SatResult.UNSAT
-            return outcome
-
-        monkeypatch.setattr(oracles, "run_portfolio", lying)
-        x = t.bv_var("x", 8)
-        violation = check_triage_vs_always(t.eq(x, t.bv_const(7, 8)))
-        assert violation is not None
-        assert violation.oracle == "triage-vs-always-portfolio"
-        assert "always-race" in violation.detail
-
-    def test_exhausted_set_divergence_is_detected(self, monkeypatch):
-        from repro.fuzz.oracles import check_triage_vs_always
-        from repro.smt.sat import SatResult
-
-        real = oracles.run_portfolio
-
-        def dropping(goal, budget, probe=0, **kwargs):
-            outcome = real(goal, budget, probe=probe, **kwargs)
-            if probe and outcome.result is SatResult.UNKNOWN:
-                outcome.exhausted = outcome.exhausted[:-1]
-            return outcome
-
-        monkeypatch.setattr(oracles, "run_portfolio", dropping)
-        # An UNSAT multiplication miter at a starved budget: UNKNOWN is
-        # guaranteed (no model to stumble on, no budget to prove UNSAT).
-        x = t.bv_var("x", 10)
-        c = 0x15D
-        acc = t.bv_const(0, 10)
-        bit = 0
-        k = c
-        while k:
-            if k & 1:
-                acc = t.add(acc, t.shl(x, t.bv_const(bit, 10)))
-            k >>= 1
-            bit += 1
-        hard = t.ne(t.mul(x, t.bv_const(c, 10)), acc)
-        monkeypatch.setattr(oracles, "ORACLE_BUDGET", 2)
-        violation = check_triage_vs_always(hard)
-        assert violation is not None
-        assert violation.oracle == "triage-vs-always-portfolio"
-        assert "exhausted" in violation.detail

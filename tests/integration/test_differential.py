@@ -10,48 +10,16 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from repro.fuzz.lowering_oracle import HALTED, STEP_LIMIT, concretize
 from repro.isel import select_function
 from repro.llvm import parse_module
 from repro.llvm.semantics import LlvmSemantics, entry_state, module_memory
+from repro.semantics.run import run_concrete
 from repro.semantics.state import StatusKind
 from repro.smt import t
 from repro.vx86.insns import ARGUMENT_REGISTERS
 from repro.vx86.semantics import Vx86Semantics, machine_entry_state
 from repro.workloads import FunctionShape, generate_module
-
-
-def run_concrete(semantics, state, limit=400000):
-    frontier = [state]
-    for _ in range(limit):
-        advanced = []
-        for current in frontier:
-            successors = [
-                s for s in semantics.step(current) if s.path_condition is t.TRUE
-            ]
-            if successors:
-                advanced.extend(successors)
-            else:
-                assert current.status in (StatusKind.EXITED, StatusKind.ERROR)
-                return current
-        frontier = advanced
-        assert len(frontier) == 1, "concrete execution must not branch"
-    raise AssertionError("did not halt")
-
-
-def concretize(memory):
-    """Give every object fully concrete initial contents (both sides get
-    the same bytes, mirroring one shared start state of the real machine)."""
-    from repro.memory import PointerValue
-
-    for name, contents in memory.objects:
-        size = contents.descriptor.size
-        pattern = int.from_bytes(
-            bytes((7 * i + 3) % 256 for i in range(size)), "little"
-        )
-        memory = memory.store(
-            PointerValue(name, t.zero(64)), t.bv_const(pattern, size * 8), size
-        )
-    return memory
 
 
 def co_execute(module, function_name, argument_values):
@@ -67,7 +35,9 @@ def co_execute(module, function_name, argument_values):
     llvm_final = run_concrete(
         LlvmSemantics(module),
         entry_state(module, function, arguments=arguments, memory=memory),
+        STEP_LIMIT,
     )
+    assert llvm_final.status in HALTED
 
     registers = {
         ARGUMENT_REGISTERS[index]: t.bv_const(value, 64)
@@ -75,7 +45,10 @@ def co_execute(module, function_name, argument_values):
     }
     x86_state = machine_entry_state(machine, memory, registers)
     x86_state = x86_state.with_memory(concretize(x86_state.memory))
-    x86_final = run_concrete(Vx86Semantics({machine.name: machine}), x86_state)
+    x86_final = run_concrete(
+        Vx86Semantics({machine.name: machine}), x86_state, STEP_LIMIT
+    )
+    assert x86_final.status in HALTED
     return llvm_final, x86_final
 
 

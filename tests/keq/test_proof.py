@@ -33,7 +33,7 @@ done:
 """
 
 
-def keq_with_proof(source):
+def report_with_proof(source):
     module = parse_module(source)
     function = next(iter(module.functions.values()))
     machine, hints = select_function(module, function)
@@ -44,22 +44,20 @@ def keq_with_proof(source):
         default_acceptability(),
         KeqOptions(record_proof=True),
     )
-    report = keq.check_equivalence(points)
-    return keq, report
+    return keq.check_equivalence(points)
 
 
 class TestProofGeneration:
     def test_validated_run_produces_proof(self):
-        keq, report = keq_with_proof(LOOP)
+        report = report_with_proof(LOOP)
         assert report.verdict is Verdict.VALIDATED
-        proof = keq.last_proof
+        proof = report.proof
         assert proof is not None
         assert proof.matched_pairs
         assert proof.obligations
 
     def test_proof_covers_every_executable_point(self):
-        keq, _ = keq_with_proof(LOOP)
-        proof = keq.last_proof
+        proof = report_with_proof(LOOP).proof
         covered = {p.source_point for p in proof.matched_pairs}
         assert set(proof.executable_points) <= covered
 
@@ -69,8 +67,7 @@ class TestProofGeneration:
         machine, hints = select_function(module, function)
         points = generate_sync_points(module, function, machine, hints)
         keq = Keq(LlvmSemantics(module), Vx86Semantics({machine.name: machine}))
-        keq.check_equivalence(points)
-        assert keq.last_proof is None
+        assert keq.check_equivalence(points).proof is None
 
     def test_failed_run_produces_no_proof(self):
         module = parse_module(LOOP)
@@ -92,25 +89,23 @@ class TestProofGeneration:
         )
         report = keq.check_equivalence(points)
         assert report.verdict is Verdict.NOT_VALIDATED
-        assert keq.last_proof is None
+        assert report.proof is None
 
     def test_proof_renders(self):
-        keq, _ = keq_with_proof(LOOP)
-        text = keq.last_proof.render()
+        text = report_with_proof(LOOP).proof.render()
         assert "equivalence proof" in text
         assert "obligations" in text
 
 
 class TestProofChecking:
     def test_valid_proof_rechecks(self):
-        keq, _ = keq_with_proof(LOOP)
-        outcome = ProofChecker().check(keq.last_proof)
+        proof = report_with_proof(LOOP).proof
+        outcome = ProofChecker().check(proof)
         assert outcome.ok, outcome.failures
-        assert outcome.obligations_checked == len(keq.last_proof.obligations)
+        assert outcome.obligations_checked == len(proof.obligations)
 
     def test_tampered_obligation_rejected(self):
-        keq, _ = keq_with_proof(LOOP)
-        proof = keq.last_proof
+        proof = report_with_proof(LOOP).proof
         x = t.bv_var("tamper", 8)
         bogus = Obligation(
             kind="constraint",

@@ -255,10 +255,3 @@ class TestSolverOptions:
                 KeqOptions(session_scope=scope)
             with pytest.raises(ValueError, match="session_scope"):
                 dataclasses.replace(KeqOptions(), session_scope=scope)
-
-    def test_portfolio_is_a_flag(self):
-        assert KeqOptions(portfolio=True).portfolio is True
-        # Widths were integers once, and 1 meant "off": refuse them all.
-        for width in (0, 1, 4):
-            with pytest.raises(TypeError):
-                KeqOptions(portfolio=width)

@@ -90,7 +90,7 @@ class TestHello:
         assert welcome["cache_dir"] == coordinator.prepared.manifest["cache_dir"]
         assert welcome["validate"] is None
         assert isinstance(welcome["imprecise"], list)
-        assert welcome["portfolio"] is False
+        assert "portfolio" not in welcome
 
     def test_unknown_type_is_an_error(self, coordinator):
         reply = coordinator.handle({"type": "frobnicate"})

@@ -12,10 +12,9 @@ recorded the fixture.
 The streams are generated here from seeds.  They cover incremental sessions
 under assumptions (duplicate and contradictory ones included), clauses and
 units added right after a SAT answer, ``reset_to_root`` and
-``reduce_learned``, ``inprocess()``, a range of ``SolverConfig`` variants
-(on the goal and on its reversed conjunction), conflict-budget slices,
-bit-blasted goals from the fuzz generator, VSIDS activity rescaling, and
-failed-literal probing.
+``reduce_learned``, ``inprocess()``, bit-blasted goals in both conjunction
+orders under doubling conflict-budget slices, bit-blasted goals from the
+fuzz generator, VSIDS activity rescaling, and failed-literal probing.
 
 Term serials order the operands of commutative operations, so the CNF of a
 bit-blasted goal depends on which terms the process interned before it.
@@ -41,7 +40,7 @@ import pytest
 from repro.fuzz.generator import TermGenerator
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
-from repro.smt.sat import SatResult, SatSolver, SolverConfig, Stats
+from repro.smt.sat import VAR_DECAY, SatResult, SatSolver, Stats
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "sat_trajectory.json"
 
@@ -182,26 +181,9 @@ def stream_inprocess(seed):
     return log
 
 
-#: ``(config, reversed_form)`` pairs: the defaults, phase, restart, seed and
-#: decay variants, each on the goal or on its reversed conjunction.
-CONFIGURATIONS = (
-    (SolverConfig(), False),
-    (SolverConfig(default_polarity=True), False),
-    (SolverConfig(restart_policy="geometric", restart_base=64), False),
-    (SolverConfig(), True),
-    (
-        SolverConfig(
-            default_polarity=True, restart_policy="geometric", activity_seed=2
-        ),
-        False,
-    ),
-    (SolverConfig(activity_seed=3, var_decay=0.9), False),
-    (SolverConfig(default_polarity=True, activity_seed=4), True),
-)
-
-
-def stream_portfolio_members(seed):
-    """Every configuration in ``CONFIGURATIONS`` on shared bit-blasted goals."""
+def stream_conjunction_order(seed):
+    """Shared bit-blasted goals, each as given and as its reversed
+    conjunction, under doubling conflict-budget slices."""
     goals = [
         t.and_(_miter(7, 0x5B), TermGenerator(seed).formula()),
         t.and_(
@@ -209,9 +191,9 @@ def stream_portfolio_members(seed):
         ),
     ]
     log = []
-    for config, reversed_form in CONFIGURATIONS:
+    for reversed_form in (False, True):
         for goal in goals:
-            solver = SatSolver(config)
+            solver = SatSolver()
             encoded = goal
             if reversed_form and goal.op == "and":
                 encoded = t.conj(list(reversed(goal.args)))
@@ -242,20 +224,20 @@ def stream_fuzz_goals(seed):
 
 
 def stream_rescale(seed):
-    """Enough conflicts at a low decay to rescale VSIDS activities."""
+    """Enough conflicts to pass the point where VSIDS activities rescale."""
     rng = random.Random(seed)
     log = []
-    solver = SatSolver(SolverConfig(var_decay=0.6))
-    for clause in _pigeonhole(7, 6):
+    solver = SatSolver()
+    for clause in _pigeonhole(8, 7):
         solver.add_clause(clause)
     _solve(log, solver)
     # Rescales with many variables unassigned: every one of them must stay
     # visible to branching.
-    solver = SatSolver(SolverConfig(var_decay=0.3, activity_seed=5))
-    nvars = 100
-    for _ in range(430):
+    solver = SatSolver()
+    nvars = 150
+    for _ in range(640):
         solver.add_clause(_random_clause(rng, nvars, 3))
-    for _ in range(8):
+    for _ in range(12):
         _solve(log, solver, _random_assumptions(rng, nvars, 2))
     return log
 
@@ -282,7 +264,7 @@ STREAMS = {
     "incremental": (stream_incremental, 11),
     "after_sat": (stream_after_sat, 12),
     "inprocess": (stream_inprocess, 13),
-    "portfolio_members": (stream_portfolio_members, 15),
+    "conjunction_order": (stream_conjunction_order, 15),
     "fuzz_goals": (stream_fuzz_goals, 16),
     "rescale": (stream_rescale, 17),
     "probe": (stream_probe, 18),
@@ -345,10 +327,12 @@ def test_fixture_covers_every_mechanism(recorded):
         "inprocessings",
     ):
         assert peak[counter] > 0, counter
-    # More conflicts than it takes var_inc to pass 1e100 at decay 0.6:
-    # activity rescaling must have run.
-    first = dict(zip(fields, recorded["rescale"][0]["stats"]))
-    assert first["conflicts"] > math.log(1e100) / math.log(1 / 0.6)
+    # More conflicts than it takes var_inc to pass 1e100 at the core's
+    # decay: activity rescaling must have run, both in the one-shot solve
+    # and in the session that solves under assumptions.
+    rescale = math.log(1e100) / math.log(1 / VAR_DECAY)
+    for entry in (recorded["rescale"][0], recorded["rescale"][-1]):
+        assert dict(zip(fields, entry["stats"]))["conflicts"] > rescale
 
 
 if __name__ == "__main__":

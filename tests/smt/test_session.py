@@ -188,6 +188,25 @@ class TestSessionCacheInterplay:
         if outcome is Result.UNKNOWN:
             assert cache.stats.stores == 0
 
+    def test_unknown_is_the_one_search_running_out_of_budget(self):
+        # x*0x5B equals its shift-add form for every x: UNSAT, so neither
+        # the witness search nor a one-conflict CDCL search can decide it.
+        x = bv("x")
+        shift_add = t.add(
+            t.add(x, t.shl(x, const(1))),
+            t.add(t.shl(x, const(3)), t.add(t.shl(x, const(4)), t.shl(x, const(6)))),
+        )
+        goal = t.ne(t.mul(x, const(0x5B)), shift_add)
+        starved = Solver(conflict_budget=1)
+        with starved.session() as session:
+            assert session.check(goal) is Result.UNKNOWN
+        stats = starved.stats
+        assert (stats.sat_calls, stats.unknowns) == (1, 1)
+        assert stats.sat_calls_sat == stats.sat_calls_unsat == 0
+        assert stats.conflicts == 1
+        # A fresh solver with the budget to finish proves it.
+        assert Solver().check_sat(goal) is Result.UNSAT
+
 
 class TestSyncPointRetraction:
     """Assumption sets ride per sync point; retracting one must fully

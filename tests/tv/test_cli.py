@@ -12,6 +12,20 @@ entry:
 }
 """
 
+LOOP = """
+define i32 @sum(i32 %n) {
+entry:
+  br label %head
+head:
+  %i = phi i32 [ 0, %entry ], [ %inc, %head ]
+  %inc = add i32 %i, 1
+  %c = icmp ult i32 %inc, %n
+  br i1 %c, label %head, label %done
+done:
+  ret i32 %i
+}
+"""
+
 WAW = """
 @b = external global [8 x i8]
 define void @foo() {
@@ -28,6 +42,13 @@ entry:
 def simple_file(tmp_path):
     path = tmp_path / "simple.ll"
     path.write_text(SIMPLE)
+    return str(path)
+
+
+@pytest.fixture
+def loop_file(tmp_path):
+    path = tmp_path / "loop.ll"
+    path.write_text(LOOP)
     return str(path)
 
 
@@ -55,24 +76,8 @@ class TestSingle:
     def test_explicit_function_name(self, simple_file):
         assert main(["single", simple_file, "--function", "f"]) == 0
 
-    def test_imprecise_liveness_flag(self, tmp_path, capsys):
-        path = tmp_path / "loop.ll"
-        path.write_text(
-            """
-define i32 @sum(i32 %n) {
-entry:
-  br label %head
-head:
-  %i = phi i32 [ 0, %entry ], [ %inc, %head ]
-  %inc = add i32 %i, 1
-  %c = icmp ult i32 %inc, %n
-  br i1 %c, label %head, label %done
-done:
-  ret i32 %i
-}
-"""
-        )
-        assert main(["single", str(path), "--imprecise-liveness"]) == 1
+    def test_imprecise_liveness_flag(self, loop_file, capsys):
+        assert main(["single", loop_file, "--imprecise-liveness"]) == 1
         assert "other" in capsys.readouterr().out
 
 
@@ -82,6 +87,16 @@ class TestProof:
         out = capsys.readouterr().out
         assert "equivalence proof" in out
         assert "proof re-check: ok=True" in out
+
+    def test_proof_flag_keeps_the_pipeline_options(self, loop_file, capsys):
+        # --proof must validate exactly as a plain run does: imprecise
+        # liveness still leaves the loop's points inadequate, and no proof
+        # is printed for a function that did not validate.
+        argv = ["single", loop_file, "--imprecise-liveness", "--proof"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "@sum: other (inadequate synchronization points)" in out
+        assert "equivalence proof" not in out
 
 
 class TestShow:
@@ -137,23 +152,6 @@ class TestCampaign:
 
 
 class TestPortfolioFlag:
-    def test_single_accepts_portfolio(self, simple_file, capsys):
-        assert main(["single", simple_file, "--portfolio"]) == 0
-        out = capsys.readouterr().out
-        assert "validated" in out
-
-    def test_campaign_run_accepts_portfolio(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign", "run", "--scale", "6", "--seed", "11",
-                    "--portfolio",
-                ]
-            )
-            == 0
-        )
-        assert "Succeeded" in capsys.readouterr().out
-
     def test_worker_recv_flags_parse(self):
         # Parse-only: the worker would dial out, so just build the parser
         # path far enough to see the attributes land.
@@ -168,22 +166,15 @@ class TestPortfolioFlag:
         assert args.recv_timeout == 2.5
         assert args.recv_retries == 5
 
-    def test_service_coordinate_accepts_portfolio(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        argv = ["service", "coordinate", "--dir", "camp", "--scale", "6"]
-        assert parser.parse_args(argv + ["--portfolio"]).portfolio is True
-        assert parser.parse_args(argv).portfolio is False
-
     def test_portfolio_takes_no_width_and_tuning_flags_are_gone(self):
-        # ``--portfolio`` is a switch now; old invocations that pass a
-        # width, an execution mode, a probe or a session scope must fail
-        # loudly instead of running something else.
+        # The portfolio escalation and its tuning flags are gone; old
+        # invocations must fail loudly (argparse exits 2) instead of
+        # running something else.
         from repro.cli import build_parser
 
         parser = build_parser()
         for extra in (
+            ["--portfolio"],
             ["--portfolio", "3"],
             ["--portfolio-mode", "threads"],
             ["--portfolio-probe", "64"],
@@ -192,6 +183,8 @@ class TestPortfolioFlag:
             for argv in (
                 ["single", "x.ll"],
                 ["campaign", "run", "--scale", "6"],
+                ["service", "coordinate", "--dir", "camp", "--scale", "6"],
             ):
-                with pytest.raises(SystemExit):
+                with pytest.raises(SystemExit) as exit_info:
                     parser.parse_args(argv + extra)
+                assert exit_info.value.code == 2
