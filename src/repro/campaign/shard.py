@@ -1,16 +1,12 @@
 """Deterministic corpus sharding (the campaign's partitioning layer).
 
 A shard is the unit of checkpointing, reporting, and (in a multi-host
-deployment) placement.  Two strategies are provided, both deterministic
-functions of the input list alone:
-
-- ``round_robin`` — group *i* lands on shard ``i % n``; trivially stable
-  and good enough when functions are cost-homogeneous;
-- ``size_balanced`` — longest-processing-time greedy assignment on the
-  group weights (descending weight, first-occurrence tie-break, lightest
-  shard wins, lowest index on ties), which keeps shard wall-clock roughly
-  even when the corpus mixes tiny straight-line functions with
-  diamond-heavy timeout candidates.
+deployment) placement.  Groups are assigned by longest-processing-time
+greedy on their weights (descending weight, first-occurrence tie-break,
+lightest shard wins, lowest index on ties), a deterministic function of
+the input list alone that keeps shard wall-clock roughly even when the
+corpus mixes tiny straight-line functions with diamond-heavy timeout
+candidates.
 
 Sharding is *dedup-class-aware*: callers tag each item with its
 alpha-equivalence group (see :mod:`repro.tv.dedup`) and every member of a
@@ -21,8 +17,6 @@ duplicates replayed from its outcome never straddle a shard boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-STRATEGIES = ("round_robin", "size_balanced")
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class ShardPlan:
     shards: list[list[str]] = field(default_factory=list)
     #: every input name -> its shard index.
     assignment: dict[str, int] = field(default_factory=dict)
-    strategy: str = "size_balanced"
 
     @property
     def n_shards(self) -> int:
@@ -72,18 +65,10 @@ def _grouped(items: list[ShardItem]) -> list[tuple[str, list[ShardItem], int]]:
     ]
 
 
-def plan_shards(
-    items: list[ShardItem],
-    n_shards: int,
-    strategy: str = "size_balanced",
-) -> ShardPlan:
+def plan_shards(items: list[ShardItem], n_shards: int) -> ShardPlan:
     """Partition ``items`` into ``n_shards`` deterministic shards."""
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r} (expected one of {STRATEGIES})"
-        )
     seen: set[str] = set()
     for item in items:
         if item.name in seen:
@@ -91,22 +76,16 @@ def plan_shards(
         seen.add(item.name)
     n_shards = max(1, min(n_shards, len(items) or 1))
     groups = _grouped(items)
-    plan = ShardPlan(shards=[[] for _ in range(n_shards)], strategy=strategy)
-    #: group index -> shard index, decided per strategy below.
+    plan = ShardPlan(shards=[[] for _ in range(n_shards)])
+    #: group index -> shard index (LPT greedy on group weights).
     placement: dict[int, int] = {}
-    if strategy == "round_robin":
-        for index in range(len(groups)):
-            placement[index] = index % n_shards
-    else:  # size_balanced: LPT greedy on group weights
-        loads = [0] * n_shards
-        by_weight = sorted(
-            range(len(groups)), key=lambda i: (-groups[i][2], i)
-        )
-        for index in by_weight:
-            target = min(range(n_shards), key=lambda s: (loads[s], s))
-            placement[index] = target
-            loads[target] += groups[index][2]
-    # Emit names in input order within each shard, whatever the strategy.
+    loads = [0] * n_shards
+    by_weight = sorted(range(len(groups)), key=lambda i: (-groups[i][2], i))
+    for index in by_weight:
+        target = min(range(n_shards), key=lambda s: (loads[s], s))
+        placement[index] = target
+        loads[target] += groups[index][2]
+    # Emit names in input order within each shard.
     for index, (_, members, _) in enumerate(groups):
         shard = placement[index]
         for member in members:

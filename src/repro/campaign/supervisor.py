@@ -78,7 +78,6 @@ class CampaignConfig:
     #: shared persistent query cache; None = ``<directory>/cache``.
     cache_dir: str | None = None
     dedup: bool = True
-    strategy: str = "size_balanced"
     #: worker deaths per function before quarantine (poison-pill rule).
     max_kills: int = 2
     #: base of the exponential re-queue backoff after a worker death.
@@ -219,7 +218,7 @@ def prepare_campaign(
         )
         for name in names
     ]
-    shard_plan = plan_shards(items, config.shards, config.strategy)
+    shard_plan = plan_shards(items, config.shards)
     cache_dir = config.cache_dir or os.path.join(directory, "cache")
     manifest = {
         "version": JOURNAL_VERSION,
@@ -229,7 +228,6 @@ def prepare_campaign(
         "jobs": config.jobs,
         "cache_dir": cache_dir,
         "dedup": config.dedup,
-        "strategy": config.strategy,
         "max_kills": config.max_kills,
         "backoff_seconds": config.backoff_seconds,
         "halt_on_worker_death": config.halt_on_worker_death,

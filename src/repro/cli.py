@@ -48,7 +48,7 @@ def _isel_options(args) -> IselOptions:
     return IselOptions(
         merge_stores=args.merge_stores,
         narrow_loads=args.narrow_loads,
-        mul_decompose=getattr(args, "mul_decompose", False),
+        mul_decompose=args.mul_decompose,
         bug=bug,
     )
 
@@ -58,10 +58,10 @@ def _tv_options(args) -> TvOptions:
         isel=_isel_options(args),
         keq=KeqOptions(
             max_steps=args.max_steps,
-            incremental_solving=not getattr(args, "no_incremental", False),
+            incremental_solving=not args.no_incremental,
         ),
         imprecise_liveness=args.imprecise_liveness,
-        target=getattr(args, "target", DEFAULT_TARGET),
+        target=args.target,
     )
 
 
@@ -98,7 +98,7 @@ def cmd_single(args) -> int:
 def cmd_show(args) -> int:
     module = parse_module(open(args.file).read())
     function = _pick_function(module, args.function)
-    target = get_target(getattr(args, "target", DEFAULT_TARGET))
+    target = get_target(args.target)
     machine, hints = target.select_function(
         module, function, _isel_options(args)
     )
@@ -175,7 +175,6 @@ def cmd_campaign_run(args) -> int:
         jobs=jobs,
         cache_dir=args.cache_dir,
         dedup=not args.no_dedup,
-        strategy=args.strategy,
         halt_on_worker_death=args.halt_on_worker_death,
         validate=_campaign_injection(args),
         incremental=not args.no_incremental,
@@ -233,7 +232,6 @@ def cmd_service_coordinate(args) -> int:
         jobs=args.jobs if args.jobs is not None else 1,
         cache_dir=args.cache_dir,
         dedup=not args.no_dedup,
-        strategy=args.strategy,
         target=args.target,
     )
     service = ServiceConfig(
@@ -349,38 +347,39 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"target ISA to validate against (default: {DEFAULT_TARGET})",
         )
 
-    def add_common(p):
+    def add_selection(p):
+        """The flags ``show`` reads: which function, ISel and liveness."""
         p.add_argument("--function", help="function name (default: the only one)")
         _add_target(p)
         p.add_argument("--merge-stores", action="store_true")
         p.add_argument("--narrow-loads", action="store_true")
         p.add_argument("--bug", choices=["waw", "narrow"])
         p.add_argument("--imprecise-liveness", action="store_true")
-        p.add_argument("--max-steps", type=int, default=4000)
         p.add_argument(
             "--mul-decompose",
             action="store_true",
             help="ISel: lower small multiply-by-constant to shift/add",
         )
-        p.add_argument(
-            "--no-incremental",
-            action="store_true",
-            help="disable assumption-based incremental solving",
-        )
-        p.add_argument(
-            "--proof",
-            action="store_true",
-            help="record and re-check a machine-checkable equivalence proof",
-        )
 
     single = sub.add_parser("single", help="validate one function")
     single.add_argument("file")
-    add_common(single)
+    add_selection(single)
+    single.add_argument("--max-steps", type=int, default=4000)
+    single.add_argument(
+        "--no-incremental",
+        action="store_true",
+        help="disable assumption-based incremental solving",
+    )
+    single.add_argument(
+        "--proof",
+        action="store_true",
+        help="record and re-check a machine-checkable equivalence proof",
+    )
     single.set_defaults(run=cmd_single)
 
     show = sub.add_parser("show", help="print ISel output and sync points")
     show.add_argument("file")
-    add_common(show)
+    add_selection(show)
     show.set_defaults(run=cmd_show)
 
     campaign = sub.add_parser(
@@ -422,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="number of shards for a --dir campaign (default: 2)",
-    )
-    run.add_argument(
-        "--strategy",
-        choices=["round_robin", "size_balanced"],
-        default="size_balanced",
-        help="shard assignment strategy (default: size_balanced)",
     )
     run.add_argument(
         "--no-dedup",
@@ -503,11 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recorded in the manifest for single-host resume (default: 1)",
     )
     coordinate.add_argument("--cache-dir", default=None)
-    coordinate.add_argument(
-        "--strategy",
-        choices=["round_robin", "size_balanced"],
-        default="size_balanced",
-    )
     coordinate.add_argument("--no-dedup", action="store_true")
     coordinate.add_argument("--host", default="127.0.0.1")
     coordinate.add_argument(

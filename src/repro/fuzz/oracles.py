@@ -404,21 +404,21 @@ def _incremental_disagreement(witnesses: tuple[Term, ...]) -> str | None:
     """Session-based checks vs fresh per-query solving on a shared prefix.
 
     The first witness is the shared prefix; the rest are per-check deltas.
-    Every delta is decided twice — through one live session carrying the
-    prefix as its assumption set, and by a fresh solver on the plain
-    conjunction — and the verdicts must agree.  SAT verdicts are further
-    confirmed by replaying the session's model through the reference
-    interpreter (learned-clause leakage between checks would surface here
-    as either a flipped verdict or an unsatisfying model).
+    Every delta is decided twice — through one live session that passes
+    the prefix as each check's assumption, and by a fresh solver on the
+    plain conjunction — and the verdicts must agree.  SAT verdicts are
+    further confirmed by replaying the session's model through the
+    reference interpreter (learned-clause leakage between checks would
+    surface here as either a flipped verdict or an unsatisfying model).
     """
     prefix, *deltas = witnesses
     session_solver = Solver(conflict_budget=ORACLE_BUDGET)
-    with session_solver.session([prefix]) as session:
+    with session_solver.session() as session:
         for index, delta in enumerate(deltas):
             fresh = Solver(conflict_budget=ORACLE_BUDGET).check_sat(
                 t.and_(prefix, delta)
             )
-            incremental = session.check(delta)
+            incremental = session.check(delta, [prefix])
             if Result.UNKNOWN in (fresh, incremental):
                 continue  # budget exhaustion is not a soundness defect
             if fresh is not incremental:
@@ -427,7 +427,7 @@ def _incremental_disagreement(witnesses: tuple[Term, ...]) -> str | None:
                     f"{incremental.value} (delta = {to_str(delta)})"
                 )
             if incremental is Result.SAT:
-                confirm = session.check(delta, need_model=True)
+                confirm = session.check(delta, [prefix], need_model=True)
                 if confirm is not Result.SAT:
                     return (
                         f"delta {index}: session flipped to {confirm.value} "

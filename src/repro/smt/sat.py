@@ -17,19 +17,13 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   pseudo-decisions at successive levels, so everything a call learns is
   implied by the clause database alone and is safe to keep when a later
   call drops an assumption;
-- final-conflict analysis: an UNSAT answer under assumptions leaves an
-  *unsat core* (the subset of assumptions the refutation used) in
-  :attr:`SatSolver.core`;
 - a conflict budget so callers can emulate the paper's per-function
   timeouts deterministically;
 - a bounded learned-clause store: learned clauses carry an LBD (literal
   block distance) and :meth:`SatSolver.reduce_learned` evicts the weakest
-  ones so long-lived incremental sessions keep flat memory;
-- bounded *inprocessing* (:meth:`SatSolver.inprocess`): clause
-  subsumption, self-subsuming resolution, and failed-literal probing run
-  under a propagation budget between incremental solve calls, so the
-  retained clause database gets smaller and stronger instead of merely
-  larger.
+  ones; :meth:`SatSolver.inprocess` first drops what the root assignment
+  decides, then evicts, so long-lived incremental sessions keep flat
+  memory.
 
 The public interface speaks DIMACS: variables are positive integers and a
 negated literal is the negated integer.  Inside the solver a literal is a
@@ -37,7 +31,7 @@ negated literal is the negated integer.  Inside the solver a literal is a
 ``code ^ 1`` and every per-literal table (values, watch lists) is a flat
 list indexed by code.  The layout is chosen for CPython's interpreter
 overhead; the search it runs (every decision, propagation order, learned
-clause, counter, core and model) is pinned by the trajectory-lock test.
+clause, counter and model) is pinned by the trajectory-lock test.
 """
 
 from __future__ import annotations
@@ -107,14 +101,6 @@ class Stats:
     solve_calls: int = 0
     #: learned clauses evicted by :meth:`SatSolver.reduce_learned`
     evicted: int = 0
-    #: clauses removed because another clause subsumes them
-    subsumed: int = 0
-    #: literals removed by self-subsuming resolution
-    strengthened: int = 0
-    #: root units derived by failed-literal probing
-    probe_failed: int = 0
-    #: :meth:`SatSolver.inprocess` passes that actually ran
-    inprocessings: int = 0
 
 
 class _Clause:
@@ -165,10 +151,6 @@ class SatSolver:
         #: level (e.g. a caller encoding a new goal right after a SAT
         #: answer); flushed at the next root visit so no constraint is lost.
         self._pending_units: list[int] = []
-        #: after an UNSAT answer: the subset of the call's assumptions the
-        #: refutation actually used (empty when the clause set itself is
-        #: unsatisfiable).  None after SAT/UNKNOWN.
-        self.core: list[int] | None = None
         self.stats = Stats()
 
     # -- problem construction ------------------------------------------------
@@ -327,7 +309,7 @@ class SatSolver:
 
         Only valid when every in-database clause has its first two literals
         unassigned at the root (guaranteed after :meth:`_simplify_db`, and
-        preserved by clause deletion/strengthening at the root level).
+        preserved by clause deletion at the root level).
         Every removal of clauses ends here, so the learned count is
         recounted too.
         """
@@ -378,159 +360,27 @@ class SatSolver:
         if self._ok and self._propagate() is not None:
             self._ok = False
 
-    def inprocess(self, propagation_budget: int = 20_000) -> None:
-        """Bounded inprocessing between incremental solve calls.
+    def inprocess(self, cap: int) -> int:
+        """Session maintenance between incremental solve calls.
 
-        Runs, in order and under one shared budget: database
-        simplification against root facts, clause subsumption with
-        self-subsuming resolution, and failed-literal probing.  Every
-        derived fact is implied by the clause database alone, so the pass
-        is sound for later solves under any assumptions.  Deterministic:
-        candidate orders are value-based, never id()- or hash-ordered.
+        At the root, drops root-satisfied clauses and root-falsified
+        literals (:meth:`_simplify_db`), then evicts learned clauses down
+        to ``cap`` (:meth:`reduce_learned`).  Root units are permanent and
+        learned clauses are implied by the rest of the database, so the
+        pass is sound for later solves under any assumptions.  Returns the
+        number evicted.
         """
         if not self._ok:
-            return
+            return 0
         self._backtrack(0)
         self._flush_pending_units()
         if not self._ok:
-            return
+            return 0
         if self._propagate() is not None:
             self._ok = False
-            return
-        self.stats.inprocessings += 1
+            return 0
         self._simplify_db()
-        if not self._ok:
-            return
-        remaining = self._subsume(propagation_budget)
-        if not self._ok:
-            return
-        self._probe_failed_literals(remaining)
-
-    #: clauses longer than this are invisible to the subsumption pass
-    _SUBSUME_MAX_LEN = 24
-
-    def _subsume(self, budget: int) -> int:
-        """Subsumption and self-subsuming resolution over short clauses.
-
-        For each clause C (shortest first): any clause D ⊇ C is deleted,
-        and any D containing all of C but with one literal negated is
-        strengthened by removing that literal (the resolvent of C and D
-        subsumes D).  Each subset test costs one budget unit; returns the
-        unspent budget.  Clauses are addressed by their index in the
-        candidate list, and each keeps a literal set in step with its
-        literal list.
-        """
-        short = [
-            clause
-            for clause in self._clauses
-            if len(clause.lits) <= self._SUBSUME_MAX_LEN
-        ]
-        lit_sets = [set(clause.lits) for clause in short]
-        occurrences: dict[int, list[int]] = {}
-        signatures: list[int] = []
-        for index, clause in enumerate(short):
-            signature = 0
-            for code in clause.lits:
-                signature |= 1 << ((code >> 1) & 63)
-                occurrences.setdefault(code, []).append(index)
-            signatures.append(signature)
-        removed = [False] * len(short)
-        stats = self.stats
-        changed = False
-        for index in sorted(range(len(short)), key=lambda i: len(short[i].lits)):
-            if budget <= 0:
-                break
-            if removed[index]:
-                continue
-            lits = short[index].lits
-            lit_set = lit_sets[index]
-            signature = signatures[index]
-            pivot = min(lits, key=lambda code: len(occurrences[code]))
-            for other in occurrences[pivot]:
-                if budget <= 0:
-                    break
-                if other == index or removed[other]:
-                    continue
-                if len(short[other].lits) < len(lits):
-                    continue
-                if signature & ~signatures[other]:
-                    continue
-                budget -= 1
-                if lit_set <= lit_sets[other]:
-                    removed[other] = True
-                    stats.subsumed += 1
-            for code in lits:
-                if budget <= 0:
-                    break
-                negated = code ^ 1
-                rest = lit_set - {code}
-                for other in occurrences.get(negated, ()):
-                    if budget <= 0:
-                        break
-                    if other == index or removed[other]:
-                        continue
-                    other_lits = short[other].lits
-                    if len(other_lits) < len(lits):
-                        continue
-                    if signature & ~signatures[other]:
-                        continue
-                    budget -= 1
-                    other_set = lit_sets[other]
-                    if negated in other_set and rest <= other_set:
-                        other_lits.remove(negated)
-                        other_set.discard(negated)
-                        stats.strengthened += 1
-                        changed = True
-                        if len(other_lits) == 1:
-                            self._pending_units.append(other_lits[0])
-                            removed[other] = True
-        if changed or any(removed):
-            gone = {clause for clause, dead in zip(short, removed) if dead}
-            self._clauses = [clause for clause in self._clauses if clause not in gone]
-            self._rebuild_watches()
-        self._flush_pending_units()
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-        return budget
-
-    def _probe_failed_literals(self, budget: int) -> None:
-        """Probe high-activity variables for failed literals.
-
-        Assuming a literal and propagating to a conflict proves its
-        negation at the root.  Propagations count against the budget.
-        """
-        if budget <= 0 or not self._ok:
-            return
-        activity = self._activity
-        values = self._values
-        candidates = sorted(
-            range(1, self._num_vars + 1),
-            key=lambda var: (-activity[var], var),
-        )[:64]
-        for var in candidates:
-            if budget <= 0 or not self._ok:
-                return
-            if values[var << 1] != UNASSIGNED:
-                continue
-            for code in (var << 1, (var << 1) | 1):
-                if budget <= 0:
-                    return
-                if values[var << 1] != UNASSIGNED:
-                    break
-                self._trail_lim.append(len(self._trail))
-                self._assign(code, None)
-                before = self.stats.propagations
-                conflict = self._propagate()
-                budget -= self.stats.propagations - before + 1
-                self._backtrack(0)
-                if conflict is not None:
-                    self.stats.probe_failed += 1
-                    if not self._enqueue_root(code ^ 1):
-                        self._ok = False
-                        return
-                    if self._propagate() is not None:
-                        self._ok = False
-                        return
+        return self.reduce_learned(cap)
 
     def _flush_pending_units(self) -> None:
         while self._pending_units:
@@ -758,50 +608,6 @@ class SatSolver:
                     seen.add(other >> 1)
         return learned
 
-    def _analyze_final(self, conflict: _Clause, assumed: set[int]) -> list[int]:
-        """Final-conflict analysis (MiniSat's ``analyzeFinal``).
-
-        Resolves a conflict inside the assumption prefix back to the
-        assumptions it depends on.  Reason-less literals that are *not*
-        assumptions are root-implied learned units parked at an assumption
-        level — implied by the clause database alone, hence not in the core.
-        """
-        level = self._level
-        seeds = [code >> 1 for code in conflict.lits if level[code >> 1] > 0]
-        return self._trace_core(seeds, assumed)
-
-    def _analyze_final_lit(self, code: int, assumed: set[int]) -> list[int]:
-        """Core for an assumption whose negation is already on the trail."""
-        core = [_dimacs(code)] if code in assumed else []
-        if self._level[code >> 1] == 0:
-            return core
-        return core + self._trace_core([code >> 1], assumed)
-
-    def _trace_core(self, seeds: list[int], assumed: set[int]) -> list[int]:
-        """The assumptions (DIMACS, in assumption order) the seed
-        variables' assignments depend on."""
-        level = self._level
-        reason = self._reason
-        seen = set(seeds)
-        core: list[int] = []
-        for code in reversed(self._trail):
-            if not seen:
-                break
-            var = code >> 1
-            if var not in seen:
-                continue
-            seen.discard(var)
-            clause = reason[var]
-            if clause is None:
-                if code in assumed:
-                    core.append(_dimacs(code))
-                continue
-            for other in clause.lits:
-                if other != code and level[other >> 1] > 0:
-                    seen.add(other >> 1)
-        core.reverse()  # assumption order, for deterministic reporting
-        return core
-
     def _backtrack(self, level: int) -> None:
         trail_lim = self._trail_lim
         if len(trail_lim) <= level:
@@ -890,29 +696,21 @@ class SatSolver:
 
         ``conflict_budget`` bounds the number of conflicts before giving up
         with :data:`SatResult.UNKNOWN` (deterministic timeout emulation).
-
-        On UNSAT, :attr:`core` holds the subset of ``assumptions`` the
-        refutation used (empty when the clause set alone is unsatisfiable);
-        on SAT/UNKNOWN it is None.
         """
         stats = self.stats
         stats.solve_calls += 1
-        self.core = None
         codes = [_code(lit) for lit in assumptions or ()]
         assumed = set(codes)
         prefix = len(codes)
         if not self._ok:
-            self.core = []
             return SatResult.UNSAT
         self._backtrack(0)
         self._flush_pending_units()
         if not self._ok:
-            self.core = []
             return SatResult.UNSAT
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
-            self.core = []
             return SatResult.UNSAT
         values = self._values
         trail = self._trail
@@ -932,7 +730,6 @@ class SatSolver:
                         self._backtrack(0)
                         return SatResult.UNKNOWN
                 if not trail_lim:
-                    self.core = []
                     return SatResult.UNSAT
                 if len(trail_lim) <= prefix:
                     # Conflict inside the assumption prefix: the clause set
@@ -946,7 +743,6 @@ class SatSolver:
                     prefix_clause = self._analyze_prefix(conflict, assumed)
                     if prefix_clause:
                         self._store_learned(prefix_clause)
-                    self.core = self._analyze_final(conflict, assumed)
                     self._backtrack(0)
                     return SatResult.UNSAT
                 learned, backjump = self._analyze(conflict)
@@ -962,7 +758,6 @@ class SatSolver:
                         self._pending_units.append(code)
                     value = values[code]
                     if value == FALSE:
-                        self.core = self._analyze_final_lit(code, assumed)
                         self._backtrack(0)
                         return SatResult.UNSAT
                     if value == UNASSIGNED:
@@ -987,8 +782,7 @@ class SatSolver:
                 if value == FALSE:
                     # An earlier assignment (root fact, or a consequence of
                     # the assumptions already applied) falsifies this
-                    # assumption: its negation's derivation is the core.
-                    self.core = self._analyze_final_lit(code, assumed)
+                    # assumption.
                     self._backtrack(0)
                     return SatResult.UNSAT
                 trail_lim.append(len(trail))

@@ -77,14 +77,8 @@ class QueryStats:
     clauses_reused: int = 0
     #: Tseitin encodings served from the session blaster's per-term cache
     encode_cache_hits: int = 0
-    #: clauses deleted by the inprocessing subsumption pass
-    clauses_subsumed: int = 0
-    #: literals removed by self-subsuming resolution
-    clauses_strengthened: int = 0
     #: learned clauses evicted by the bounded store (memory cap)
     clauses_evicted: int = 0
-    #: root units derived by failed-literal probing
-    probe_failed_literals: int = 0
     cache_hits: int = 0  # answered by the shared QueryCache
     cache_misses: int = 0
     #: memo/cache entries that held the answer but could not serve the query
@@ -772,16 +766,16 @@ class Solver:
 
     # -- incremental sessions ----------------------------------------------------
 
-    def session(self, assumptions: Iterable[Term] = ()) -> "SolverSession":
-        """Open an incremental session sharing ``assumptions`` across checks.
+    def session(self) -> "SolverSession":
+        """Open an incremental session.
 
-        All goals checked through the session are decided *under* the
-        assumption conjuncts; the SAT solver, Tseitin encodings, learned
-        clauses, and VSIDS activity persist across checks, so obligations
-        sharing a fat prefix (KEQ's per-sync-point queries) amortize both
-        the bit-blasting and the search.  Usable as a context manager.
+        Each check passes its assumption conjuncts explicitly; the SAT
+        solver, Tseitin encodings, learned clauses, and VSIDS activity
+        persist across checks, so obligations sharing a fat prefix (KEQ's
+        per-sync-point queries) amortize both the bit-blasting and the
+        search.  Usable as a context manager.
         """
-        return SolverSession(self, assumptions)
+        return SolverSession(self)
 
 
 #: per-process memo of canonical term printings used to order assumptions
@@ -816,12 +810,11 @@ class SolverSession:
 
     The session keeps one :class:`~repro.smt.sat.SatSolver` and one
     :class:`~repro.smt.bitblast.BitBlaster` alive across :meth:`check`
-    calls.  Shared conjuncts (the session's base ``assumptions`` plus any
-    per-check ``assumptions``) are encoded once — their Tseitin gate
-    literals double as MiniSat-style *indicator literals* — and every check
-    solves under those literals as assumptions, so nothing checked here
-    ever poisons the clause database: learned clauses are implied by the
-    gate definitions and valid lemmas alone.
+    calls.  Each check's ``assumptions`` are encoded once — their Tseitin
+    gate literals double as MiniSat-style *indicator literals* — and every
+    check solves under those literals as assumptions, so nothing checked
+    here ever poisons the clause database: learned clauses are implied by
+    the gate definitions and valid lemmas alone.
 
     Soundness with the fresh path: each check first consults the same
     memo/cache/witness/skeleton fast paths as :meth:`Solver.check_sat`,
@@ -829,25 +822,17 @@ class SolverSession:
     decided results are stored back under that same key — the cached and
     incremental paths answer from one namespace.
 
-    ``last_core`` holds, after an UNSAT check, the subset of assumption
-    *terms* the refutation used (session base + per-check), mapped back
-    from the SAT-level unsat core.
-
-    Between checks that reach the SAT solver the session runs bounded
-    upkeep: when the learned store exceeds :attr:`MAX_LEARNED` the weakest
-    half is evicted (LBD/size order), and every :attr:`INPROCESS_EVERY`
-    checks the clause database is subsumed, strengthened, and probed under
-    :attr:`INPROCESS_BUDGET` propagations — memory stays flat while the
-    retained clauses get stronger.
+    Before a check that reaches the SAT solver, a learned store past
+    :attr:`MAX_LEARNED` clauses gets one maintenance pass
+    (:meth:`~repro.smt.sat.SatSolver.inprocess`): root-decided clauses and
+    literals go, then the weakest learned clauses (LBD/size order) down to
+    half the cap, so memory stays flat.
     """
 
     MAX_LEARNED = 4000
-    INPROCESS_EVERY = 16
-    INPROCESS_BUDGET = 20_000
 
-    def __init__(self, solver: Solver, assumptions: Iterable[Term] = ()):
+    def __init__(self, solver: Solver):
         self.solver = solver
-        self._base: list[Term] = list(assumptions)
         #: created by the first check that reaches the SAT solver
         self._sat: SatSolver | None = None
         self._blaster: BitBlaster | None = None
@@ -855,9 +840,6 @@ class SolverSession:
         self._assume_lits: dict[Term, int] = {}
         #: valid lemma conjunctions already asserted permanently
         self._lemmas_asserted: set[Term] = set()
-        #: upkeep rounds run so far (one per SAT-reaching check but the first)
-        self._upkeeps = 0
-        self.last_core: list[Term] | None = None
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -872,38 +854,16 @@ class SolverSession:
             self._assume_lits[term] = lit
         return lit
 
-    def _upkeep(self, sat_solver: SatSolver) -> None:
-        """Bounded upkeep (see the class docstring), tallied into the
-        solver's stats."""
-        sat_stats = sat_solver.stats
-        before = (
-            sat_stats.subsumed,
-            sat_stats.strengthened,
-            sat_stats.evicted,
-            sat_stats.probe_failed,
-        )
-        self._upkeeps += 1
-        if sat_solver.num_learned > self.MAX_LEARNED:
-            sat_solver.reset_to_root()
-            sat_solver.reduce_learned(self.MAX_LEARNED // 2)
-        if self._upkeeps % self.INPROCESS_EVERY == 0:
-            sat_solver.inprocess(self.INPROCESS_BUDGET)
-        stats = self.solver.stats
-        stats.clauses_subsumed += sat_stats.subsumed - before[0]
-        stats.clauses_strengthened += sat_stats.strengthened - before[1]
-        stats.clauses_evicted += sat_stats.evicted - before[2]
-        stats.probe_failed_literals += sat_stats.probe_failed - before[3]
-
     def check(
         self,
         delta: Term,
         assumptions: Iterable[Term] = (),
         need_model: bool = False,
     ) -> Result:
-        """Decide SAT(base ∧ assumptions ∧ delta) incrementally.
+        """Decide SAT(assumptions ∧ delta) incrementally.
 
         Semantically identical to
-        ``solver.check_sat(t.conj([*base, *assumptions, delta]))`` — same
+        ``solver.check_sat(t.conj([*assumptions, delta]))`` — same
         result, same cache keys — but reuses the session's SAT state.  On
         SAT with ``need_model=True``, ``solver.last_model`` reads through
         the session blaster (valid until the next check).
@@ -914,25 +874,23 @@ class SolverSession:
         stats.queries += 1
         stats.incremental_checks += 1
         solver.last_model = None
-        self.last_core = None
         # Canonical assumption order: permutations of the same assumption
         # set must produce one combined term (one memo/cache key) and one
         # SAT-level decision order.
-        ordered = canonical_assumption_order([*self._base, *assumptions])
+        ordered = canonical_assumption_order(assumptions)
         combined = simplify(t.conj([*ordered, delta]))
         fast = solver._try_fast_paths(combined, need_model, started)
         if fast is not None:
             return fast
-        # Bounded upkeep runs *before* this check's encoding: it must never
-        # sit between the solve and the model/unsat-core extraction below,
-        # which read the same blaster and indicator-literal table the solve
-        # used.
+        # Maintenance runs *before* this check's encoding: it must never sit
+        # between the solve and the model extraction below, which reads the
+        # same blaster the solve used.
         sat_solver = self._sat
         if sat_solver is None:
             sat_solver = self._sat = SatSolver()
             self._blaster = BitBlaster(sat_solver)
-        else:
-            self._upkeep(sat_solver)
+        elif sat_solver.num_learned > self.MAX_LEARNED:
+            stats.clauses_evicted += sat_solver.inprocess(self.MAX_LEARNED // 2)
         blaster = self._blaster
         sat_solver.reset_to_root()
         # Theory lemmas for the combined goal are *valid*, so they may be
@@ -976,12 +934,6 @@ class SolverSession:
             return Result.SAT
         if outcome is SatResult.UNSAT:
             stats.sat_calls_unsat += 1
-            core_lits = set(sat_solver.core or ())
-            self.last_core = [
-                term
-                for term in dict.fromkeys([*ordered, delta])
-                if self._assume_lits.get(term) in core_lits
-            ]
             solver._memo[combined] = Result.UNSAT
             return Result.UNSAT
         stats.unknowns += 1

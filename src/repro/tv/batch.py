@@ -132,10 +132,7 @@ def solver_counter_lines(stats: QueryStats) -> list[str]:
         lines.append(
             f"session: checks={stats.incremental_checks}"
             f" clauses_reused={stats.clauses_reused}"
-            f" subsumed={stats.clauses_subsumed}"
-            f" strengthened={stats.clauses_strengthened}"
             f" evicted={stats.clauses_evicted}"
-            f" probe_failed_literals={stats.probe_failed_literals}"
         )
     return lines
 

@@ -13,6 +13,10 @@ The portfolio escalation was a flag in between and is gone now: a manifest
 whose portfolio is missing, ``false`` or the width ``1`` resumes, and
 anything else is refused, because the remaining functions would not be
 decided as the uninterrupted run decided them.
+
+The manifest's ``strategy`` key (``round_robin`` or ``size_balanced``
+sharding) is gone too.  Resume reads the recorded ``shard_lists``, never
+the strategy, so the fixture, which still carries the key, resumes.
 """
 
 import json
@@ -94,6 +98,14 @@ class TestRefusedSettings:
         directory = legacy_copy(tmp_path, **{field: value})
         with pytest.raises(CampaignError, match=f"field '{field}'"):
             serve_campaign(directory, service=ServiceConfig(port=0))
+
+
+class TestShardStrategyKey:
+    def test_new_manifest_has_no_strategy_key(self, tmp_path):
+        directory = tmp_path / "camp"
+        prepare_campaign(str(directory), CampaignConfig(scale=4))
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "strategy" not in manifest
 
 
 class TestBooleanFlag:

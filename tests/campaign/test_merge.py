@@ -191,10 +191,7 @@ class TestSolverCounterLines:
             queries=9,
             incremental_checks=7,
             clauses_reused=5,
-            clauses_subsumed=4,
-            clauses_strengthened=3,
             clauses_evicted=2,
-            probe_failed_literals=1,
         )
         state = journal_state(
             tmp_path,
@@ -211,6 +208,5 @@ class TestSolverCounterLines:
         summary = merge_campaign(MANIFEST, state).batch.summary()
         status = build_status(MANIFEST, state).render()
         assert counter_lines(summary) == counter_lines(status) == [
-            "session: checks=28 clauses_reused=20 subsumed=16 strengthened=12"
-            " evicted=8 probe_failed_literals=4",
+            "session: checks=28 clauses_reused=20 evicted=8",
         ]

@@ -1,4 +1,4 @@
-"""Sharding strategies: determinism, balance, and dedup-class cohesion."""
+"""Sharding: determinism, balance, and dedup-class cohesion."""
 
 import pytest
 
@@ -14,23 +14,10 @@ def items(*names, weights=None, groups=None):
     ]
 
 
-class TestRoundRobin:
-    def test_cycles_over_shards(self):
-        plan = plan_shards(items("a", "b", "c", "d", "e"), 2, "round_robin")
-        assert plan.shards == [["a", "c", "e"], ["b", "d"]]
-        assert plan.shard_of("d") == 1
-
-    def test_single_shard(self):
-        plan = plan_shards(items("a", "b"), 1, "round_robin")
-        assert plan.shards == [["a", "b"]]
-
-
 class TestSizeBalanced:
     def test_heavy_item_isolated(self):
         plan = plan_shards(
-            items("big", "s1", "s2", "s3", weights=[10, 1, 1, 1]),
-            2,
-            "size_balanced",
+            items("big", "s1", "s2", "s3", weights=[10, 1, 1, 1]), 2
         )
         # LPT: the weight-10 item fills one shard, the three light ones
         # balance onto the other.
@@ -41,8 +28,8 @@ class TestSizeBalanced:
 
     def test_deterministic(self):
         batch = items("a", "b", "c", "d", "e", weights=[3, 1, 4, 1, 5])
-        first = plan_shards(batch, 3, "size_balanced")
-        second = plan_shards(batch, 3, "size_balanced")
+        first = plan_shards(batch, 3)
+        second = plan_shards(batch, 3)
         assert first.shards == second.shards
         assert first.assignment == second.assignment
 
@@ -55,7 +42,6 @@ class TestGroupCohesion:
                 groups=["g", None, "g", None, "g"],
             ),
             2,
-            "round_robin",
         )
         assert (
             plan.shard_of("rep")
@@ -71,7 +57,6 @@ class TestGroupCohesion:
                 groups=["g", "g", "g", None],
             ),
             2,
-            "size_balanced",
         )
         # The group (weight 9) and the single weight-9 item each take a
         # shard of their own.
@@ -80,10 +65,6 @@ class TestGroupCohesion:
 
 
 class TestValidation:
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            plan_shards(items("a"), 1, "alphabetical")
-
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
             plan_shards(items("a", "a"), 1)

@@ -150,8 +150,8 @@ class TestOraclesCatchInjectedBugs:
         class LyingSessionSolver(Solver):
             """Sessions flip UNSAT deltas to SAT; fresh solving is honest."""
 
-            def session(self, assumptions=()):
-                real = super().session(assumptions)
+            def session(self):
+                real = super().session()
 
                 class LyingSession:
                     def __enter__(self):

@@ -25,26 +25,15 @@ from repro.imp import (
 )
 from repro.imp.stackm import StackProgram, StackVerifyError
 from repro.keq import Keq, Verdict
+from repro.semantics.run import run_concrete
 from repro.semantics.state import StatusKind
 from repro.smt import t
 
 
-def run_concrete(semantics, state, bindings, limit=300):
-    state = state.bind_many(bindings)
-    frontier = [state]
-    halted = []
-    for _ in range(limit):
-        advanced = []
-        for current in frontier:
-            successors = semantics.step(current)
-            if successors:
-                advanced.extend(successors)
-            else:
-                halted.append(current)
-        if not advanced:
-            return halted
-        frontier = advanced
-    raise AssertionError("did not halt")
+def execute(semantics, state, bindings):
+    final = run_concrete(semantics, state.bind_many(bindings), max_steps=300)
+    assert final.status is StatusKind.EXITED
+    return final
 
 
 def sum_program() -> ImpProgram:
@@ -85,20 +74,19 @@ class TestImpSemantics:
     def test_concrete_sum(self):
         program = sum_program()
         semantics = ImpSemantics({"sum": program})
-        halted = run_concrete(
+        final = execute(
             semantics, imp_entry_state(program), {"n": t.bv_const(4, 32)}
         )
-        assert len(halted) == 1
-        assert halted[0].returned.value == 6
+        assert final.returned.value == 6
 
     def test_concrete_abs(self):
         program = abs_program()
         semantics = ImpSemantics({"abs": program})
         for value, expected in ((-5, 5), (7, 7)):
-            halted = run_concrete(
+            final = execute(
                 semantics, imp_entry_state(program), {"x": t.bv_const(value, 32)}
             )
-            assert halted[0].returned.value == expected
+            assert final.returned.value == expected
 
     def test_loop_headers_recorded(self):
         program = sum_program()
@@ -110,10 +98,10 @@ class TestStackMachine:
         program = sum_program()
         compiled = compile_program(program)
         semantics = StackSemantics({"sum": compiled})
-        halted = run_concrete(
+        final = execute(
             semantics, stack_entry_state(compiled), {"n": t.bv_const(5, 32)}
         )
-        assert halted[0].returned.value == 10
+        assert final.returned.value == 10
 
     def test_verifier_computes_depths(self):
         compiled = compile_program(sum_program())

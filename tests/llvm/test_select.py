@@ -1,6 +1,7 @@
 """Tests for the select instruction across the whole pipeline."""
 
 from repro.llvm import LlvmSemantics, entry_state, parse_module
+from repro.semantics.run import run_concrete
 from repro.semantics.state import StatusKind
 from repro.smt import t
 from repro.tv import validate_function
@@ -15,38 +16,27 @@ entry:
 """
 
 
-def run_concrete(source, name, arguments):
+def execute(source, name, arguments):
     module = parse_module(source)
     function = module.function(name)
-    semantics = LlvmSemantics(module)
     bound = {
         pname: t.bv_const(value, 32)
         for (pname, _), value in zip(function.parameters, arguments)
     }
     state = entry_state(module, function, arguments=bound)
-    frontier = [state]
-    while frontier:
-        advanced = []
-        for current in frontier:
-            successors = semantics.step(current)
-            if not successors:
-                assert current.status is StatusKind.EXITED
-                return current
-            advanced.extend(
-                s for s in successors if s.path_condition is t.TRUE
-            )
-        frontier = advanced
-    raise AssertionError
+    final = run_concrete(LlvmSemantics(module), state)
+    assert final.status is StatusKind.EXITED
+    return final
 
 
 class TestSelectSemantics:
     def test_concrete_max(self):
-        assert run_concrete(SMAX, "smax", [3, 9]).returned.value == 9
-        assert run_concrete(SMAX, "smax", [9, 3]).returned.value == 9
+        assert execute(SMAX, "smax", [3, 9]).returned.value == 9
+        assert execute(SMAX, "smax", [9, 3]).returned.value == 9
 
     def test_signed_comparison(self):
         negative = 0xFFFFFFFF  # -1
-        assert run_concrete(SMAX, "smax", [negative, 1]).returned.value == 1
+        assert execute(SMAX, "smax", [negative, 1]).returned.value == 1
 
     def test_symbolic_select_builds_ite(self):
         module = parse_module(SMAX)

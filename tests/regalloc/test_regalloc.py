@@ -16,6 +16,7 @@ from repro.regalloc import (
     generate_regalloc_sync_points,
 )
 from repro.regalloc.allocator import ALLOCATABLE, RegAllocError
+from repro.semantics.run import run_concrete
 from repro.semantics.state import StatusKind
 from repro.smt import t
 from repro.vx86.insns import PReg, VReg
@@ -78,22 +79,12 @@ def machine_for(source):
     return module, machine
 
 
-def run_concrete(function, registers, limit=50000):
+def execute(function, registers):
     semantics = Vx86Semantics({function.name: function})
     state = machine_entry_state(function, Memory.create([]), registers)
-    frontier = [state]
-    for _ in range(limit):
-        advanced = []
-        for current in frontier:
-            successors = [
-                s for s in semantics.step(current) if s.path_condition is t.TRUE
-            ]
-            if successors:
-                advanced.extend(successors)
-            else:
-                return current
-        frontier = advanced
-    raise AssertionError("did not halt")
+    final = run_concrete(semantics, state)
+    assert final.status is StatusKind.EXITED
+    return final
 
 
 class TestSsaElimination:
@@ -107,10 +98,10 @@ class TestSsaElimination:
 
     def test_behaviour_preserved(self):
         _, machine = machine_for(LOOP)
-        before = run_concrete(machine, {"rdi": t.bv_const(6, 64)})
+        before = execute(machine, {"rdi": t.bv_const(6, 64)})
         _, machine2 = machine_for(LOOP)
         eliminated = eliminate_phis(machine2)
-        after = run_concrete(eliminated, {"rdi": t.bv_const(6, 64)})
+        after = execute(eliminated, {"rdi": t.bv_const(6, 64)})
         assert before.returned.value == after.returned.value == 15
 
     def test_swap_problem_handled(self):
@@ -139,7 +130,7 @@ done:
         eliminated = eliminate_phis(machine)
         # After an odd number of swaps x holds 2, after even it holds 1.
         for n, expected in ((0, 1), (1, 2), (2, 1), (5, 2)):
-            final = run_concrete(eliminated, {"rdi": t.bv_const(n, 64)})
+            final = execute(eliminated, {"rdi": t.bv_const(n, 64)})
             assert final.returned.value == expected, n
 
 
@@ -157,7 +148,7 @@ class TestAllocator:
     def test_behaviour_preserved_simple(self):
         _, machine = machine_for(LOOP)
         result = allocate_registers(eliminate_phis(machine))
-        final = run_concrete(result.function, {"rdi": t.bv_const(7, 64)})
+        final = execute(result.function, {"rdi": t.bv_const(7, 64)})
         assert final.returned.value == 21
 
     def test_spilling_occurs_under_pressure(self):
@@ -169,7 +160,7 @@ class TestAllocator:
     def test_behaviour_preserved_with_spills(self):
         _, machine = machine_for(MANY_LIVE)
         result = allocate_registers(eliminate_phis(machine))
-        final = run_concrete(
+        final = execute(
             result.function,
             {"rdi": t.bv_const(100, 64), "rsi": t.bv_const(5, 64)},
         )
@@ -189,8 +180,8 @@ class TestAllocator:
             eliminate_phis(machine2), bug=AllocatorBug.WRONG_SPILL_SLOT
         )
         registers = {"rdi": t.bv_const(100, 64), "rsi": t.bv_const(5, 64)}
-        good_final = run_concrete(good.function, registers)
-        bad_final = run_concrete(bad.function, registers)
+        good_final = execute(good.function, registers)
+        bad_final = execute(bad.function, registers)
         assert good_final.returned.value != bad_final.returned.value
 
     def test_calls_rejected(self):

@@ -1,5 +1,5 @@
-"""Incremental SAT regression tests: assumptions, unsat cores, and the
-classic learned-clause-contamination bug.
+"""Incremental SAT regression tests: assumptions and the classic
+learned-clause-contamination bug.
 
 The MiniSat contract under test: assumptions are pseudo-decisions, so
 every clause a call learns is implied by the clause database *alone* —
@@ -22,7 +22,6 @@ class TestAssumptions:
         solver.add_clause([a, b])
         assert solver.solve(assumptions=[-a]) is SatResult.SAT
         assert solver.model_value(b) is True
-        assert solver.core is None
 
     def test_unsat_under_assumptions_sat_without(self):
         solver = SatSolver()
@@ -47,61 +46,51 @@ class TestAssumptions:
         solver = SatSolver()
         (a,) = fresh_vars(solver, 1)
         assert solver.solve(assumptions=[a, -a]) is SatResult.UNSAT
-        assert solver.core  # a or -a must be blamed
-        assert set(solver.core) <= {a, -a}
         assert solver.solve() is SatResult.SAT
 
 
-class TestUnsatCore:
-    def test_core_subset_of_assumptions(self):
+class TestRefutedAssumptions:
+    """UNSAT answers when the clause set refutes some of the assumptions."""
+
+    def test_irrelevant_assumptions_stay_refuted(self):
         solver = SatSolver()
         a, b, c, d = fresh_vars(solver, 4)
         solver.add_clause([-a, -b])  # a and b conflict
-        result = solver.solve(assumptions=[a, b, c, d])
-        assert result is SatResult.UNSAT
-        assert set(solver.core) <= {a, b, c, d}
+        assert solver.solve(assumptions=[a, b, c, d]) is SatResult.UNSAT
         # c and d are irrelevant to the refutation.
-        assert c not in set(solver.core)
-        assert d not in set(solver.core)
-        assert {a, b} & set(solver.core)
+        assert solver.solve(assumptions=[a, c, d]) is SatResult.SAT
 
-    def test_core_from_chain(self):
+    def test_refuting_assumptions_replayed_as_units_are_unsat(self):
+        clauses = ([-1, -2, -3], [-4, 5])
+        solver = SatSolver()
+        a, b, c, d, e, f = fresh_vars(solver, 6)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve(assumptions=[a, b, c, d, f]) is SatResult.UNSAT
+        assert solver.solve(assumptions=[a, b, d, f]) is SatResult.SAT
+        # The refuting assumptions, asserted as units, are UNSAT on their own.
+        replay = SatSolver()
+        replay.ensure_vars(6)
+        for clause in clauses:
+            replay.add_clause(clause)
+        for lit in (a, b, c):
+            replay.add_clause([lit])
+        assert replay.solve() is SatResult.UNSAT
+
+    def test_refutation_through_an_implication_chain(self):
         solver = SatSolver()
         a, b, c, goal = fresh_vars(solver, 4)
         solver.add_clause([-a, b])
         solver.add_clause([-b, c])
         solver.add_clause([-c, -goal])
-        result = solver.solve(assumptions=[a, goal])
-        assert result is SatResult.UNSAT
-        core = set(solver.core)
-        assert core <= {a, goal}
-        assert core  # the refutation needs at least one assumption
+        assert solver.solve(assumptions=[a, goal]) is SatResult.UNSAT
 
-    def test_core_empty_when_clause_set_unsat(self):
+    def test_unsat_clause_set_refutes_assumptions(self):
         solver = SatSolver()
         (a,) = fresh_vars(solver, 1)
         solver.add_clause([a])
         solver.add_clause([-a])
         assert solver.solve(assumptions=[a]) is SatResult.UNSAT
-        assert solver.core == []
-
-    def test_core_replay_is_unsat(self):
-        """Asserting the core as units must itself be UNSAT (core validity)."""
-        solver = SatSolver()
-        variables = fresh_vars(solver, 6)
-        a, b, c, d, e, f = variables
-        solver.add_clause([-a, -b, -c])
-        solver.add_clause([-d, e])
-        assert solver.solve(assumptions=[a, b, c, d, f]) is SatResult.UNSAT
-        core = list(solver.core)
-        replay = SatSolver()
-        replay.ensure_vars(max(abs(x) for x in core))
-        for clause in ([-a, -b, -c], [-d, e]):
-            replay.ensure_vars(max(abs(x) for x in clause))
-            replay.add_clause(clause)
-        for lit in core:
-            replay.add_clause([lit])
-        assert replay.solve() is SatResult.UNSAT
 
 
 class TestLearnedClausePersistence:
@@ -139,7 +128,6 @@ class TestLearnedClausePersistence:
         solver.add_clause([-b, c])
         solver.add_clause([-b, -c])
         assert solver.solve(assumptions=[a, b]) is SatResult.UNSAT
-        assert set(solver.core) == {b}
         # -b is now root-implied; later calls see it immediately.
         assert solver.solve(assumptions=[b]) is SatResult.UNSAT
         assert solver.solve(assumptions=[-b]) is SatResult.SAT
@@ -157,7 +145,6 @@ class TestLearnedClausePersistence:
         assert solver.model_value(c) is True
         solver.add_clause([-c])
         assert solver.solve(assumptions=[-a]) is SatResult.UNSAT
-        assert set(solver.core) == {-a}
         assert solver.solve() is SatResult.SAT
 
     def test_many_calls_deterministic(self):

@@ -1,7 +1,7 @@
 """SolverSession: incremental checks vs fresh check_sat.
 
-The contract: ``session.check(delta, assumptions=extra)`` is semantically
-``check_sat(conj([*base, *extra, delta]))`` — same verdicts, same cache
+The contract: ``session.check(delta, assumptions)`` is semantically
+``check_sat(conj([*assumptions, delta]))`` — same verdicts, same cache
 keys — while reusing one SAT solver and bit-blaster across checks.
 """
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.smt import terms as t
 from repro.smt.cache import QueryCache
-from repro.smt.solver import Result, Solver
+from repro.smt.solver import Result, Solver, SolverSession
 
 W = 8
 
@@ -22,17 +22,29 @@ def const(value):
     return t.bv_const(value, W)
 
 
+def shift_add(x, factor):
+    """``x * factor`` as a sum of shifts: equal to the product for every x,
+    but only bit-level multiplier reasoning shows it."""
+    acc, bit = const(0), 0
+    while factor:
+        if factor & 1:
+            acc = t.add(acc, t.shl(x, const(bit)))
+        factor >>= 1
+        bit += 1
+    return acc
+
+
 class TestSessionVerdicts:
     def test_unsat_delta_under_assumptions(self):
         x, y = bv("x"), bv("y")
         # y = x*(x+1) is always even; asserting its low bit is 1 is UNSAT.
         prefix = t.eq(y, t.mul(x, t.add(x, const(1))))
         solver = Solver()
-        with solver.session([prefix]) as session:
+        with solver.session() as session:
             delta = t.eq(t.extract(y, 0, 0), t.bv_const(1, 1))
-            assert session.check(delta) is Result.UNSAT
+            assert session.check(delta, [prefix]) is Result.UNSAT
             sat_delta = t.eq(t.extract(y, 0, 0), t.bv_const(0, 1))
-            assert session.check(sat_delta) is Result.SAT
+            assert session.check(sat_delta, [prefix]) is Result.SAT
 
     def test_matches_fresh_solver(self):
         x, y = bv("x"), bv("y")
@@ -47,8 +59,8 @@ class TestSessionVerdicts:
         fresh_results = [
             Solver().check_sat(t.and_(prefix, delta)) for delta in deltas
         ]
-        with session_solver.session([prefix]) as session:
-            incremental = [session.check(delta) for delta in deltas]
+        with session_solver.session() as session:
+            incremental = [session.check(delta, [prefix]) for delta in deltas]
         assert incremental == fresh_results
 
     def test_per_check_assumptions(self):
@@ -67,15 +79,16 @@ class TestSessionVerdicts:
         x, y = bv("x"), bv("y")
         prefix = t.eq(y, t.add(x, const(1)))
         solver = Solver()
-        with solver.session([prefix]) as session:
-            assert session.check(t.eq(y, x)) is Result.UNSAT
-            assert session.check(t.eq(y, const(5))) is Result.SAT
-            assert session.check(t.ult(y, x)) is Result.SAT  # x = 255 wraps
+        with solver.session() as session:
+            assert session.check(t.eq(y, x), [prefix]) is Result.UNSAT
+            assert session.check(t.eq(y, const(5)), [prefix]) is Result.SAT
+            # x = 255 wraps
+            assert session.check(t.ult(y, x), [prefix]) is Result.SAT
             assert (
-                session.check(t.and_(t.eq(x, const(0)), t.ult(y, x)))
+                session.check(t.and_(t.eq(x, const(0)), t.ult(y, x)), [prefix])
                 is Result.UNSAT
             )
-            assert session.check(t.eq(x, const(0))) is Result.SAT
+            assert session.check(t.eq(x, const(0)), [prefix]) is Result.SAT
 
 
 class TestSessionModels:
@@ -83,9 +96,9 @@ class TestSessionModels:
         x, y = bv("x"), bv("y")
         prefix = t.eq(y, t.mul(x, x))
         solver = Solver()
-        with solver.session([prefix]) as session:
+        with solver.session() as session:
             delta = t.ult(const(3), y)
-            assert session.check(delta, need_model=True) is Result.SAT
+            assert session.check(delta, [prefix], need_model=True) is Result.SAT
             model = solver.last_model
             assert model is not None
             xv, yv = model.eval_bv(x), model.eval_bv(y)
@@ -99,33 +112,16 @@ class TestSessionModels:
             assert solver.last_model is not None
 
 
-class TestSessionCore:
-    def test_last_core_names_assumption_terms(self):
-        x = bv("x")
-        lower = t.ult(const(10), x)  # x > 10
-        upper = t.ult(x, const(5))  # x < 5
-        unrelated = t.ult(x, const(200))
-        solver = Solver()
-        with solver.session([lower]) as session:
-            outcome = session.check(upper, assumptions=[unrelated])
-            assert outcome is Result.UNSAT
-            core = session.last_core
-            assert core is not None
-            assert set(core) <= {lower, upper, unrelated}
-            # The contradiction needs both bounds; the loose one is noise.
-            assert lower in core and upper in core
-
-
 class TestSessionStats:
     def test_incremental_counters(self):
         x, y = bv("x"), bv("y")
         prefix = t.eq(y, t.mul(x, t.add(x, const(1))))
         solver = Solver()
-        with solver.session([prefix]) as session:
+        with solver.session() as session:
             for i in range(3):
                 # y is a product of consecutive integers, hence even; each
                 # odd target is UNSAT and needs bit-level mult reasoning.
-                session.check(t.eq(y, const(2 * i + 1)))
+                session.check(t.eq(y, const(2 * i + 1)), [prefix])
         stats = solver.stats
         assert stats.incremental_checks == 3
         assert stats.queries == 3
@@ -140,6 +136,29 @@ class TestSessionStats:
         assert solver.stats.incremental_checks == 0
 
 
+class TestSessionMaintenance:
+    """A learned store past ``MAX_LEARNED`` gets one maintenance pass (root
+    simplification, then eviction) before the next check's solve."""
+
+    def test_answers_match_fresh_across_evictions(self, monkeypatch):
+        monkeypatch.setattr(SolverSession, "MAX_LEARNED", 4)
+        x = bv("x")
+        solver = Solver()
+        maintained = 0
+        with solver.session() as session:
+            for factor in (0x5B, 0x6D, 0x77, 0xB5):
+                bound = t.ult(x, const(factor))
+                goal = t.ne(t.mul(x, const(factor)), shift_add(x, factor))
+                evicted_before = solver.stats.clauses_evicted
+                answer = session.check(goal, [bound])
+                assert answer is Solver().check_sat(t.conj([bound, goal]))
+                assert answer is Result.UNSAT
+                maintained += solver.stats.clauses_evicted > evicted_before
+        assert solver.stats.sat_calls == 4  # every miter reached CDCL
+        assert solver.stats.clauses_evicted > 0
+        assert maintained > 0
+
+
 class TestSessionCacheInterplay:
     def test_shared_namespace_with_fresh_path(self):
         """A goal decided through a session must memo-hit when the same
@@ -148,8 +167,8 @@ class TestSessionCacheInterplay:
         prefix = t.eq(y, t.mul(x, x))
         delta = t.eq(t.bvand(t.mul(y, x), const(7)), const(5))
         solver = Solver()
-        with solver.session([prefix]) as session:
-            first = session.check(delta)
+        with solver.session() as session:
+            first = session.check(delta, [prefix])
         fast_before = solver.stats.fast_path
         again = solver.check_sat(t.and_(prefix, delta))
         assert again is first
@@ -165,8 +184,8 @@ class TestSessionCacheInterplay:
         delta = t.eq(t.bvand(t.mul(y, x), const(7)), const(5))
         cache = QueryCache()
         first_solver = Solver(cache=cache)
-        with first_solver.session([prefix]) as session:
-            first = session.check(delta)
+        with first_solver.session() as session:
+            first = session.check(delta, [prefix])
         assert first is not Result.UNKNOWN
         assert cache.stats.stores == 0
         # A second solver sharing the cache re-solves fresh and agrees.
@@ -183,8 +202,8 @@ class TestSessionCacheInterplay:
         prefix = t.not_(t.eq(x, y))
         cache = QueryCache()
         starved = Solver(conflict_budget=1, cache=cache)
-        with starved.session([prefix]) as session:
-            outcome = session.check(goal)
+        with starved.session() as session:
+            outcome = session.check(goal, [prefix])
         if outcome is Result.UNKNOWN:
             assert cache.stats.stores == 0
 
@@ -309,6 +328,6 @@ class TestSessionEquivalenceSweep:
             Solver().check_sat(t.and_(prefix, delta)) for delta in deltas
         ]
         solver = Solver()
-        with solver.session([prefix]) as session:
-            incremental = [session.check(delta) for delta in deltas]
+        with solver.session() as session:
+            incremental = [session.check(delta, [prefix]) for delta in deltas]
         assert incremental == fresh

@@ -106,6 +106,20 @@ class TestShow:
         assert ".LBB0" in out
         assert "sync point p_entry" in out
 
+    @pytest.mark.parametrize(
+        "flag", [["--proof"], ["--no-incremental"], ["--max-steps", "1"]]
+    )
+    def test_rejects_the_validation_flags(self, flag):
+        # show never validates, so flags that only steer validation exit 2
+        # (argparse) instead of being silently ignored; single takes them.
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["show", "x.ll", *flag])
+        assert exit_info.value.code == 2
+        assert parser.parse_args(["single", "x.ll", *flag]).file == "x.ll"
+
 
 class TestCampaign:
     def test_small_campaign_runs(self, capsys):
@@ -187,4 +201,20 @@ class TestPortfolioFlag:
             ):
                 with pytest.raises(SystemExit) as exit_info:
                     parser.parse_args(argv + extra)
+                assert exit_info.value.code == 2
+
+
+class TestShardStrategyFlag:
+    def test_strategy_flag_is_gone(self):
+        # Shards are always size-balanced; the old flag exits 2 (argparse).
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for argv in (
+            ["campaign", "run", "--scale", "6"],
+            ["service", "coordinate", "--dir", "camp", "--scale", "6"],
+        ):
+            for value in ("round_robin", "size_balanced"):
+                with pytest.raises(SystemExit) as exit_info:
+                    parser.parse_args(argv + ["--strategy", value])
                 assert exit_info.value.code == 2
