@@ -116,6 +116,9 @@ class Keq:
         #: the active incremental session (None when disabled); opened per
         #: function in :meth:`check_equivalence`.
         self._session = None
+        #: ``time.perf_counter()`` reading past which the running check is
+        #: a wall-clock timeout (None: no wall budget)
+        self._deadline: float | None = None
 
     # ------------------------------------------------------------------ driver --
 
@@ -340,7 +343,7 @@ class Keq:
         return results
 
     def _check_deadline(self) -> None:
-        deadline = getattr(self, "_deadline", None)
+        deadline = self._deadline
         if deadline is not None and time.perf_counter() > deadline:
             raise _WallBudgetExceeded()
 
@@ -358,14 +361,25 @@ class Keq:
 
         The fallback issues the plain conjunction through ``check_sat``, so
         with ``incremental_solving`` disabled every query is byte-identical
-        to the pre-session behaviour.
+        to the pre-session behaviour.  The wall-clock deadline reaches the
+        SAT search; an UNKNOWN past it is the wall-clock timeout, not the
+        conflict budget running out.
         """
+        deadline = self._deadline
         if self._session is not None:
-            return self._session.check(delta, assumptions=assumptions)
-        # Mirror the session's canonical assumption order so the on/off
-        # paths build one combined term (one memo/cache key).
-        ordered = canonical_assumption_order(assumptions)
-        return self.solver.check_sat(t.conj([*ordered, delta]))
+            outcome = self._session.check(
+                delta, assumptions=assumptions, deadline=deadline
+            )
+        else:
+            # Mirror the session's canonical assumption order so the on/off
+            # paths build one combined term (one memo/cache key).
+            ordered = canonical_assumption_order(assumptions)
+            outcome = self.solver.check_sat(
+                t.conj([*ordered, delta]), deadline=deadline
+            )
+        if outcome is Result.UNKNOWN:
+            self._check_deadline()
+        return outcome
 
     def _check_point(
         self,

@@ -23,7 +23,8 @@ run — so :meth:`QueryCache.store` silently drops it.
 Each entry records the *cost* of the answer: the minimal conflict budget
 under which the underlying CDCL search decides the query (``conflicts
 used + 1``; ``0`` for answers found by budget-independent fast paths such
-as simplification, the boolean-skeleton check, or the witness search).  A
+as simplification, the boolean-skeleton check, the witness search, or
+literal propagation).  A
 lookup under conflict budget ``B`` may only use an entry with ``cost <=
 B``: an entry recorded under a smaller budget is always reusable, while
 one recorded under a larger budget must not satisfy a lookup that —

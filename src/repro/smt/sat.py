@@ -18,7 +18,8 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   implied by the clause database alone and is safe to keep when a later
   call drops an assumption;
 - a conflict budget so callers can emulate the paper's per-function
-  timeouts deterministically;
+  timeouts deterministically, and an optional wall-clock deadline checked
+  at each conflict as the backstop;
 - a bounded learned-clause store: learned clauses carry an LBD (literal
   block distance) and :meth:`SatSolver.reduce_learned` evicts the weakest
   ones; :meth:`SatSolver.inprocess` first drops what the root assignment
@@ -37,6 +38,7 @@ clause, counter and model) is pinned by the trajectory-lock test.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -691,11 +693,14 @@ class SatSolver:
         self,
         assumptions: list[int] | None = None,
         conflict_budget: int | None = None,
+        deadline: float | None = None,
     ) -> SatResult:
         """Solve the clause set, optionally under assumptions.
 
         ``conflict_budget`` bounds the number of conflicts before giving up
         with :data:`SatResult.UNKNOWN` (deterministic timeout emulation).
+        ``deadline``, a ``time.perf_counter()`` reading, gives up the same
+        way at the first conflict past it: the wall-clock backstop.
         """
         stats = self.stats
         stats.solve_calls += 1
@@ -729,6 +734,9 @@ class SatSolver:
                     if budget_left <= 0:
                         self._backtrack(0)
                         return SatResult.UNKNOWN
+                if deadline is not None and time.perf_counter() > deadline:
+                    self._backtrack(0)
+                    return SatResult.UNKNOWN
                 if not trail_lim:
                     return SatResult.UNSAT
                 if len(trail_lim) <= prefix:

@@ -10,7 +10,11 @@ apply cheap local identities.  This module adds:
   smart constructor (so local identities fire on terms built by
   substitution) plus a handful of deeper rewrites that matter for the
   queries KEQ generates (compare-with-subtraction patterns from x86 flags,
-  double negation of comparisons, ite hoisting over extract, ...).
+  double negation of comparisons, ite hoisting over extract, a linear
+  normal form for sums, ...);
+- :func:`propagate_literals` — substitution of a conjunction's top-level
+  literals into its other conjuncts, which the solver runs last among its
+  fast paths to refute goals before bit-blasting.
 """
 
 from __future__ import annotations
@@ -158,12 +162,15 @@ _MAX_LINEAR_LEAVES = 48
 
 
 def _flatten_add(term: Term) -> Term:
-    """Normalize an add/neg/(mul-by-const) tree to a sorted linear form.
+    """Normalize an add/neg/(mul-by-const)/(shl-by-const) tree to a sorted
+    linear form.
 
     ``(x + (-c)) + s`` and ``x + ((-c) + s)`` differ structurally but not
     semantically; collecting coefficients and rebuilding in a canonical
     leaf order makes associativity differences disappear, so syntactic
-    equality catches them before any solver work.
+    equality catches them before any solver work.  A shift ``x << k`` by a
+    constant ``k < width`` is ``x * 2^k``, so a strength-reduced product
+    such as ``x + (x << 2)`` normalizes to the ``x * 5`` it replaces.
     """
     width = term.width
     coefficients: dict[Term, int] = {}
@@ -185,6 +192,15 @@ def _flatten_add(term: Term) -> Term:
         elif node.op == "mul" and node.args[1].is_const():
             base = node.args[0]
             coefficients[base] = coefficients.get(base, 0) + sign * node.args[1].value
+        elif (
+            node.op == "shl"
+            and node.args[1].is_const()
+            and node.args[1].value < width
+        ):
+            base = node.args[0]
+            coefficients[base] = (
+                coefficients.get(base, 0) + sign * (1 << node.args[1].value)
+            )
         else:
             coefficients[node] = coefficients.get(node, 0) + sign
     parts: list[Term] = []
@@ -366,6 +382,56 @@ def simplify(term: Term, max_rounds: int = 4) -> Term:
             return term
         term = rewritten
     return term
+
+
+def _literal(conjunct: Term) -> tuple[Term, Term] | None:
+    """``(atom, value)`` for a literal conjunct — an atom (any boolean term
+    but a conjunction or disjunction) or its negation — else None."""
+    atom, value = conjunct, t.TRUE
+    if atom.op == "not":
+        atom, value = atom.args[0], t.FALSE
+    if atom.op == "and" or atom.op == "or":
+        return None
+    return atom, value
+
+
+def propagate_literals(goal: Term, max_rounds: int = 4) -> Term:
+    """Substitute a conjunction's top-level literals into its conjuncts.
+
+    The goal entails each literal conjunct, so the literal's atom may be
+    replaced by its truth value in every *other* conjunct (literals
+    included) without changing what the goal means; never in the literal
+    itself, which would drop the fact.  The result is simplified again,
+    and the step repeats while it changes the goal, up to ``max_rounds``
+    times.  A goal that becomes ``FALSE`` is unsatisfiable.
+
+    This decides checks such as RISC-V's non-trapping ``remu`` under a
+    path condition that already rules out a zero divisor, which
+    bit-blasting would otherwise prove with two full multipliers.
+    """
+    for _ in range(max_rounds):
+        if goal.op != "and":
+            return goal
+        literals = [_literal(conjunct) for conjunct in goal.args]
+        facts = {
+            literal[0]: literal[1] for literal in literals if literal is not None
+        }
+        if not facts:
+            return goal
+        shared = dict(facts)
+        rebuilt = []
+        for conjunct, literal in zip(goal.args, literals):
+            if literal is None:
+                rebuilt.append(_substitute_cached(conjunct, shared))
+            else:
+                others = dict(facts)
+                del others[literal[0]]
+                rebuilt.append(_substitute_cached(conjunct, others))
+        rewritten = simplify(t.conj(rebuilt))
+        if rewritten is goal:
+            return goal
+        goal = rewritten
+    return goal
 
 
 def _simplify_once(term: Term) -> Term:

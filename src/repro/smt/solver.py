@@ -5,8 +5,9 @@ normalize to a constant are answered without touching the SAT solver (the
 common case for the equality-constraint checks KEQ emits, because
 synchronization-point constraints are applied by substitution).  The rest
 go through the per-solver memo, the shared query cache, the boolean
-skeleton (which refutes) and a bounded witness search (which satisfies);
-only what all of them leave open is bit-blasted and decided by CDCL.
+skeleton (which refutes), a bounded witness search (which satisfies) and
+top-level literal propagation (which refutes); only what all of them
+leave open is bit-blasted and decided by CDCL.
 
 The façade also implements the paper's *positive-form optimization*
 (Section 3): for deterministic transition systems, proving ``φ1 ⇒ φ2`` via
@@ -32,7 +33,7 @@ from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.eval import compile_node
 from repro.smt.sat import SatResult, SatSolver
-from repro.smt.simplify import simplify
+from repro.smt.simplify import propagate_literals, simplify
 from repro.smt.terms import Term
 
 
@@ -61,6 +62,8 @@ class QueryStats:
     fast_path: int = 0  # answered without bit-blasting
     #: fast-path SATs whose witness the bounded search found
     witnessed: int = 0
+    #: fast-path UNSATs refuted by top-level literal propagation
+    refuted: int = 0
     sat_calls: int = 0
     #: SAT-core calls that answered SAT / UNSAT (UNKNOWN: ``unknowns``)
     sat_calls_sat: int = 0
@@ -613,12 +616,17 @@ class Solver:
     # -- core entry points -----------------------------------------------------
 
     def check_sat(
-        self, formula: Term | Iterable[Term], need_model: bool = False
+        self,
+        formula: Term | Iterable[Term],
+        need_model: bool = False,
+        deadline: float | None = None,
     ) -> Result:
         """Decide satisfiability of a formula (or conjunction of formulas).
 
         ``need_model=True`` guarantees ``last_model`` is populated on SAT
         (the memo, cache and witness-search shortcuts answer SAT without one).
+        ``deadline`` (a ``time.perf_counter()`` reading) stops the CDCL
+        search at its first conflict past it, with UNKNOWN.
         """
         if isinstance(formula, Term):
             goal = formula
@@ -637,7 +645,9 @@ class Solver:
         blaster = BitBlaster(sat_solver)
         blaster.assert_term(goal)
         self.stats.sat_calls += 1
-        outcome = sat_solver.solve(conflict_budget=self.conflict_budget)
+        outcome = sat_solver.solve(
+            conflict_budget=self.conflict_budget, deadline=deadline
+        )
         self.stats.conflicts += sat_solver.stats.conflicts
         self.stats.decisions += sat_solver.stats.decisions
         self.stats.propagations += sat_solver.stats.propagations
@@ -667,7 +677,8 @@ class Solver:
         Shared between :meth:`check_sat` and :meth:`SolverSession.check` so
         the fresh and incremental paths stay mutually sound: both consult the
         same memo/cache namespace (the simplified combined goal) and apply
-        the same witness/skeleton shortcuts.  Updates stats and timing for
+        the same shortcuts, in order: memo, shared cache, boolean skeleton,
+        witness search, literal propagation.  Updates stats and timing for
         every query it answers.
         """
         if goal is t.TRUE:
@@ -725,6 +736,17 @@ class Solver:
             self.stats.fast_path += 1
             self.stats.time_seconds += time.perf_counter() - started
             return Result.SAT
+        # Literal propagation runs last, on the few goals every other fast
+        # path left open.  Its rewrite is equivalent to the goal, so FALSE
+        # refutes it in every process (cost 0); any other outcome is
+        # dropped and the goal goes to CDCL as it stands.
+        if propagate_literals(goal) is t.FALSE:
+            self._memo[goal] = Result.UNSAT
+            self._share(goal, Result.UNSAT, cost=0)
+            self.stats.refuted += 1
+            self.stats.fast_path += 1
+            self.stats.time_seconds += time.perf_counter() - started
+            return Result.UNSAT
         return None
 
     def _share(self, goal: Term, result: Result, cost: int) -> None:
@@ -816,11 +838,11 @@ class SolverSession:
     here ever poisons the clause database: learned clauses are implied by
     the gate definitions and valid lemmas alone.
 
-    Soundness with the fresh path: each check first consults the same
-    memo/cache/witness/skeleton fast paths as :meth:`Solver.check_sat`,
-    keyed on the *simplified combined goal* (assumptions ∧ delta), and
-    decided results are stored back under that same key — the cached and
-    incremental paths answer from one namespace.
+    Soundness with the fresh path: each check first consults the same fast
+    paths as :meth:`Solver.check_sat`, keyed on the *simplified combined
+    goal* (assumptions ∧ delta), and decided results are stored back under
+    that same key — the cached and incremental paths answer from one
+    namespace.
 
     Before a check that reaches the SAT solver, a learned store past
     :attr:`MAX_LEARNED` clauses gets one maintenance pass
@@ -859,14 +881,16 @@ class SolverSession:
         delta: Term,
         assumptions: Iterable[Term] = (),
         need_model: bool = False,
+        deadline: float | None = None,
     ) -> Result:
         """Decide SAT(assumptions ∧ delta) incrementally.
 
         Semantically identical to
-        ``solver.check_sat(t.conj([*assumptions, delta]))`` — same
-        result, same cache keys — but reuses the session's SAT state.  On
-        SAT with ``need_model=True``, ``solver.last_model`` reads through
-        the session blaster (valid until the next check).
+        ``solver.check_sat(t.conj([*assumptions, delta]), need_model,
+        deadline)`` — same result, same cache keys — but reuses the
+        session's SAT state.  On SAT with ``need_model=True``,
+        ``solver.last_model`` reads through the session blaster (valid
+        until the next check).
         """
         solver = self.solver
         stats = solver.stats
@@ -914,6 +938,7 @@ class SolverSession:
         outcome = sat_solver.solve(
             assumptions=assume_lits + [delta_lit],
             conflict_budget=solver.conflict_budget,
+            deadline=deadline,
         )
         stats.conflicts += sat_stats.conflicts - conflicts_before
         stats.decisions += sat_stats.decisions - decisions_before

@@ -110,6 +110,7 @@ class BatchResult:
                 f" sat_calls_sat={stats.sat_calls_sat}"
                 f" sat_calls_unsat={stats.sat_calls_unsat}"
                 f" witnessed={stats.witnessed}"
+                f" refuted={stats.refuted}"
                 f" cache_hits={stats.cache_hits}"
                 f" cache_misses={stats.cache_misses}"
                 f" hit-rate={rate:.1f}%"

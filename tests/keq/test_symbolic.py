@@ -1,11 +1,14 @@
 """Tests for KEQ proper (the symbolic Algorithm 1) on the LLVM/x86 pair."""
 
+import time
+
 import pytest
 
 from repro.isel import BugMode, IselOptions, select_function
 from repro.keq import (
     EqConstraint,
     Expr,
+    FailureReason,
     Keq,
     KeqOptions,
     StateSpec,
@@ -16,6 +19,7 @@ from repro.keq import (
 from repro.keq.acceptability import strict_acceptability
 from repro.llvm import parse_module
 from repro.llvm.semantics import LlvmSemantics
+from repro.regalloc import generate_regalloc_sync_points
 from repro.semantics.state import Location
 from repro.vcgen import generate_sync_points
 from repro.vx86 import parse_machine_function
@@ -177,8 +181,6 @@ entry:
             self.WAW, isel_options=IselOptions(bug=BugMode.WAW_STORE_MERGE)
         )
         assert report.verdict is Verdict.NOT_VALIDATED
-        from repro.keq import FailureReason
-
         assert any(
             f.reason is FailureReason.MEMORY for f in report.failures
         )
@@ -243,6 +245,61 @@ class TestBudgets:
     def test_pair_budget_produces_timeout(self):
         report = validate_source(ARITH_SEQ_SUM, max_pair_checks=0)
         assert report.verdict is Verdict.TIMEOUT
+
+    #: x·(y + 3) and x·y + x·3 on 32 bits: an equal pair of return values
+    #: whose proof is a nonlinear multiplier miter, far beyond one second
+    #: of CDCL search.
+    FACTORED = """
+f:
+.LBB0:
+  %vr0_32 = COPY edi
+  %vr1_32 = COPY esi
+  %vr2_32 = add %vr1_32, 3
+  %vr3_32 = imul %vr0_32, %vr2_32
+  eax = COPY %vr3_32
+  ret
+"""
+    EXPANDED = """
+f:
+.LBB0:
+  %vr0_32 = COPY edi
+  %vr1_32 = COPY esi
+  %vr2_32 = imul %vr0_32, %vr1_32
+  %vr4_32 = imul %vr0_32, 3
+  %vr3_32 = add %vr2_32, %vr4_32
+  eax = COPY %vr3_32
+  ret
+"""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_wall_budget_stops_a_running_sat_search(self, incremental):
+        """The deadline reaches the CDCL search: the check ends as a
+        wall-clock timeout shortly after the budget, not when the conflict
+        budget runs out."""
+        left = parse_machine_function(self.FACTORED)
+        right = parse_machine_function(self.EXPANDED)
+        keq = Keq(
+            Vx86Semantics({"f": left}),
+            Vx86Semantics({"f": right}),
+            default_acceptability(),
+            # The conflict budget is far beyond what half a second of
+            # search reaches; it only stops a search that ignores the
+            # deadline from running for minutes.
+            KeqOptions(
+                wall_budget_seconds=0.5,
+                solver_conflict_budget=5_000,
+                incremental_solving=incremental,
+            ),
+        )
+        started = time.perf_counter()
+        report = keq.check_equivalence(generate_regalloc_sync_points(left, right))
+        assert time.perf_counter() - started < 1.5
+        assert report.verdict is Verdict.TIMEOUT
+        assert [(f.reason, f.detail) for f in report.failures] == [
+            (FailureReason.STEP_BUDGET, "wall clock")
+        ]
+        stats = keq.solver.stats
+        assert (stats.sat_calls, stats.unknowns) == (1, 1)
 
 
 class TestSolverOptions:

@@ -1,6 +1,7 @@
 """Unit tests for the CDCL SAT solver."""
 
 import itertools
+import time
 
 import pytest
 
@@ -153,4 +154,25 @@ class TestBudget:
         for clause in pigeonhole_clauses(3):
             solver.add_clause(clause)
         assert solver.solve(conflict_budget=100_000) is SatResult.UNSAT
+
+    def test_passed_deadline_stops_at_the_first_conflict(self):
+        solver = SatSolver()
+        for clause in pigeonhole_clauses(7):
+            solver.add_clause(clause)
+        deadline = time.perf_counter() - 1.0
+        assert solver.solve(deadline=deadline) is SatResult.UNKNOWN
+        assert solver.stats.conflicts == 1
+        # The stopped search leaves the solver reusable.
+        assert solver.solve(conflict_budget=5) is SatResult.UNKNOWN
+
+    def test_deadline_in_the_future_changes_nothing(self):
+        runs = []
+        for deadline in (None, time.perf_counter() + 3600.0):
+            solver = SatSolver()
+            for clause in pigeonhole_clauses(4):
+                solver.add_clause(clause)
+            result = solver.solve(deadline=deadline)
+            runs.append((result, solver.stats.conflicts, solver.stats.decisions))
+        assert runs[0] == runs[1]
+        assert runs[0][0] is SatResult.UNSAT
 

@@ -22,16 +22,12 @@ def const(value):
     return t.bv_const(value, W)
 
 
-def shift_add(x, factor):
-    """``x * factor`` as a sum of shifts: equal to the product for every x,
-    but only bit-level multiplier reasoning shows it."""
-    acc, bit = const(0), 0
-    while factor:
-        if factor & 1:
-            acc = t.add(acc, t.shl(x, const(bit)))
-        factor >>= 1
-        bit += 1
-    return acc
+def distributive_miter(factor, width=4):
+    """``x·(y + c) ≠ x·y + x·c``: UNSAT, but nonlinear, so no word-level
+    rewrite decides it and only bit-level multiplier reasoning shows it."""
+    x, y = t.bv_var("mx", width), t.bv_var("my", width)
+    c = t.bv_const(factor, width)
+    return t.ne(t.mul(x, t.add(y, c)), t.add(t.mul(x, y), t.mul(x, c)))
 
 
 class TestSessionVerdicts:
@@ -142,13 +138,13 @@ class TestSessionMaintenance:
 
     def test_answers_match_fresh_across_evictions(self, monkeypatch):
         monkeypatch.setattr(SolverSession, "MAX_LEARNED", 4)
-        x = bv("x")
+        x = t.bv_var("mx", 4)
         solver = Solver()
         maintained = 0
         with solver.session() as session:
-            for factor in (0x5B, 0x6D, 0x77, 0xB5):
-                bound = t.ult(x, const(factor))
-                goal = t.ne(t.mul(x, const(factor)), shift_add(x, factor))
+            for factor in (0xB, 0xD, 0x7, 0x5):
+                bound = t.ult(x, t.bv_const(factor, 4))
+                goal = distributive_miter(factor)
                 evicted_before = solver.stats.clauses_evicted
                 answer = session.check(goal, [bound])
                 assert answer is Solver().check_sat(t.conj([bound, goal]))
@@ -208,14 +204,9 @@ class TestSessionCacheInterplay:
             assert cache.stats.stores == 0
 
     def test_unknown_is_the_one_search_running_out_of_budget(self):
-        # x*0x5B equals its shift-add form for every x: UNSAT, so neither
+        # x·(y + 0xB) equals x·y + x·0xB for every x, y: UNSAT, so neither
         # the witness search nor a one-conflict CDCL search can decide it.
-        x = bv("x")
-        shift_add = t.add(
-            t.add(x, t.shl(x, const(1))),
-            t.add(t.shl(x, const(3)), t.add(t.shl(x, const(4)), t.shl(x, const(6)))),
-        )
-        goal = t.ne(t.mul(x, const(0x5B)), shift_add)
+        goal = distributive_miter(0xB)
         starved = Solver(conflict_budget=1)
         with starved.session() as session:
             assert session.check(goal) is Result.UNKNOWN

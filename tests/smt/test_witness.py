@@ -83,11 +83,21 @@ class TestUnsatGoal:
         assert search.run() is None
         assert 0 < calls[0] <= search.evaluations <= solver_mod.WITNESS_BUDGET
 
-    def test_solver_leaves_it_to_cdcl(self):
-        # The skeleton cannot refute it and the search cannot witness it.
+    def test_solver_refutes_it_before_cdcl(self):
+        # The skeleton cannot refute it and the search cannot witness it;
+        # substituting the guard ``p1 != 0`` into the miter refutes it.
         solver = Solver(conflict_budget=1)
-        assert solver.check_sat(_remu_goal()) is Result.UNKNOWN
+        assert solver.check_sat(_remu_goal()) is Result.UNSAT
         assert solver.stats.witnessed == 0
+        assert (solver.stats.sat_calls, solver.stats.refuted) == (0, 1)
+
+    def test_solver_leaves_it_to_cdcl(self):
+        # Without the guard, no fast path decides the miter: a one-conflict
+        # search runs out of budget.
+        _, miter = _remu_goal().args
+        solver = Solver(conflict_budget=1)
+        assert solver.check_sat(miter) is Result.UNKNOWN
+        assert solver.stats.witnessed == solver.stats.refuted == 0
         assert solver.stats.sat_calls == 1
 
 
