@@ -11,7 +11,9 @@ apply cheap local identities.  This module adds:
   substitution) plus a handful of deeper rewrites that matter for the
   queries KEQ generates (compare-with-subtraction patterns from x86 flags,
   double negation of comparisons, ite hoisting over extract, a linear
-  normal form for sums, ...);
+  normal form for sums, and three rules that make one relation one term
+  however a target spells it: comparisons spelled through flags, an xor of
+  an ite with constant arms, xor tests for equality);
 - :func:`propagate_literals` — substitution of a conjunction's top-level
   literals into its other conjuncts, which the solver runs last among its
   fast paths to refute goals before bit-blasting.
@@ -224,16 +226,99 @@ def _flatten_add(term: Term) -> Term:
     return result
 
 
+def _fuse_comparisons(term: Term) -> Term:
+    """Rule 1: a comparison spelled through flags, as one atom.
+
+    In a disjunction, ``a < b`` next to ``a == b`` is ``¬(b < a)``; in a
+    conjunction, ``¬(a < b)`` next to ``¬(a == b)`` is ``b < a``; for
+    signed and unsigned ``<``.  The equality is matched as an unordered
+    operand pair, so the rule does not depend on term serial order.  Each
+    equality fuses with the first comparison over its pair and is then
+    gone; a second one stays as it is, so ``¬(a < b) ∧ ¬(b < a) ∧
+    ¬(a == b)`` becomes ``b < a ∧ ¬(b < a)``, which is FALSE.
+    """
+    negated = term.op == "and"
+    # One pass over the children; nothing is allocated until a candidate
+    # shows up, because most conjunctions hold no equality at all.
+    equalities: dict[tuple[Term, Term], Term] | None = None
+    comparisons: list[tuple[Term, Term]] | None = None
+    for child in term.args:
+        atom = child
+        if negated:
+            if child.op != "not":
+                continue
+            atom = child.args[0]
+        op = atom.op
+        if op == "eq":
+            if equalities is None:
+                equalities = {}
+            equalities[atom.args] = child
+        elif op == "ult" or op == "slt":
+            if comparisons is None:
+                comparisons = []
+            comparisons.append((child, atom))
+    if equalities is None or comparisons is None:
+        return term
+    replaced: dict[Term, Term] = {}
+    fused: set[Term] = set()
+    for child, atom in comparisons:
+        a, b = atom.args
+        equality = equalities.pop((a, b), None)
+        if equality is None:
+            equality = equalities.pop((b, a), None)
+            if equality is None:
+                continue
+        swapped = t.ult(b, a) if atom.op == "ult" else t.slt(b, a)
+        replaced[child] = swapped if negated else t.not_(swapped)
+        fused.add(equality)
+    if not replaced:
+        return term
+    return _rebuild(
+        term,
+        tuple(
+            replaced.get(child, child) for child in term.args if child not in fused
+        ),
+    )
+
+
 def _rewrite_node(term: Term) -> Term:
     """One top-level rewrite step; returns ``term`` when nothing applies."""
     op = term.op
     if op == "add":
         return _flatten_add(term)
+    if op == "or" or op == "and":
+        return _fuse_comparisons(term)
     if op == "bvxor":
+        # Rule 2: ite(c, k1, k2) ^ k -> ite(c, k1 ^ k, k2 ^ k); the
+        # constructors keep the constant last.
+        inner, const = term.args
+        if (
+            const.is_const()
+            and inner.op == "ite"
+            and inner.args[1].is_const()
+            and inner.args[2].is_const()
+        ):
+            cond, then, other = inner.args
+            return t.ite(
+                cond,
+                t.bv_const(then.value ^ const.value, term.width),
+                t.bv_const(other.value ^ const.value, term.width),
+            )
         return _flatten_xor(term)
     if op == "eq":
         lhs, rhs = term.args
         if lhs.sort is not BOOL:
+            # Rule 3: an xor tested against a constant is an equality of its
+            # operands: (x ^ y) == 0 -> x == y, (x ^ k) == c -> x == k ^ c.
+            # A chain the rule below folds to `chain == 0` comes back here
+            # split at its last leaf, which that rule leaves alone.
+            for xor, const in ((lhs, rhs), (rhs, lhs)):
+                if xor.op == "bvxor" and const.is_const():
+                    x, y = xor.args
+                    if y.is_const():
+                        return t.eq(x, t.bv_const(y.value ^ const.value, x.width))
+                    if const.value == 0:
+                        return t.eq(x, y)
             # Equalities over xor chains normalize to `lhs ^ rhs == 0`,
             # letting shared leaves cancel.
             if lhs.op == "bvxor" or rhs.op == "bvxor":

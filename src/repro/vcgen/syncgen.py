@@ -110,7 +110,14 @@ def generate_sync_points(
         module, function, machine, hints, imprecise_liveness, loop_point_style,
         target=target,
     )
-    return generator.run(parser_memory_budget)
+    try:
+        return generator.run(parser_memory_budget)
+    except SpecOverBudget as over:
+        # The traceback's ``run`` frame holds the generator (graphs,
+        # liveness, drafts): free them here, as part of generation, rather
+        # than whenever the caller drops the exception.
+        del generator
+        raise over.with_traceback(None)
 
 
 class _Generator:

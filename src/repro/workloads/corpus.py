@@ -162,7 +162,15 @@ def solver_bound_corpus(functions: int = 4, seed: int = 2021) -> CorpusSpec:
 
 def gcc_like_corpus(scale: int = 120, seed: int = 2021) -> CorpusSpec:
     """A corpus of ``scale`` supported functions (plus ~18% unsupported)
-    whose outcome proportions are calibrated to the paper's Figure 6."""
+    whose outcome proportions are calibrated to the paper's Figure 6.
+
+    Each function's name records the row it is generated for.  One known
+    difference: at ``scale=1200, seed=2021``, ``fn_oom_1154``'s spec fits
+    under the parser memory budget, so it succeeds on both targets and
+    the rows read 1100/52/44/4 where the names say 1099/52/45/4.  It stays
+    in the corpus; ``_oom_shape`` is not tuned for it, because that shape
+    also sizes the scale-120 OOM functions the benchmark pins.
+    """
     spec = CorpusSpec()
     n_timeout = max(1, round(scale * PAPER_TIMEOUT / PAPER_SUPPORTED))
     n_oom = max(1, round(scale * PAPER_OOM / PAPER_SUPPORTED))

@@ -1,18 +1,27 @@
 """Word-level decisions taken before bit-blasting.
 
-Two rewrites answer goals that CDCL would otherwise prove bit by bit:
+These rewrites answer goals that CDCL would otherwise prove bit by bit:
 
 - constant shifts join the linear normal form of ``simplify`` (``x << k``
   is ``x * 2^k``), so a strength-reduced product and the product it
   replaces intern as one term;
 - top-level literal propagation (``propagate_literals``), the solver's
-  last fast path, refutes goals such as RISC-V's guarded ``remu``.
+  last fast path, refutes goals such as RISC-V's guarded ``remu``;
+- three rules let one relation intern as one term however a target spells
+  it: a comparison spelled through flags (``a < b ∨ a == b`` is
+  ``¬(b < a)``, ``¬(a < b) ∧ ¬(a == b)`` is ``b < a``), an xor of an
+  ``ite`` with constant arms (``ite(c, k1, k2) ^ k`` is
+  ``ite(c, k1 ^ k, k2 ^ k)``), and an xor tested against a constant
+  (``(x ^ y) == 0`` is ``x == y``, ``(x ^ k) == c`` is ``x == k ^ c``).
 
-Both answers are cached at cost 0, so each is checked here against the
+Their answers are cached at cost 0, so each is checked here against the
 reference evaluator, never against the solver.
 """
 
+import functools
 import itertools
+import operator
+import random
 
 import pytest
 
@@ -44,6 +53,17 @@ def summands(term):
     if term.op != "add":
         return [term]
     return summands(term.args[0]) + summands(term.args[1])
+
+
+def raw_eq(a, b):
+    """``a == b`` as a node with its operands in the order given
+    (``t.eq`` orders them by term serial)."""
+    return t.Term("eq", (a, b), (), t.BOOL)
+
+
+def truth_table(term, envs):
+    """``term``'s value under each of ``envs``, as bits of one integer."""
+    return sum(1 << i for i, env in enumerate(envs) if evaluate(term, env))
 
 
 def remu_goal():
@@ -198,6 +218,161 @@ def _assert_equivalent(before, after):
         assert evaluate(after, env) == evaluate(before, env), env
 
 
+def pair_literals(a, b):
+    """The ``ult``, ``slt`` and ``eq`` atoms over one operand pair, ``eq``
+    in both operand orders, and their negations."""
+    atoms = [t.ult(a, b), t.ult(b, a), t.slt(a, b), t.slt(b, a)]
+    atoms += [raw_eq(a, b), raw_eq(b, a)]
+    return atoms + [t.not_(atom) for atom in atoms]
+
+
+class TestComparisonsThroughFlags:
+    """Rule 1: ``a < b ∨ a == b`` is ``¬(b < a)``, and ``¬(a < b) ∧
+    ¬(a == b)`` is ``b < a``, signed and unsigned."""
+
+    @staticmethod
+    def check_combinations(width, values):
+        """Every 2- and 3-way and/or of the pair's literals simplifies to a
+        term that evaluates like the combination under each assignment of
+        ``values``; returns how many combinations the rule rewrote."""
+        a, b = t.bv_var("fa", width), t.bv_var("fb", width)
+        envs = [{"fa": x, "fb": y} for x in values for y in values]
+        literals = pair_literals(a, b)
+        tables = {literal: truth_table(literal, envs) for literal in literals}
+        simplified_tables = {}
+        fused = 0
+        for size in (2, 3):
+            for combo in itertools.product(literals, repeat=size):
+                combo_tables = [tables[literal] for literal in combo]
+                for build, join in ((t.and_, operator.and_), (t.or_, operator.or_)):
+                    formula = build(*combo)
+                    result = simplify(formula)
+                    fused += result is not formula
+                    if result not in simplified_tables:
+                        simplified_tables[result] = truth_table(result, envs)
+                    expected = functools.reduce(join, combo_tables)
+                    assert simplified_tables[result] == expected, (formula, result)
+        return fused
+
+    def test_exhaustive_at_width_3(self):
+        assert self.check_combinations(3, range(8)) > 0
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_sampled_at_other_widths(self, width):
+        assert self.check_combinations(width, sample_values(width)) > 0
+
+    @pytest.mark.parametrize("less", (t.ult, t.slt))
+    def test_flag_spellings_intern_as_the_comparison(self, less):
+        a, b = t.bv_var("fa", 8), t.bv_var("fb", 8)
+        for equal in (raw_eq(a, b), raw_eq(b, a)):
+            # jbe/jle and ja/jg, with the equality's operands either way.
+            assert simplify(t.or_(less(a, b), equal)) is t.not_(less(b, a))
+            assert simplify(t.and_(t.not_(less(a, b)), t.not_(equal))) is less(b, a)
+        # The fused atom meets its spelled-out complement syntactically.
+        spelled = t.and_(t.not_(less(b, a)), t.not_(t.eq(a, b)))
+        assert simplify(t.and_(t.or_(less(b, a), t.eq(a, b)), spelled)) is t.FALSE
+
+    def test_an_equality_fuses_with_one_comparison(self):
+        a, b = t.bv_var("fa", 8), t.bv_var("fb", 8)
+        equal = t.eq(a, b)
+        both = (t.ult(a, b), t.ult(b, a))
+        assert simplify(t.or_(*both, equal)) is t.TRUE
+        assert simplify(t.and_(*map(t.not_, both), t.not_(equal))) is t.FALSE
+
+    def test_other_operand_pairs_are_left_alone(self):
+        a, b, c = (t.bv_var(name, 8) for name in ("fa", "fb", "fc"))
+        goal = t.or_(t.ult(a, b), t.eq(a, c), t.slt(b, c))
+        assert simplify(goal) is goal
+
+
+class TestXorOfConstantArms:
+    """Rule 2: ``ite(c, k1, k2) ^ k`` is ``ite(c, k1 ^ k, k2 ^ k)``, which the
+    ``ite == constant`` fold then turns into ``c``, ``¬c`` or a constant."""
+
+    @staticmethod
+    def check(width, k1, k2, k3, k4):
+        c = t.bool_var("xc")
+        arms = t.ite(c, t.bv_const(k1, width), t.bv_const(k2, width))
+        term = t.eq(t.bv_const(k4, width), t.bvxor(arms, t.bv_const(k3, width)))
+        result = simplify(term)
+        assert result in (c, t.not_(c), t.TRUE, t.FALSE), (term, result)
+        for value in (False, True):
+            env = {"xc": value}
+            assert evaluate(result, env) == evaluate(term, env), (term, env)
+
+    def test_exhaustive_at_width_3(self):
+        for k1, k2, k3, k4 in itertools.product(range(8), repeat=4):
+            self.check(3, k1, k2, k3, k4)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_sampled_at_other_widths(self, width):
+        rng = random.Random(width)
+        values = sample_values(width)
+        for _ in range(200):
+            k1, k2, k3 = (rng.choice(values) for _ in range(3))
+            # k4 hits an arm, or misses both.
+            for k4 in (k1 ^ k3, k2 ^ k3, rng.randrange(1 << width)):
+                self.check(width, k1, k2, k3, k4)
+
+    def test_riscv_boolean_round_trip_is_the_condition(self):
+        c = t.bool_var("xc")
+        byte = t.ite(c, t.bv_const(1, 8), t.zero(8))
+        assert simplify(t.eq(t.zero(8), t.bvxor(byte, t.bv_const(1, 8)))) is c
+
+
+class TestXorTests:
+    """Rule 3: ``(x ^ y) == 0`` is ``x == y``, and ``(x ^ k) == c`` is
+    ``x == k ^ c``."""
+
+    @staticmethod
+    def check(width, values):
+        x, y = t.bv_var("ex", width), t.bv_var("ey", width)
+        envs = [{"ex": xv, "ey": yv} for xv in values for yv in values]
+        assert simplify(t.eq(t.bvxor(x, y), t.zero(width))) is t.eq(x, y)
+        for c in values:
+            const = t.bv_const(c, width)
+            cases = [(t.eq(t.bvxor(x, y), const), None)]
+            cases += [
+                (
+                    t.eq(t.bvxor(x, t.bv_const(k, width)), const),
+                    t.eq(x, t.bv_const(k ^ c, width)),
+                )
+                for k in values
+            ]
+            for term, expected in cases:
+                result = simplify(term)
+                assert expected is None or result is expected, (term, result)
+                for env in envs:
+                    assert evaluate(result, env) == evaluate(term, env), (term, env)
+
+    def test_exhaustive_at_width_3(self):
+        self.check(3, range(8))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_sampled_at_other_widths(self, width):
+        self.check(width, sample_values(width))
+
+    def test_xor_chains_reach_a_fixpoint(self):
+        # The xor-chain rule folds an equality of chains to `chain == 0`,
+        # and this rule splits that chain at its last leaf, a form the
+        # chain rule keeps: simplifying again changes nothing.
+        a, b, c = (t.bv_var(name, 8) for name in ("ea", "eb", "ec"))
+        k = t.bv_const(5, 8)
+        for term in (
+            t.eq(t.bvxor(a, k), t.bvxor(b, c)),
+            t.eq(t.bvxor(t.bvxor(a, b), c), t.zero(8)),
+            t.eq(t.bvxor(a, b), t.bvxor(a, c)),
+            t.eq(t.bvxor(c, k), a),
+            t.eq(t.bvxor(t.bvxor(c, b), k), t.bv_const(3, 8)),
+        ):
+            result = simplify(term)
+            assert simplify(result) is result
+            for values in itertools.product(sample_values(8), repeat=3):
+                env = dict(zip(("ea", "eb", "ec"), values))
+                assert evaluate(result, env) == evaluate(term, env)
+        assert simplify(t.eq(t.bvxor(a, b), t.bvxor(a, c))) is t.eq(b, c)
+
+
 class TestCacheKeys:
     """The cache key is the canonical printing of the *simplified* goal.
     An entry written under the old simplifier's form of a goal that is now
@@ -229,11 +404,31 @@ class TestCacheKeys:
 
 class TestVriscvFigure6:
     def test_guarded_remu_function_succeeds_without_cdcl(self):
-        spec = gcc_like_corpus(120, 2021).by_name()["fn_succeeded_0051"]
-        module = CorpusSpec(functions=[spec]).build_module()
-        outcome = validate_function(
-            module, spec.name, TvOptions.for_campaign(target="vriscv")
-        )
+        outcome = _validate("fn_succeeded_0051", "vriscv")
         assert outcome.category == Category.SUCCEEDED
         assert outcome.solver_stats.sat_calls == 0
         assert outcome.solver_stats.refuted > 0
+
+    def test_xor_equality_function_needs_no_conflict(self):
+        # `icmp eq` lowers to `xor` then `seqz`: the IR's `a == b` and the
+        # machine's `0 == (a ^ b)` are one atom, so no CDCL search left in
+        # this function has anything to refute bit by bit.
+        outcome = _validate("fn_succeeded_0063", "vriscv")
+        assert outcome.category == Category.SUCCEEDED
+        assert outcome.solver_stats.conflicts == 0
+
+
+class TestVx86Figure6:
+    def test_flag_spelled_branches_settle_without_cdcl(self):
+        # Both sides' branch conditions intern as one term, so KEQ pairs the
+        # successors syntactically and never issues the function's two
+        # nonlinear checks.
+        outcome = _validate("fn_succeeded_0105", "vx86")
+        assert outcome.category == Category.SUCCEEDED
+        assert outcome.solver_stats.sat_calls == 0
+
+
+def _validate(name, target):
+    spec = gcc_like_corpus(120, 2021).by_name()[name]
+    module = CorpusSpec(functions=[spec]).build_module()
+    return validate_function(module, name, TvOptions.for_campaign(target=target))
