@@ -20,6 +20,7 @@ EXPECTED_ORACLES = (
     "model-soundness",
     "solver-vs-enumeration",
     "positive-vs-negative-form",
+    "function-session-vs-fresh",
     "cache-consistency",
 )
 

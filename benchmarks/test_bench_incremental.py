@@ -12,7 +12,7 @@ shape at the SMT level and measures the incremental session path
   assumption set — Tseitin encodings and learned clauses persist across
   obligations.
 
-Both modes must agree on every verdict (the incremental-vs-fresh fuzz
+Both modes must agree on every verdict (the function-session-vs-fresh fuzz
 oracle checks the same contract on random terms).  The session mode is
 asserted to do *less search* — fewer decisions and propagations, counted
 deterministically — and to be at least 1.3x faster in wall time.

@@ -142,6 +142,10 @@ def cmd_campaign_run(args) -> int:
     if args.dir is None:
         if args.inject_kill_once or args.inject_kill_always:
             raise SystemExit("--inject-kill-* requires --dir (a campaign)")
+        if args.shards is not None:
+            raise SystemExit("--shards requires --dir (a campaign)")
+        if args.halt_on_worker_death:
+            raise SystemExit("--halt-on-worker-death requires --dir (a campaign)")
         corpus = gcc_like_corpus(scale=args.scale, seed=args.seed)
         print(
             f"validating {len(corpus.functions)} functions"
@@ -157,6 +161,7 @@ def cmd_campaign_run(args) -> int:
             options,
             jobs=jobs,
             cache_dir=args.cache_dir,
+            dedup=not args.no_dedup,
         )
         print(result.summary())
         return 0
@@ -167,11 +172,12 @@ def cmd_campaign_run(args) -> int:
         run_campaign,
     )
 
+    shards = args.shards if args.shards is not None else 2
     config = CampaignConfig(
         scale=args.scale,
         seed=args.seed,
         wall_budget=args.wall_budget,
-        shards=args.shards,
+        shards=shards,
         jobs=jobs,
         cache_dir=args.cache_dir,
         dedup=not args.no_dedup,
@@ -181,7 +187,7 @@ def cmd_campaign_run(args) -> int:
         target=args.target,
     )
     print(
-        f"campaign: {args.dir} (shards={args.shards}, jobs={jobs},"
+        f"campaign: {args.dir} (shards={shards}, jobs={jobs},"
         f" target={args.target})"
     )
     try:
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards",
         type=int,
-        default=2,
+        default=None,
         help="number of shards for a --dir campaign (default: 2)",
     )
     run.add_argument(
@@ -436,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--halt-on-worker-death",
         action="store_true",
         help="stop the supervisor at the first worker death instead of"
-        " retrying (simulates a mid-campaign crash; resume to continue)",
+        " retrying (simulates a mid-campaign crash; resume to continue;"
+        " requires --dir)",
     )
     run.add_argument(
         "--inject-kill-once",

@@ -24,7 +24,6 @@ from repro.fuzz.oracles import (
     check_cache_consistency,
     check_function_session_vs_fresh,
     check_implication_forms,
-    check_incremental_vs_fresh,
     check_model_soundness,
     check_simplify_eval,
 )
@@ -172,28 +171,20 @@ def run_fuzz(
         ran("positive-vs-negative-form")
         record(check_implication_forms(antecedent, conditions), iteration)
 
-        # 5. incremental sessions vs fresh solving on a shared-prefix set:
-        #    the iteration's formula is the session prefix, two generated
-        #    conditions are the per-check deltas.
-        ran("incremental-vs-fresh")
+        # 5. function-scoped sessions (sync-point prefixes as assumption
+        #    sets, retracted/re-assumed/permuted between points) vs fresh
+        #    solving, with every session model replayed: the antecedent
+        #    and the iteration's formula (large, with selects) are the
+        #    sync-point prefixes, the first condition the per-point delta.
+        ran("function-session-vs-fresh")
         record(
-            check_incremental_vs_fresh(formula, conditions), iteration
+            check_function_session_vs_fresh(
+                [antecedent, formula], conditions[:1]
+            ),
+            iteration,
         )
 
-        # 6. function-scoped sessions (sync-point prefixes as assumption
-        #    sets, retracted/re-assumed/permuted between points) vs fresh
-        #    solving: the two conditions are the sync-point prefixes, the
-        #    antecedent is the per-point delta.  Every other iteration —
-        #    the oracle replays five sync points, each against a fresh
-        #    solver, so it dominates iteration cost if run every time.
-        if iteration % 2 == 0:
-            ran("function-session-vs-fresh")
-            record(
-                check_function_session_vs_fresh(conditions, [antecedent]),
-                iteration,
-            )
-
-        # 7. cross-target lowering execution: one generated LLVM
+        # 6. cross-target lowering execution: one generated LLVM
         #    function co-executed against its vx86 and vriscv lowerings
         #    on concrete inputs.  Every fifth iteration — each round
         #    runs instruction selection twice and three interpreters.
@@ -204,7 +195,7 @@ def run_fuzz(
                 iteration,
             )
 
-        # 8. cache outcome-identity over the recent query batch.
+        # 7. cache outcome-identity over the recent query batch.
         pending_cache_batch.append(formula)
         pending_cache_batch.append(small)
         if (iteration + 1) % CACHE_CHECK_EVERY == 0:

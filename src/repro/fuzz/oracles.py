@@ -14,15 +14,14 @@ on mutated witnesses.  The layers cross-checked:
 - the negative-form and positive-form implication proofs (the paper's
   Section 3 optimization) against each other on generated sibling
   partitions;
-- cached re-runs against uncached runs — the PR 1 soundness contract
+- cached re-runs against uncached runs — the cache's soundness contract
   (outcome identity, including under *smaller* replay budgets), machine-
   checked;
-- incremental sessions (:meth:`repro.smt.solver.Solver.session`) against
-  fresh per-query solving on goal sets sharing a common prefix — same
-  SAT/UNSAT verdicts, and session models must satisfy the combined goal;
-- *function-scoped* sessions — one session spanning several sync-point
-  assumption sets, with retraction, revisits, and permuted assumption
-  order — against fresh solving on the plain conjunctions.
+- *function-scoped* sessions (:meth:`repro.smt.solver.Solver.session`) —
+  one session spanning several sync-point assumption sets, with
+  retraction, revisits, and permuted assumption order — against fresh
+  solving on the plain conjunctions: same SAT/UNSAT verdicts, and every
+  session model must satisfy its conjunction.
 
 Oracles never raise on stack bugs — they return violations — but they are
 allowed to raise on harness bugs (e.g. mis-sorted generated terms), which
@@ -396,73 +395,7 @@ def check_cache_consistency(formulas: Sequence[Term]) -> Violation | None:
 
 
 # ---------------------------------------------------------------------------
-# Oracle 6: incremental sessions agree with fresh solving
-# ---------------------------------------------------------------------------
-
-
-def _incremental_disagreement(witnesses: tuple[Term, ...]) -> str | None:
-    """Session-based checks vs fresh per-query solving on a shared prefix.
-
-    The first witness is the shared prefix; the rest are per-check deltas.
-    Every delta is decided twice — through one live session that passes
-    the prefix as each check's assumption, and by a fresh solver on the
-    plain conjunction — and the verdicts must agree.  SAT verdicts are
-    further confirmed by replaying the session's model through the
-    reference interpreter (learned-clause leakage between checks would
-    surface here as either a flipped verdict or an unsatisfying model).
-    """
-    prefix, *deltas = witnesses
-    session_solver = Solver(conflict_budget=ORACLE_BUDGET)
-    with session_solver.session() as session:
-        for index, delta in enumerate(deltas):
-            fresh = Solver(conflict_budget=ORACLE_BUDGET).check_sat(
-                t.and_(prefix, delta)
-            )
-            incremental = session.check(delta, [prefix])
-            if Result.UNKNOWN in (fresh, incremental):
-                continue  # budget exhaustion is not a soundness defect
-            if fresh is not incremental:
-                return (
-                    f"delta {index}: fresh solver {fresh.value}, session "
-                    f"{incremental.value} (delta = {to_str(delta)})"
-                )
-            if incremental is Result.SAT:
-                confirm = session.check(delta, [prefix], need_model=True)
-                if confirm is not Result.SAT:
-                    return (
-                        f"delta {index}: session flipped to {confirm.value} "
-                        f"when a model was requested"
-                    )
-                model = session_solver.last_model
-                if model is None:
-                    return (
-                        f"delta {index}: session SAT with need_model=True "
-                        f"but last_model is None"
-                    )
-                detail = _model_violation(t.and_(prefix, delta), model)
-                if detail is not None:
-                    return f"delta {index}: session {detail}"
-    return None
-
-
-def check_incremental_vs_fresh(
-    prefix: Term, deltas: Sequence[Term]
-) -> Violation | None:
-    """Incremental sessions must be outcome- and model-sound vs fresh runs."""
-    witnesses = (prefix, *deltas)
-    detail = _incremental_disagreement(witnesses)
-    if detail is None:
-        return None
-    return Violation(
-        oracle="incremental-vs-fresh",
-        detail=detail,
-        witnesses=witnesses,
-        predicate=lambda ws: _incremental_disagreement(ws) is not None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oracle 7: function-scoped sessions agree with fresh solving
+# Oracle 6: function-scoped sessions agree with fresh solving
 # ---------------------------------------------------------------------------
 
 
@@ -476,16 +409,25 @@ def _function_session_disagreement(
     per-point deltas.  The session decides every (prefix, delta) pair with
     the prefix riding as a per-check assumption set — exactly how
     :class:`repro.keq.symbolic.Keq` drives its function-scoped session —
-    and each verdict must match a fresh solver on the plain conjunction.
+    and each verdict must match one fresh reference solver on the plain
+    conjunction (memoised, so a revisited query is solved once).  Every
+    model a SAT session check leaves must satisfy the conjunction under
+    the reference interpreter: learned-clause leakage between checks
+    surfaces as a flipped verdict or an unsatisfying model.
 
     Point 1 is *revisited after* point 2, so the pass also covers the
     retraction hazard: point 2's retracted assumptions leaking into point
-    1's re-checks (clause-learning unsoundness).  The final point assumes
-    both prefixes and is checked under both permutations — the
-    canonical-order contract says permuted assumption sets are one query,
-    so the verdicts must match each other and the fresh conjunction.
+    1's re-checks.  Both visits request a model, which forces a SAT answer
+    through CDCL (the revisit's in a clause database holding point 2's
+    learned clauses); the other points take the fast paths as KEQ does,
+    since a model requested under a large prefix costs a full CDCL search.
+    The final point assumes both prefixes and is checked under both
+    permutations — the canonical-order contract says permuted assumption
+    sets are one query, so the verdicts must match each other and the
+    fresh conjunction.
     """
     prefix_a, prefix_b, *deltas = witnesses
+    reference = Solver(conflict_budget=ORACLE_BUDGET)
     solver = Solver(conflict_budget=ORACLE_BUDGET)
     points = [
         (prefix_a,),
@@ -496,21 +438,34 @@ def _function_session_disagreement(
     ]
     with solver.session() as session:
         for point, assumptions in enumerate(points):
+            need_model = point in (0, 2)
             for index, delta in enumerate(deltas):
-                fresh = Solver(conflict_budget=ORACLE_BUDGET).check_sat(
-                    t.and_(t.conj(assumptions), delta)
-                )
-                incremental = session.check(delta, assumptions)
+                where = f"point {point} delta {index}"
+                conjunction = t.and_(t.conj(assumptions), delta)
+                fresh = reference.check_sat(conjunction)
+                incremental = session.check(delta, assumptions, need_model)
                 if Result.UNKNOWN in (fresh, incremental):
                     continue  # budget exhaustion is not a soundness defect
                 if fresh is not incremental:
                     return (
-                        f"point {point} delta {index}: fresh solver "
-                        f"{fresh.value}, function session "
-                        f"{incremental.value} (assumptions = "
+                        f"{where}: fresh solver {fresh.value}, function "
+                        f"session {incremental.value} (assumptions = "
                         f"{[to_str(a) for a in assumptions]}, "
                         f"delta = {to_str(delta)})"
                     )
+                if incremental is not Result.SAT:
+                    continue
+                model = solver.last_model
+                if model is None:
+                    if need_model:
+                        return (
+                            f"{where}: session SAT with need_model=True but "
+                            f"last_model is None"
+                        )
+                    continue  # answered by the memo, cache or witness search
+                detail = _model_violation(conjunction, model)
+                if detail is not None:
+                    return f"{where}: session {detail}"
     return None
 
 
@@ -519,7 +474,7 @@ def check_function_session_vs_fresh(
 ) -> Violation | None:
     """Function-scoped sessions (sync-point prefixes as assumption sets,
     retracted and re-assumed between points) must be outcome-identical to
-    fresh per-query solving."""
+    fresh per-query solving, and their models must hold."""
     witnesses = (*prefixes, *deltas)
     detail = _function_session_disagreement(witnesses)
     if detail is None:

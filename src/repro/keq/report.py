@@ -65,7 +65,6 @@ class KeqStats:
     steps_left: int = 0
     steps_right: int = 0
     solver_queries: int = 0
-    solver_time: float = 0.0
     wall_time: float = 0.0
     #: shared query-cache traffic (see repro.smt.cache).
     cache_hits: int = 0

@@ -45,7 +45,7 @@ from repro.semantics.state import (
     Value,
     value_term,
 )
-from repro.smt import Result, Solver, canonical_assumption_order
+from repro.smt import Result, Solver, check_query
 from repro.smt import terms as t
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -175,7 +175,6 @@ class Keq:
             self._session = None
         stats.wall_time = time.perf_counter() - started
         stats.solver_queries = self.solver.stats.queries
-        stats.solver_time = self.solver.stats.time_seconds
         stats.cache_hits = self.solver.stats.cache_hits
         stats.cache_misses = self.solver.stats.cache_misses
         proof = self._proof if verdict is Verdict.VALIDATED else None
@@ -359,9 +358,10 @@ class Keq:
     def _check_sat_conditional(self, delta: Term, assumptions=()) -> Result:
         """SAT(assumptions ∧ delta) via the active session, if any.
 
-        The fallback issues the plain conjunction through ``check_sat``, so
-        with ``incremental_solving`` disabled every query is byte-identical
-        to the pre-session behaviour.  The wall-clock deadline reaches the
+        Without a session (``incremental_solving`` off) the same query,
+        built by :func:`~repro.smt.solver.check_query`, goes to
+        ``check_sat``: both paths decide one formula under one memo and
+        cache key.  The wall-clock deadline reaches the
         SAT search; an UNKNOWN past it is the wall-clock timeout, not the
         conflict budget running out.
         """
@@ -371,12 +371,8 @@ class Keq:
                 delta, assumptions=assumptions, deadline=deadline
             )
         else:
-            # Mirror the session's canonical assumption order so the on/off
-            # paths build one combined term (one memo/cache key).
-            ordered = canonical_assumption_order(assumptions)
-            outcome = self.solver.check_sat(
-                t.conj([*ordered, delta]), deadline=deadline
-            )
+            _, query = check_query(delta, assumptions)
+            outcome = self.solver.check_sat(query, deadline=deadline)
         if outcome is Result.UNKNOWN:
             self._check_deadline()
         return outcome

@@ -168,41 +168,23 @@ class LlvmSemantics:
         successors: list[ProgramState] = []
         op = instr.op
         if op in ("udiv", "sdiv", "urem", "srem"):
-            zero_divisor = t.eq(rhs, t.zero(width))
-            successors.append(
-                state.assuming(zero_divisor).errored(
-                    ErrorInfo.DIV_BY_ZERO, f"%{instr.name}"
-                )
+            state = state.divide_checked(
+                lhs, rhs, op in ("sdiv", "srem"), f"%{instr.name}", successors
             )
-            state = state.assuming(t.not_(zero_divisor))
-            if op in ("sdiv", "srem"):
-                overflow = t.and_(
-                    t.eq(lhs, t.bv_const(t.min_signed(width), width)),
-                    t.eq(rhs, t.ones(width)),
-                )
-                successors.append(
-                    state.assuming(overflow).errored(
-                        ErrorInfo.SIGNED_OVERFLOW, f"%{instr.name}"
-                    )
-                )
-                state = state.assuming(t.not_(overflow))
         if op in ("shl", "lshr", "ashr"):
-            too_far = t.uge(rhs, t.bv_const(width, width))
-            if too_far is not t.FALSE:
-                successors.append(
-                    state.assuming(too_far).errored(
-                        ErrorInfo.UNSUPPORTED, f"shift >= width in %{instr.name}"
-                    )
-                )
-                state = state.assuming(t.not_(too_far))
-        if "nsw" in instr.flags and op in ("add", "sub", "mul"):
-            overflow = _signed_overflow(op, lhs, rhs, width)
-            successors.append(
-                state.assuming(overflow).errored(
-                    ErrorInfo.SIGNED_OVERFLOW, f"%{instr.name}"
-                )
+            state = state.undefined_if(
+                t.uge(rhs, t.bv_const(width, width)),
+                ErrorInfo.UNSUPPORTED,
+                f"shift >= width in %{instr.name}",
+                successors,
             )
-            state = state.assuming(t.not_(overflow))
+        if "nsw" in instr.flags and op in ("add", "sub", "mul"):
+            state = state.undefined_if(
+                _signed_overflow(op, lhs, rhs, width),
+                ErrorInfo.SIGNED_OVERFLOW,
+                f"%{instr.name}",
+                successors,
+            )
         result = _BINOP_BUILDERS[op](lhs, rhs)
         successors.append(state.bind(instr.name, result).advanced())
         return successors
@@ -223,20 +205,12 @@ class LlvmSemantics:
         condition = t.eq(self._eval_int(state, instr.condition), t.bv_const(1, 1))
         true_value = self.eval_operand(state, instr.true_value)
         false_value = self.eval_operand(state, instr.false_value)
-        if isinstance(true_value, PointerValue) or isinstance(
-            false_value, PointerValue
-        ):
-            # A value-level conditional over pointers into (possibly)
-            # different objects has no single-pointer representation in the
-            # memory model; split the state on the condition instead.
-            return [
-                state.assuming(condition).bind(instr.name, true_value).advanced(),
-                state.assuming(t.not_(condition))
-                .bind(instr.name, false_value)
-                .advanced(),
-            ]
-        result = t.ite(condition, true_value, false_value)
-        return [state.bind(instr.name, result).advanced()]
+        return state.selected(
+            condition,
+            true_value,
+            false_value,
+            lambda state, value: state.bind(instr.name, value),
+        )
 
     def _step_cast(self, state: ProgramState, instr: ir.Cast) -> list[ProgramState]:
         value = self.eval_operand(state, instr.value)
@@ -257,15 +231,10 @@ class LlvmSemantics:
     def _step_load(self, state: ProgramState, instr: ir.Load) -> list[ProgramState]:
         pointer = self._as_pointer(state, instr.pointer, f"load %{instr.name}")
         width_bytes = sizeof(instr.type)
-        in_bounds = state.memory.in_bounds_condition(pointer, width_bytes)
         successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"load %{instr.name}"
-                )
-            )
-            state = state.assuming(in_bounds)
+        state = state.access_checked(
+            pointer, width_bytes, f"load %{instr.name}", successors
+        )
         raw = state.memory.load(pointer, width_bytes)
         value: Value = _shrink_loaded(raw, instr.type)
         if isinstance(instr.type, PointerType):
@@ -280,15 +249,8 @@ class LlvmSemantics:
         width_bytes = sizeof(instr.value_type)
         value = self.eval_operand(state, instr.value)
         raw = _widen_for_store(value_term(value), instr.value_type)
-        in_bounds = state.memory.in_bounds_condition(pointer, width_bytes)
         successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, "store"
-                )
-            )
-            state = state.assuming(in_bounds)
+        state = state.access_checked(pointer, width_bytes, "store", successors)
         memory = state.memory.store(pointer, raw, width_bytes)
         successors.append(state.with_memory(memory).advanced())
         return successors

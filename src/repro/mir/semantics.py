@@ -7,12 +7,19 @@ under their full-width names, narrow views truncating on read and
 zero-extending on write), operand evaluation and memory-operand
 resolution in the common memory model, the leading PHI group of a block
 (read in parallel), ``COPY`` and moves, zero/sign extension, address-of,
-unconditional jumps, calls and ``ret``, and loads and stores with their
-out-of-bounds error branches.  A subclass names its spelling of those
-instructions as class attributes and adds a step method for each of its
-own opcodes (:meth:`MachineSemantics._isa_steps`); conditional branches
-and selects share :meth:`~MachineSemantics._branch` and
+unconditional jumps, calls and ``ret``, and loads and stores.  A subclass
+names its spelling of those instructions as class attributes and adds a
+step method for each of its own opcodes
+(:meth:`MachineSemantics._isa_steps`); conditional branches and selects
+share :meth:`~MachineSemantics._branch` and
 :meth:`~MachineSemantics._select`.
+
+The forks the LLVM side must agree on are not built here but by
+:class:`~repro.semantics.state.ProgramState`, which both sides call:
+the out-of-bounds branch of a load or store
+(:meth:`~repro.semantics.state.ProgramState.access_checked`) and the
+split of a select over pointers
+(:meth:`~repro.semantics.state.ProgramState.selected`).
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from repro.mir import (
 )
 from repro.semantics.state import (
     CallMarker,
-    ErrorInfo,
     Location,
     ProgramState,
     StatusKind,
@@ -247,15 +253,10 @@ class MachineSemantics:
         mem = instr.operands[0]
         assert isinstance(mem, MemRef)
         pointer = self._resolve_mem(state, mem)
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
         successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"load {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
+        state = state.access_checked(
+            pointer, mem.width_bytes, f"load {mem}", successors
+        )
         raw = state.memory.load(pointer, mem.width_bytes)
         dest = instr.result
         assert dest is not None
@@ -281,15 +282,10 @@ class MachineSemantics:
             raise MachineSemanticsError(
                 f"store width mismatch: {raw.width} bits into {mem.width_bytes} bytes"
             )
-        in_bounds = state.memory.in_bounds_condition(pointer, mem.width_bytes)
         successors: list[ProgramState] = []
-        if in_bounds is not t.TRUE:
-            successors.append(
-                state.assuming(t.not_(in_bounds)).errored(
-                    ErrorInfo.OUT_OF_BOUNDS, f"store {mem}"
-                )
-            )
-            state = state.assuming(in_bounds)
+        state = state.access_checked(
+            pointer, mem.width_bytes, f"store {mem}", successors
+        )
         memory = state.memory.store(pointer, raw, mem.width_bytes)
         successors.append(state.with_memory(memory).advanced())
         return successors
@@ -332,16 +328,12 @@ class MachineSemantics:
         not_taken: Value,
     ) -> list[ProgramState]:
         """Write ``condition ? taken : not_taken`` to ``dest``."""
-        if isinstance(taken, PointerValue) or isinstance(not_taken, PointerValue):
-            # Mirror the LLVM side's select-over-pointers case split.
-            return [
-                self.write_reg(state.assuming(condition), dest, taken).advanced(),
-                self.write_reg(
-                    state.assuming(t.not_(condition)), dest, not_taken
-                ).advanced(),
-            ]
-        value = t.ite(condition, value_term(taken), value_term(not_taken))
-        return [self.write_reg(state, dest, value).advanced()]
+        return state.selected(
+            condition,
+            taken,
+            not_taken,
+            lambda state, value: self.write_reg(state, dest, value),
+        )
 
     def _step_call(self, state: ProgramState, instr: MInstr) -> list[ProgramState]:
         target = instr.operands[0]

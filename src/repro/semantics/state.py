@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from repro.memory import Memory, PointerValue
 from repro.smt import terms as t
@@ -158,6 +158,84 @@ class ProgramState:
 
     def calling(self, marker: CallMarker) -> "ProgramState":
         return self._updated(status=StatusKind.CALLING, call=marker)
+
+    # -- forks every IR shares ----------------------------------------------------
+    #
+    # The acceptability relation matches an error state across languages
+    # only by kind and path condition (paper Section 4.6), so the LLVM and
+    # machine-IR semantics build these forks here, term for term alike.
+
+    def undefined_if(
+        self,
+        condition: Term,
+        kind: str,
+        detail: str,
+        successors: list["ProgramState"],
+    ) -> "ProgramState":
+        """The undefined-behaviour rule: append the error state marked
+        ``kind`` where ``condition`` holds (none when it folds to false) and
+        return this state continued under its negation."""
+        if condition is t.FALSE:
+            return self
+        successors.append(self.assuming(condition).errored(kind, detail))
+        return self.assuming(t.not_(condition))
+
+    def divide_checked(
+        self,
+        lhs: Term,
+        rhs: Term,
+        signed: bool,
+        detail: str,
+        successors: list["ProgramState"],
+    ) -> "ProgramState":
+        """A trapping division: a zero divisor, then (``signed``) the
+        ``INT_MIN / -1`` overflow."""
+        width = rhs.width
+        state = self.undefined_if(
+            t.eq(rhs, t.zero(width)), ErrorInfo.DIV_BY_ZERO, detail, successors
+        )
+        if signed:
+            overflow = t.and_(
+                t.eq(lhs, t.bv_const(t.min_signed(width), width)),
+                t.eq(rhs, t.ones(width)),
+            )
+            state = state.undefined_if(
+                overflow, ErrorInfo.SIGNED_OVERFLOW, detail, successors
+            )
+        return state
+
+    def access_checked(
+        self,
+        pointer: PointerValue,
+        width_bytes: int,
+        detail: str,
+        successors: list["ProgramState"],
+    ) -> "ProgramState":
+        """A load or store of ``width_bytes`` at ``pointer``: out of bounds
+        is undefined behaviour."""
+        in_bounds = self.memory.in_bounds_condition(pointer, width_bytes)
+        return self.undefined_if(
+            t.not_(in_bounds), ErrorInfo.OUT_OF_BOUNDS, detail, successors
+        )
+
+    def selected(
+        self,
+        condition: Term,
+        taken: Value,
+        not_taken: Value,
+        write: Callable[["ProgramState", Value], "ProgramState"],
+    ) -> list["ProgramState"]:
+        """``condition ? taken : not_taken``, stored by ``write``, then the
+        next instruction.  A conditional over pointers into (possibly)
+        different objects has no single-pointer form in the memory model,
+        so the state splits on the condition instead."""
+        if isinstance(taken, PointerValue) or isinstance(not_taken, PointerValue):
+            return [
+                write(self.assuming(condition), taken).advanced(),
+                write(self.assuming(t.not_(condition)), not_taken).advanced(),
+            ]
+        value = t.ite(condition, value_term(taken), value_term(not_taken))
+        return [write(self, value).advanced()]
 
     @property
     def is_running(self) -> bool:

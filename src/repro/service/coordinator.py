@@ -38,7 +38,7 @@ import socketserver
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.campaign.journal import Journal, load_state
 from repro.campaign.merge import CampaignReport, build_status, merge_campaign
@@ -96,7 +96,6 @@ class WorkerInfo:
     deaths_reported: int = 0
     expired_leases: int = 0
     departed: bool = False
-    last_seen: float = field(default=0.0)
 
 
 class Coordinator:
@@ -173,7 +172,6 @@ class Coordinator:
             info = self._workers[worker_id] = WorkerInfo(
                 worker_id=worker_id, host=message.get("host", peer_host)
             )
-        info.last_seen = time.monotonic()
         return info
 
     def _on_hello(self, message: dict, peer_host: str) -> dict:

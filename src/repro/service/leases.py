@@ -26,7 +26,6 @@ class Lease:
     unit: str
     worker_id: str
     attempt: int
-    granted_at: float
     expires_at: float
 
 
@@ -58,7 +57,6 @@ class LeaseTable:
             unit=unit,
             worker_id=worker_id,
             attempt=attempt,
-            granted_at=now,
             expires_at=now + self.duration_seconds,
         )
         self._by_id[lease.lease_id] = lease

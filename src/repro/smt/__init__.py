@@ -32,7 +32,7 @@ from repro.smt.solver import (
     QueryStats,
     Result,
     Solver,
-    canonical_assumption_order,
+    check_query,
 )
 from repro.smt.cache import CacheStats, QueryCache
 
@@ -40,7 +40,7 @@ __all__ = [
     "CacheStats",
     "QueryCache",
     "QueryStats",
-    "canonical_assumption_order",
+    "check_query",
     "BOOL",
     "BV1",
     "BV8",

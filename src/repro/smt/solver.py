@@ -589,6 +589,22 @@ def _ackermann_lemmas(goal: Term) -> Term:
     return t.conj(lemmas)
 
 
+#: what a fast-path answer moves besides ``QueryStats.fast_path``, by the
+#: path that gave it: that path's own counter, whether the memo records the
+#: answer, and whether the shared cache gets it at cost 0.  The paths that
+#: share decide a goal the same way in every process without CDCL (the
+#: witness search is a pure function of the goal); the memo and the cache
+#: only replay answers already recorded.
+_FAST_PATHS: dict[str, tuple[str | None, bool, bool]] = {
+    "constant": (None, False, False),
+    "memo": (None, False, False),
+    "cache": ("cache_hits", True, False),
+    "skeleton": (None, True, True),
+    "witness": ("witnessed", True, True),
+    "propagation": ("refuted", True, True),
+}
+
+
 class Solver:
     """Stateless-per-query solver with shared statistics.
 
@@ -636,69 +652,61 @@ class Solver:
         self.stats.queries += 1
         self.last_model = None
         goal = simplify(goal)
-        fast = self._try_fast_paths(goal, need_model, started)
+        fast = self._answer_fast(goal, need_model, started)
         if fast is not None:
             return fast
-        bare_goal = goal
-        goal = t.and_(goal, _ackermann_lemmas(goal), _comparison_lemmas(goal))
-        sat_solver = SatSolver()
-        blaster = BitBlaster(sat_solver)
-        blaster.assert_term(goal)
-        self.stats.sat_calls += 1
-        outcome = sat_solver.solve(
-            conflict_budget=self.conflict_budget, deadline=deadline
+        blaster = BitBlaster(SatSolver())
+        blaster.assert_term(
+            t.and_(goal, _ackermann_lemmas(goal), _comparison_lemmas(goal))
         )
-        self.stats.conflicts += sat_solver.stats.conflicts
-        self.stats.decisions += sat_solver.stats.decisions
-        self.stats.propagations += sat_solver.stats.propagations
-        self.stats.time_seconds += time.perf_counter() - started
-        # Minimal deciding budget: the CDCL loop gives up *at* the budget-th
-        # conflict, so a run that decided after c conflicts needs c + 1.
-        cost = sat_solver.stats.conflicts + 1
-        if outcome is SatResult.SAT:
-            self.stats.sat_calls_sat += 1
-            self.last_model = Model(blaster)
-            self._memo[bare_goal] = Result.SAT
-            self._share(bare_goal, Result.SAT, cost)
-            return Result.SAT
-        if outcome is SatResult.UNSAT:
-            self.stats.sat_calls_unsat += 1
-            self._memo[bare_goal] = Result.UNSAT
-            self._share(bare_goal, Result.UNSAT, cost)
-            return Result.UNSAT
-        self.stats.unknowns += 1
-        return Result.UNKNOWN
+        return self._answer_cdcl(goal, blaster, None, deadline, started, fresh=True)
 
-    def _try_fast_paths(
+    def _answer_fast(
         self, goal: Term, need_model: bool, started: float
     ) -> Result | None:
         """Answer an already-simplified goal without bit-blasting, or None.
 
-        Shared between :meth:`check_sat` and :meth:`SolverSession.check` so
-        the fresh and incremental paths stay mutually sound: both consult the
-        same memo/cache namespace (the simplified combined goal) and apply
-        the same shortcuts, in order: memo, shared cache, boolean skeleton,
-        witness search, literal propagation.  Updates stats and timing for
-        every query it answers.
+        :meth:`check_sat` and :meth:`SolverSession.check` both start here,
+        on the simplified formula of the query (for a session check, the
+        one :func:`check_query` builds), so the fresh and incremental paths
+        read and feed one memo and cache namespace and take the same
+        shortcuts.  The answer is booked as :data:`_FAST_PATHS` says for
+        the path that gave it.
         """
+        decided = self._decide_fast(goal, need_model)
+        if decided is None:
+            return None
+        path, result = decided
+        counter, memoised, shared = _FAST_PATHS[path]
+        stats = self.stats
+        stats.fast_path += 1
+        if counter is not None:
+            setattr(stats, counter, getattr(stats, counter) + 1)
+        if memoised:
+            self._memo[goal] = result
+        if shared:
+            self._share(goal, result, cost=0)
+        stats.time_seconds += time.perf_counter() - started
+        return result
+
+    def _decide_fast(
+        self, goal: Term, need_model: bool
+    ) -> tuple[str, Result] | None:
+        """The fast-path ladder: a constant goal, then memo, shared cache,
+        boolean skeleton, witness search and literal propagation; the first
+        path that decides the goal, with its verdict."""
         if goal is t.TRUE:
             if need_model:
                 # The goal holds under every assignment; hand out an explicit
                 # witness so callers can always read a model on SAT.
                 self.last_model = TrivialModel()
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.SAT
+            return "constant", Result.SAT
         if goal is t.FALSE:
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.UNSAT
+            return "constant", Result.UNSAT
         cached = self._memo.get(goal)
         if cached is not None and not (need_model and cached is Result.SAT):
             # Memo hit: no model is reconstructed (KEQ never reads models).
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return cached
+            return "memo", cached
         if self.cache is not None:
             if cached is not None:
                 # The memo held the answer but a model was requested; the
@@ -707,47 +715,80 @@ class Solver:
                 self.stats.cache_hits_unused += 1
             else:
                 shared = self.cache.lookup(goal, self.conflict_budget)
-                if shared is not None:
-                    if not (need_model and shared is Result.SAT):
-                        self._memo[goal] = shared
-                        self.stats.cache_hits += 1
-                        self.stats.fast_path += 1
-                        self.stats.time_seconds += time.perf_counter() - started
-                        return shared
+                if shared is None:
+                    self.stats.cache_misses += 1
+                elif need_model and shared is Result.SAT:
                     self.stats.cache_hits_unused += 1
                 else:
-                    self.stats.cache_misses += 1
+                    return "cache", shared
         # Boolean-skeleton check, strengthened with the comparison-theory
         # lemmas *at the atom level*: UNSATness that follows from branch
         # structure plus trichotomy never needs arithmetic bit-blasting.
         if _skeleton_unsat(t.and_(goal, _comparison_lemmas(goal))):
-            self._memo[goal] = Result.UNSAT
-            self._share(goal, Result.UNSAT, cost=0)
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.UNSAT
+            return "skeleton", Result.UNSAT
         # A skeleton-refuted goal has no witness, so the search runs only
-        # here.  A confirmed witness is SAT in every process (the search is
-        # a pure function of the goal), so it is shared at cost 0.
+        # here.
         if not need_model and _witness(goal) is not None:
-            self._memo[goal] = Result.SAT
-            self._share(goal, Result.SAT, cost=0)
-            self.stats.witnessed += 1
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.SAT
+            return "witness", Result.SAT
         # Literal propagation runs last, on the few goals every other fast
-        # path left open.  Its rewrite is equivalent to the goal, so FALSE
-        # refutes it in every process (cost 0); any other outcome is
-        # dropped and the goal goes to CDCL as it stands.
+        # path left open.  Any outcome but FALSE is dropped and the goal
+        # goes to CDCL as it stands.
         if propagate_literals(goal) is t.FALSE:
-            self._memo[goal] = Result.UNSAT
-            self._share(goal, Result.UNSAT, cost=0)
-            self.stats.refuted += 1
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.UNSAT
+            return "propagation", Result.UNSAT
         return None
+
+    def _answer_cdcl(
+        self,
+        goal: Term,
+        blaster: BitBlaster,
+        assumptions: list[int] | None,
+        deadline: float | None,
+        started: float,
+        fresh: bool,
+    ) -> Result:
+        """Decide ``goal``, as ``blaster`` encoded it, by CDCL under
+        ``assumptions``, and book the answer.
+
+        Every decided answer enters the memo (this solver re-serves it
+        under the same budget), but only a ``fresh`` search's enters the
+        shared cache, at its minimal deciding budget: the CDCL loop gives
+        up *at* the budget-th conflict, so a run that decided after ``c``
+        conflicts needs ``c + 1``.  A session's search leaned on clauses
+        learned by earlier checks, so its conflict count can undershoot
+        what a fresh search needs; a cache entry carrying that optimistic
+        cost would let a cached run decide under a small budget where an
+        uncached run returns UNKNOWN, breaking cached-vs-uncached outcome
+        identity (see the budget-monotonicity policy in cache.py).
+        """
+        stats = self.stats
+        sat_solver = blaster.solver
+        sat_stats = sat_solver.stats
+        conflicts = sat_stats.conflicts
+        decisions = sat_stats.decisions
+        propagations = sat_stats.propagations
+        stats.sat_calls += 1
+        outcome = sat_solver.solve(
+            assumptions, conflict_budget=self.conflict_budget, deadline=deadline
+        )
+        conflicts = sat_stats.conflicts - conflicts
+        stats.conflicts += conflicts
+        stats.decisions += sat_stats.decisions - decisions
+        stats.propagations += sat_stats.propagations - propagations
+        stats.time_seconds += time.perf_counter() - started
+        if outcome is SatResult.UNKNOWN:
+            stats.unknowns += 1
+            return Result.UNKNOWN
+        if outcome is SatResult.SAT:
+            stats.sat_calls_sat += 1
+            self.last_model = Model(blaster)
+            result = Result.SAT
+        else:
+            stats.sat_calls_unsat += 1
+            result = Result.UNSAT
+        self._memo[goal] = result
+        if fresh:
+            self._share(goal, result, conflicts + 1)
+        return result
 
     def _share(self, goal: Term, result: Result, cost: int) -> None:
         if self.cache is not None:
@@ -804,27 +845,32 @@ class Solver:
 _canonical_keys: dict[Term, str] = {}
 
 
-def canonical_assumption_order(terms: Iterable[Term]) -> list[Term]:
-    """Deduplicate and sort assumption terms into a canonical order.
+def _canonical_key(term: Term) -> str:
+    found = _canonical_keys.get(term)
+    if found is None:
+        found = _canonical_keys[term] = str(term)
+    return found
 
-    ``check(delta, assumptions=(a, b))`` and ``(b, a)`` denote the same
-    query; ordering by the canonical *printing* (never by ``Term.serial``,
-    which depends on per-process interning order) makes the conjunction —
-    and hence the memo and on-disk cache keys — identical for both, in
-    every process.
+
+def check_query(
+    delta: Term, assumptions: Iterable[Term] = ()
+) -> tuple[list[Term], Term]:
+    """The query a check of ``delta`` under ``assumptions`` decides: the
+    assumptions, deduplicated in canonical order, and their conjunction
+    with ``delta``.
+
+    ``(a, b)`` and ``(b, a)`` are one assumption set; ordering by the
+    canonical *printing* (never by ``Term.serial``, which depends on
+    per-process interning order) makes the conjunction — and hence the
+    memo and on-disk cache keys — identical for both, in every process.
+    :meth:`SolverSession.check` decides that conjunction incrementally; a
+    caller without a session hands it to :meth:`Solver.check_sat`.  Both
+    build it here, so the two paths key one memo and cache entry.
     """
-    unique = list(dict.fromkeys(terms))
-    if len(unique) <= 1:
-        return unique
-
-    def key(term: Term) -> str:
-        found = _canonical_keys.get(term)
-        if found is None:
-            found = str(term)
-            _canonical_keys[term] = found
-        return found
-
-    return sorted(unique, key=key)
+    ordered = list(dict.fromkeys(assumptions))
+    if len(ordered) > 1:
+        ordered.sort(key=_canonical_key)
+    return ordered, t.conj([*ordered, delta])
 
 
 class SolverSession:
@@ -838,11 +884,12 @@ class SolverSession:
     here ever poisons the clause database: learned clauses are implied by
     the gate definitions and valid lemmas alone.
 
-    Soundness with the fresh path: each check first consults the same fast
-    paths as :meth:`Solver.check_sat`, keyed on the *simplified combined
-    goal* (assumptions ∧ delta), and decided results are stored back under
-    that same key — the cached and incremental paths answer from one
-    namespace.
+    Soundness with the fresh path: a check decides the query
+    :func:`check_query` builds, through the same fast paths and the same
+    CDCL bookkeeping as :meth:`Solver.check_sat`, keyed on the *simplified
+    combined goal* — the cached and incremental paths answer from one
+    namespace.  Only its CDCL answers stay out of the shared cache
+    (:meth:`Solver._answer_cdcl` says why).
 
     Before a check that reaches the SAT solver, a learned store past
     :attr:`MAX_LEARNED` clauses gets one maintenance pass
@@ -885,12 +932,11 @@ class SolverSession:
     ) -> Result:
         """Decide SAT(assumptions ∧ delta) incrementally.
 
-        Semantically identical to
-        ``solver.check_sat(t.conj([*assumptions, delta]), need_model,
-        deadline)`` — same result, same cache keys — but reuses the
-        session's SAT state.  On SAT with ``need_model=True``,
-        ``solver.last_model`` reads through the session blaster (valid
-        until the next check).
+        Semantically identical to ``solver.check_sat(check_query(delta,
+        assumptions)[1], need_model, deadline)`` — same result, same cache
+        keys — but reuses the session's SAT state.  On SAT with
+        ``need_model=True``, ``solver.last_model`` reads through the
+        session blaster (valid until the next check).
         """
         solver = self.solver
         stats = solver.stats
@@ -898,17 +944,14 @@ class SolverSession:
         stats.queries += 1
         stats.incremental_checks += 1
         solver.last_model = None
-        # Canonical assumption order: permutations of the same assumption
-        # set must produce one combined term (one memo/cache key) and one
-        # SAT-level decision order.
-        ordered = canonical_assumption_order(assumptions)
-        combined = simplify(t.conj([*ordered, delta]))
-        fast = solver._try_fast_paths(combined, need_model, started)
+        ordered, query = check_query(delta, assumptions)
+        combined = simplify(query)
+        fast = solver._answer_fast(combined, need_model, started)
         if fast is not None:
             return fast
         # Maintenance runs *before* this check's encoding: it must never sit
-        # between the solve and the model extraction below, which reads the
-        # same blaster the solve used.
+        # between the solve and the model extraction, which reads the same
+        # blaster the solve used.
         sat_solver = self._sat
         if sat_solver is None:
             sat_solver = self._sat = SatSolver()
@@ -930,36 +973,7 @@ class SolverSession:
         delta_lit = self._assume_lit(delta)
         stats.clauses_reused += sat_solver.num_learned
         stats.encode_cache_hits += blaster.encode_hits - encode_hits_before
-        sat_stats = sat_solver.stats
-        conflicts_before = sat_stats.conflicts
-        decisions_before = sat_stats.decisions
-        propagations_before = sat_stats.propagations
-        stats.sat_calls += 1
-        outcome = sat_solver.solve(
-            assumptions=assume_lits + [delta_lit],
-            conflict_budget=solver.conflict_budget,
-            deadline=deadline,
+        return solver._answer_cdcl(
+            combined, blaster, assume_lits + [delta_lit], deadline, started,
+            fresh=False,
         )
-        stats.conflicts += sat_stats.conflicts - conflicts_before
-        stats.decisions += sat_stats.decisions - decisions_before
-        stats.propagations += sat_stats.propagations - propagations_before
-        stats.time_seconds += time.perf_counter() - started
-        # Session results feed the per-solver memo (this solver re-serves
-        # them under the same budget) but never the shared QueryCache: the
-        # deciding run leaned on clauses learned by earlier checks, so its
-        # conflict count can undershoot what a fresh solver would need, and
-        # a cache entry carrying that optimistic cost would let a cached
-        # run decide under a small budget where an uncached run returns
-        # UNKNOWN — breaking cached-vs-uncached outcome identity (see the
-        # budget-monotonicity policy in cache.py).
-        if outcome is SatResult.SAT:
-            stats.sat_calls_sat += 1
-            solver.last_model = Model(blaster)
-            solver._memo[combined] = Result.SAT
-            return Result.SAT
-        if outcome is SatResult.UNSAT:
-            stats.sat_calls_unsat += 1
-            solver._memo[combined] = Result.UNSAT
-            return Result.UNSAT
-        stats.unknowns += 1
-        return Result.UNKNOWN

@@ -15,8 +15,6 @@ from repro.tv.driver import Category, TvOptions, TvOutcome, validate_function
 @dataclass
 class BatchResult:
     outcomes: list[TvOutcome] = field(default_factory=list)
-    #: functions excluded before validation (unsupported fragment).
-    excluded: int = 0
     #: solver counters merged across every validated function.
     solver_stats: QueryStats = field(default_factory=QueryStats)
     #: cross-function dedup stats (see :mod:`repro.tv.dedup`): number of
@@ -149,7 +147,6 @@ def merge_results(results) -> BatchResult:
     merged = BatchResult()
     for result in results:
         merged.outcomes.extend(result.outcomes)
-        merged.excluded += result.excluded
         merged.dedup_classes += result.dedup_classes
         merged.deduped_functions += result.deduped_functions
     merged.outcomes.sort(key=lambda outcome: outcome.function)

@@ -15,9 +15,8 @@ read.  What is RISC-V's own:
   zero yields the all-ones quotient (and the dividend as remainder), and
   ``INT_MIN / -1`` wraps — both in a single successor state, which the
   equivalence check accepts because the LLVM side's division errors are
-  handled by the acceptability relation (paper Section 4.6).  Memory
-  accesses still fork out-of-bounds error branches, mirroring the LLVM
-  side's error kinds.
+  handled by the acceptability relation (paper Section 4.6).  Loads and
+  stores are the core's, so they fork the out-of-bounds error state.
 """
 
 from __future__ import annotations

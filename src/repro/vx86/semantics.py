@@ -11,9 +11,11 @@ x86's own:
   directly so that compare-then-branch path conditions match the LLVM
   side's syntactically in the common case), set by the ALU, ``cmp`` and
   ``test`` and read by ``jcc``, ``cmovcc`` and ``setcc``;
-- division traps (#DE on zero divisor / quotient overflow) become marked
-  error states, mirroring the LLVM side's error kinds so the acceptability
-  relation can match them (paper Section 4.6).
+- division traps (#DE on a zero divisor or a quotient overflow): the
+  ALU forks them through
+  :meth:`~repro.semantics.state.ProgramState.divide_checked`, the one
+  trapping-division rule LLVM's ``udiv``/``sdiv``/``urem``/``srem`` use
+  too, so both sides build the same error states (paper Section 4.6).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.mir.semantics import (
     Step,
     machine_entry_state,
 )
-from repro.semantics.state import ErrorInfo, ProgramState, Value, value_term
+from repro.semantics.state import ProgramState, Value, value_term
 from repro.smt import terms as t
 from repro.smt.terms import Term
 from repro.vx86 import insns
@@ -179,24 +181,9 @@ class Vx86Semantics(MachineSemantics):
         width = dest.width
         successors: list[ProgramState] = []
         if opcode in ("idiv", "irem", "udiv", "urem"):
-            zero_divisor = t.eq(rhs, t.zero(width))
-            successors.append(
-                state.assuming(zero_divisor).errored(
-                    ErrorInfo.DIV_BY_ZERO, f"{opcode} {dest}"
-                )
+            state = state.divide_checked(
+                lhs, rhs, opcode in ("idiv", "irem"), f"{opcode} {dest}", successors
             )
-            state = state.assuming(t.not_(zero_divisor))
-            if opcode in ("idiv", "irem"):
-                overflow = t.and_(
-                    t.eq(lhs, t.bv_const(t.min_signed(width), width)),
-                    t.eq(rhs, t.ones(width)),
-                )
-                successors.append(
-                    state.assuming(overflow).errored(
-                        ErrorInfo.SIGNED_OVERFLOW, f"{opcode} {dest}"
-                    )
-                )
-                state = state.assuming(t.not_(overflow))
         if opcode in ("shl", "shr", "sar"):
             # x86 masks the shift count to the width; the LLVM side treats
             # oversized shifts as an error branch, which refines this.

@@ -14,7 +14,9 @@ class TestRunFuzz:
         assert report.oracle_runs["simplify-eval"] == 24
         assert report.oracle_runs["model-soundness"] == 12
         assert report.oracle_runs["positive-vs-negative-form"] == 12
-        assert report.oracle_runs["incremental-vs-fresh"] == 12
+        assert report.oracle_runs["function-session-vs-fresh"] == 12
+        assert report.oracle_runs["cross-target-exec"] == 2
+        assert len(report.oracle_runs) == 7  # every oracle the harness has
         assert report.oracle_runs["cache-consistency"] == 1
         assert report.elapsed_seconds > 0
         assert report.iterations_per_second() > 0

@@ -10,8 +10,8 @@ from repro.fuzz.oracles import (
     brute_force_sat,
     check_brute_force,
     check_cache_consistency,
+    check_function_session_vs_fresh,
     check_implication_forms,
-    check_incremental_vs_fresh,
     check_model_soundness,
     check_simplify_eval,
     first_true_partition,
@@ -59,12 +59,12 @@ class TestStockStackPasses:
         batch = [generator.formula() for _ in range(4)]
         assert check_cache_consistency(batch) is None
 
-    def test_incremental_vs_fresh_clean(self):
-        generator = TermGenerator(106, GenConfig(max_depth=4))
+    def test_function_session_vs_fresh_clean(self):
+        generator = TermGenerator(106, GenConfig(max_depth=4, allow_select=True))
         for _ in range(10):
-            prefix = generator.formula()
+            prefixes = [generator.bool_term(3), generator.formula()]
             deltas = [generator.bool_term(2) for _ in range(2)]
-            assert check_incremental_vs_fresh(prefix, deltas) is None
+            assert check_function_session_vs_fresh(prefixes, deltas) is None
 
 
 class TestBruteForceReference:
@@ -145,38 +145,71 @@ class TestOraclesCatchInjectedBugs:
         assert violation.oracle == "cache-consistency"
 
     def test_lying_session_is_detected(self, monkeypatch):
-        from repro.smt.solver import Solver
+        # Sessions flip UNSAT verdicts to SAT; fresh solving is honest.
+        def lie(solver, verdict, need_model):
+            return Result.SAT if verdict is Result.UNSAT else verdict
 
-        class LyingSessionSolver(Solver):
-            """Sessions flip UNSAT deltas to SAT; fresh solving is honest."""
-
-            def session(self):
-                real = super().session()
-
-                class LyingSession:
-                    def __enter__(self):
-                        real.__enter__()
-                        return self
-
-                    def __exit__(self, *exc):
-                        return real.__exit__(*exc)
-
-                    def check(self, delta, assumptions=(), need_model=False):
-                        verdict = real.check(delta, assumptions, need_model)
-                        if verdict is Result.UNSAT:
-                            return Result.SAT
-                        return verdict
-
-                return LyingSession()
-
-        monkeypatch.setattr(oracles, "Solver", LyingSessionSolver)
+        monkeypatch.setattr(oracles, "Solver", _tampered_solver(lie))
         x = t.bv_var("x", 8)
-        prefix = t.eq(x, t.bv_const(3, 8))
-        deltas = [t.eq(x, t.bv_const(5, 8))]  # UNSAT under the prefix
-        violation = check_incremental_vs_fresh(prefix, deltas)
+        prefixes = [t.eq(x, t.bv_const(3, 8)), t.ult(x, t.bv_const(10, 8))]
+        deltas = [t.eq(x, t.bv_const(5, 8))]  # UNSAT under the first prefix
+        violation = check_function_session_vs_fresh(prefixes, deltas)
         assert violation is not None
-        assert violation.oracle == "incremental-vs-fresh"
+        assert violation.oracle == "function-session-vs-fresh"
+        assert "fresh solver unsat, function session sat" in violation.detail
         assert violation.predicate(violation.witnesses)
+
+    @pytest.mark.parametrize("fault", ["missing model", "unsatisfying model"])
+    def test_session_model_faults_are_detected(self, monkeypatch, fault):
+        from repro.smt.solver import TrivialModel
+
+        def tamper(solver, verdict, need_model):
+            if need_model and verdict is Result.SAT:
+                # The all-zeros model puts x at 0, outside both prefixes.
+                solver.last_model = (
+                    None if fault == "missing model" else TrivialModel()
+                )
+            return verdict
+
+        monkeypatch.setattr(oracles, "Solver", _tampered_solver(tamper))
+        x = t.bv_var("x", 8)
+        prefixes = [t.eq(x, t.bv_const(3, 8)), t.ult(t.bv_const(2, 8), x)]
+        deltas = [t.ult(x, t.bv_const(5, 8))]  # SAT under every point
+        violation = check_function_session_vs_fresh(prefixes, deltas)
+        assert violation is not None
+        assert violation.oracle == "function-session-vs-fresh"
+        expected = {
+            "missing model": "last_model is None",
+            "unsatisfying model": "does not satisfy formula",
+        }[fault]
+        assert expected in violation.detail
+        assert violation.predicate(violation.witnesses)
+
+
+def _tampered_solver(tamper):
+    """A solver class whose sessions pass every verdict through
+    ``tamper(solver, verdict, need_model)``; fresh solving is honest."""
+    from repro.smt.solver import Solver
+
+    class TamperedSolver(Solver):
+        def session(self):
+            real = super().session()
+            solver = self
+
+            class TamperedSession:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def check(self, delta, assumptions=(), need_model=False):
+                    verdict = real.check(delta, assumptions, need_model)
+                    return tamper(solver, verdict, need_model)
+
+            return TamperedSession()
+
+    return TamperedSolver
 
 
 class TestModelSoundnessWithRewrittenSelects:

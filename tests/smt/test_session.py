@@ -290,14 +290,15 @@ class TestAssumptionOrderCanonicalization:
         assert cache.stats.stores == 1  # the sessions added nothing
 
     def test_order_and_duplicates_normalize(self):
-        from repro.smt.solver import canonical_assumption_order
+        from repro.smt.solver import check_query
 
         x = bv("x")
         a = t.ult(x, const(50))
         b = t.ult(const(10), x)
-        assert canonical_assumption_order([a, b, a]) == (
-            canonical_assumption_order([b, a, b])
-        )
+        delta = t.eq(x, const(20))
+        ordered, query = check_query(delta, [a, b, a])
+        assert len(ordered) == 2
+        assert check_query(delta, [b, a, b]) == (ordered, query)
 
 
 class TestSessionEquivalenceSweep:

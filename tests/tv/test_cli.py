@@ -166,6 +166,43 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "resume", str(tmp_path / "nope")])
 
+    @pytest.mark.parametrize(
+        ("flags", "dedup"), [([], True), (["--no-dedup"], False)]
+    )
+    def test_no_dedup_reaches_run_corpus(self, monkeypatch, capsys, flags, dedup):
+        import repro.cli as cli
+
+        seen = {}
+        real_run_corpus = cli.run_corpus
+
+        def recording_run_corpus(corpus, options, **kwargs):
+            seen.update(kwargs)
+            return real_run_corpus(corpus, options, **kwargs)
+
+        monkeypatch.setattr(cli, "run_corpus", recording_run_corpus)
+        argv = ["campaign", "run", "--scale", "6", "--seed", "11", *flags]
+        assert main(argv) == 0
+        assert seen["dedup"] is dedup
+        assert "Succeeded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--shards", "2"], "--shards requires --dir"),
+            (["--halt-on-worker-death"], "--halt-on-worker-death requires --dir"),
+            (["--inject-kill-once", "fn_"], "--inject-kill-* requires --dir"),
+        ],
+    )
+    def test_dir_only_flags_refused_without_dir(self, monkeypatch, flags, message):
+        import repro.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_corpus reached")
+
+        monkeypatch.setattr(cli, "run_corpus", must_not_run)
+        with pytest.raises(SystemExit, match=message.replace("*", r"\*")):
+            main(["campaign", "run", "--scale", "6", *flags])
+
 
 class TestPortfolioFlag:
     def test_worker_recv_flags_parse(self):
