@@ -5,8 +5,8 @@ crash and cannot span more than one process pool.  This package turns the
 batch into a *campaign*:
 
 - :mod:`repro.campaign.shard` — deterministic corpus partitioning
-  (round-robin / size-balanced), dedup-class-aware so alpha-equivalence
-  classes stay intact on one shard;
+  (size-balanced), dedup-class-aware so identical-body classes stay
+  intact on one shard;
 - :mod:`repro.campaign.journal` — an append-only JSONL checkpoint of
   per-function outcomes (atomic line appends, torn tails tolerated), plus
   the campaign manifest, so ``resume`` skips completed work and re-queues

@@ -9,7 +9,7 @@ corpus mixes tiny straight-line functions with diamond-heavy timeout
 candidates.
 
 Sharding is *dedup-class-aware*: callers tag each item with its
-alpha-equivalence group (see :mod:`repro.tv.dedup`) and every member of a
+identical-body group (see :mod:`repro.tv.dedup`) and every member of a
 group is assigned to the same shard, so a class representative and the
 duplicates replayed from its outcome never straddle a shard boundary.
 """

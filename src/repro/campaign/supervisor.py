@@ -50,7 +50,7 @@ from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
 from repro.tv.driver import TvOptions
 from repro.tv.parallel import Worker, WorkerPool, hard_budget
-from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
+from repro.workloads import gcc_like_corpus
 
 
 class CampaignError(RuntimeError):
@@ -197,13 +197,7 @@ def prepare_campaign(
     names = list(module.functions)
     run_names, replay, classes = names, {}, 0
     if config.dedup:
-        plan = plan_dedup(
-            module,
-            names,
-            base,
-            overrides,
-            known_externals=frozenset(EXTERNAL_CALLEES),
-        )
+        plan = plan_dedup(module, names, base, overrides)
         run_names, replay, classes = plan.run_names, plan.replay, plan.classes
     run_set = set(run_names)
     sizes = {

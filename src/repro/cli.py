@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-dedup",
         action="store_true",
-        help="disable alpha-equivalence outcome deduplication",
+        help="disable identical-body outcome deduplication",
     )
     run.add_argument(
         "--no-incremental",

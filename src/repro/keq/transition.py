@@ -57,9 +57,6 @@ class CutTransitionSystem:
     def next_states(self, state: State) -> frozenset:
         return frozenset(self.transitions.get(state, ()))
 
-    def is_final(self, state: State) -> bool:
-        return not self.transitions.get(state)
-
     def cut_successors(self, state: State) -> frozenset:
         """Definition 7.3 / Algorithm 1's ``next_i``: cut states reachable
         through non-cut intermediate states in at least one step.

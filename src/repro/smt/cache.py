@@ -68,15 +68,10 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    memory_hits: int = 0
     disk_hits: int = 0
     stores: int = 0
     #: entries found but rejected by the budget-soundness rule.
     budget_rejections: int = 0
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class QueryCache:
@@ -151,7 +146,6 @@ class QueryCache:
             result, cost = entry
             if self._usable(cost, budget):
                 self.stats.hits += 1
-                self.stats.memory_hits += 1
                 return result
             self.stats.budget_rejections += 1
             self.stats.misses += 1

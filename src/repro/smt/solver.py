@@ -32,6 +32,7 @@ from repro.smt import eval as smt_eval
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.eval import compile_node
+from repro.smt.printer import canonical
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import propagate_literals, simplify
 from repro.smt.terms import Term
@@ -41,10 +42,6 @@ class Result(Enum):
     SAT = "sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
-
-    @property
-    def is_sat(self) -> bool:
-        return self is Result.SAT
 
     @property
     def is_unsat(self) -> bool:
@@ -841,17 +838,6 @@ class Solver:
         return SolverSession(self)
 
 
-#: per-process memo of canonical term printings used to order assumptions
-_canonical_keys: dict[Term, str] = {}
-
-
-def _canonical_key(term: Term) -> str:
-    found = _canonical_keys.get(term)
-    if found is None:
-        found = _canonical_keys[term] = str(term)
-    return found
-
-
 def check_query(
     delta: Term, assumptions: Iterable[Term] = ()
 ) -> tuple[list[Term], Term]:
@@ -860,16 +846,17 @@ def check_query(
     with ``delta``.
 
     ``(a, b)`` and ``(b, a)`` are one assumption set; ordering by the
-    canonical *printing* (never by ``Term.serial``, which depends on
-    per-process interning order) makes the conjunction — and hence the
-    memo and on-disk cache keys — identical for both, in every process.
+    full-fidelity :func:`~repro.smt.printer.canonical` printing (never by
+    ``Term.serial``, which depends on per-process interning order, nor by
+    ``str``, which elides deep subterms) makes the conjunction — and hence
+    the memo and on-disk cache keys — identical for both, in every process.
     :meth:`SolverSession.check` decides that conjunction incrementally; a
     caller without a session hands it to :meth:`Solver.check_sat`.  Both
     build it here, so the two paths key one memo and cache entry.
     """
     ordered = list(dict.fromkeys(assumptions))
     if len(ordered) > 1:
-        ordered.sort(key=_canonical_key)
+        ordered.sort(key=canonical)
     return ordered, t.conj([*ordered, delta])
 
 

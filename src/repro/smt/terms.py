@@ -184,10 +184,6 @@ def min_signed(width: int) -> int:
     return -(1 << (width - 1))
 
 
-def max_signed(width: int) -> int:
-    return (1 << (width - 1)) - 1
-
-
 # ---------------------------------------------------------------------------
 # Boolean constructors
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ class BatchResult:
     #: solver counters merged across every validated function.
     solver_stats: QueryStats = field(default_factory=QueryStats)
     #: cross-function dedup stats (see :mod:`repro.tv.dedup`): number of
-    #: alpha-equivalence classes among fingerprintable functions, and how
-    #: many outcomes were replayed instead of validated.
+    #: identical-body classes, and how many outcomes were replayed instead
+    #: of validated.
     dedup_classes: int = 0
     deduped_functions: int = 0
 
@@ -235,9 +235,9 @@ def run_corpus(
 
     ``jobs > 1`` fans the functions out over worker processes via
     :func:`repro.tv.parallel.run_batch_parallel`.  With ``dedup`` (the
-    default), alpha-equivalent functions (see :mod:`repro.tv.dedup`) are
-    validated once per equivalence class and the outcome is replayed for
-    the rest with a ``deduped`` marker.
+    default), functions with identical bodies (see :mod:`repro.tv.dedup`)
+    are validated once per class and the outcome is replayed for the rest
+    with a ``deduped`` marker.
     """
     module = corpus.build_module()
     base = options or TvOptions.for_campaign()
@@ -246,15 +246,8 @@ def run_corpus(
     plan = None
     if dedup:
         from repro.tv.dedup import plan_dedup
-        from repro.workloads import EXTERNAL_CALLEES
 
-        plan = plan_dedup(
-            module,
-            names,
-            base,
-            overrides,
-            known_externals=frozenset(EXTERNAL_CALLEES),
-        )
+        plan = plan_dedup(module, names, base, overrides)
         run_names = plan.run_names
     else:
         run_names = names

@@ -87,8 +87,8 @@ class TvOutcome:
     sync_points: int = 0
     #: per-function solver counters (merged batch-wide by BatchResult).
     solver_stats: QueryStats | None = None
-    #: outcome replayed from an alpha-equivalent representative instead of
-    #: being validated (see :mod:`repro.tv.dedup`); ``dedup_of`` names it.
+    #: outcome replayed from a representative with an identical body instead
+    #: of being validated (see :mod:`repro.tv.dedup`); ``dedup_of`` names it.
     deduped: bool = False
     dedup_of: str = ""
     #: campaign failure taxonomy bucket (one of

@@ -11,7 +11,6 @@ DESIGN.md, Section 2 for the substitution argument.
 """
 
 from repro.workloads.generator import (
-    EXTERNAL_CALLEES,
     FunctionShape,
     generate_function,
     generate_module,
@@ -25,7 +24,6 @@ from repro.workloads.corpus import (
 
 __all__ = [
     "CorpusSpec",
-    "EXTERNAL_CALLEES",
     "FunctionShape",
     "FunctionSpec",
     "gcc_like_corpus",

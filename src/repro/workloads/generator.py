@@ -83,11 +83,7 @@ class _GenState:
 
 #: Declared external boundary functions: calls to them are uninterpreted
 #: cut points on both semantics sides (see CallMarker), keyed on the name.
-#: Exported so corpus runners can tell the dedup fingerprint (see
-#: :func:`repro.tv.dedup.spec_fingerprint`) that these callees are *known*
-#: boundaries rather than missing bodies.
 EXTERNAL_CALLEES = ("ext_helper", "ext_source", "ext_sink")
-_EXTERNAL_CALLEES = EXTERNAL_CALLEES
 
 
 def generate_function(
@@ -157,9 +153,6 @@ def _ensure_globals(module: ir.Module) -> None:
     ):
         if name not in module.globals:
             module.add_global(ir.GlobalVariable(name, type_))
-    for callee in _EXTERNAL_CALLEES:
-        # Externals have no body; calls to them are boundary cut points.
-        pass
 
 
 def _emit_op(state: _GenState, shape: FunctionShape) -> None:
@@ -362,7 +355,7 @@ def _emit_mul_guard(state: _GenState, shape: FunctionShape) -> None:
 
 def _emit_call(state: _GenState) -> None:
     rng = state.rng
-    callee = rng.choice(_EXTERNAL_CALLEES)
+    callee = rng.choice(EXTERNAL_CALLEES)
     arguments = [(i32, state.pick_value()) for _ in range(rng.randrange(0, 3))]
     result = state.builder.call(i32, callee, arguments)
     if result is not None:

@@ -30,6 +30,14 @@ def distributive_miter(factor, width=4):
     return t.ne(t.mul(x, t.add(y, c)), t.add(t.mul(x, y), t.mul(x, c)))
 
 
+def xor_and_chain(leaf, depth):
+    """``bvxor(bvand(·, m_i), k)`` applied ``depth`` times over ``leaf``."""
+    term = leaf
+    for i in range(depth):
+        term = t.bvxor(t.bvand(term, const(0xF0 | i)), const(0x5A))
+    return term
+
+
 class TestSessionVerdicts:
     def test_unsat_delta_under_assumptions(self):
         x, y = bv("x"), bv("y")
@@ -293,12 +301,17 @@ class TestAssumptionOrderCanonicalization:
         from repro.smt.solver import check_query
 
         x = bv("x")
-        a = t.ult(x, const(50))
-        b = t.ult(const(10), x)
         delta = t.eq(x, const(20))
-        ordered, query = check_query(delta, [a, b, a])
-        assert len(ordered) == 2
-        assert check_query(delta, [b, a, b]) == (ordered, query)
+        shallow = (t.ult(x, const(50)), t.ult(const(10), x))
+        # Two assumptions that differ only below the depth ``str`` prints.
+        deep = tuple(
+            t.ult(xor_and_chain(bv(leaf), 20), const(7)) for leaf in ("a", "b")
+        )
+        assert str(deep[0]) == str(deep[1])
+        for a, b in (shallow, deep):
+            ordered, query = check_query(delta, [a, b, a])
+            assert len(ordered) == 2
+            assert check_query(delta, [b, a, b]) == (ordered, query)
 
 
 class TestSessionEquivalenceSweep:

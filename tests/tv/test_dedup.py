@@ -1,10 +1,15 @@
-"""Cross-function sync-point dedup: fingerprints, planning, and replay."""
+"""Cross-function dedup by identical bodies: fingerprints, planning, and
+replay."""
 
 import dataclasses
 
+import pytest
+
+from repro.llvm import parse_module
+from repro.targets import get_target
 from repro.tv import Category, TvOptions
-from repro.tv.batch import run_corpus
-from repro.tv.dedup import alpha_rename, plan_dedup, spec_fingerprint
+from repro.tv.batch import corpus_overrides, replay_outcomes, run_batch, run_corpus
+from repro.tv.dedup import body_fingerprint, plan_dedup
 from repro.workloads import FunctionShape, gcc_like_corpus
 from repro.workloads.corpus import CorpusSpec, FunctionSpec
 
@@ -15,8 +20,8 @@ LOOPY = FunctionShape(
 
 
 def clone_corpus():
-    """Three alpha-equivalent clones plus two structurally distinct
-    functions (one of them a clone pair of its own)."""
+    """Three clones with identical bodies plus two structurally distinct
+    functions."""
     return CorpusSpec(
         functions=[
             FunctionSpec("alpha_one", SMALL, seed=7, expect="succeeded"),
@@ -28,42 +33,24 @@ def clone_corpus():
     )
 
 
-class TestAlphaRename:
-    def test_first_occurrence_order(self):
-        assert (
-            alpha_rename("%x = add i32 %y, %x")
-            == "%r0 = add i32 %r1, %r0"
-        )
-
-    def test_consistent_across_lines(self):
-        left = alpha_rename("%a = add i32 %b, 1\n%c = mul i32 %a, %b")
-        right = alpha_rename("%p = add i32 %q, 1\n%r = mul i32 %p, %q")
-        assert left == right
-
-    def test_distinguishes_structure(self):
-        # Same token multiset, different dataflow: not alpha-equivalent.
-        assert alpha_rename("%a = add i32 %a, %b") != alpha_rename(
-            "%a = add i32 %b, %b"
-        )
-
-
 class TestSpecFingerprint:
+    """:func:`body_fingerprint`: the function's own text and options."""
+
     def test_clones_share_fingerprint(self):
         corpus = clone_corpus()
         module = corpus.build_module()
         base = TvOptions()
         prints = {
-            name: spec_fingerprint(module, name, base)
+            name: body_fingerprint(module, name, base)
             for name in ("alpha_one", "alpha_two", "alpha_three")
         }
-        assert prints["alpha_one"] is not None
         assert len(set(prints.values())) == 1
 
     def test_different_shape_different_fingerprint(self):
         corpus = clone_corpus()
         module = corpus.build_module()
         base = TvOptions()
-        assert spec_fingerprint(module, "alpha_one", base) != spec_fingerprint(
+        assert body_fingerprint(module, "alpha_one", base) != body_fingerprint(
             module, "beta_solo", base
         )
 
@@ -74,7 +61,7 @@ class TestSpecFingerprint:
         module = corpus.build_module()
         base = TvOptions()
         imprecise = dataclasses.replace(base, imprecise_liveness=True)
-        assert spec_fingerprint(module, "alpha_one", base) != spec_fingerprint(
+        assert body_fingerprint(module, "alpha_one", base) != body_fingerprint(
             module, "alpha_one", imprecise
         )
 
@@ -85,7 +72,7 @@ class TestSpecFingerprint:
         module = corpus.build_module()
         vx86 = TvOptions(target="vx86")
         vriscv = TvOptions(target="vriscv")
-        assert spec_fingerprint(module, "alpha_one", vx86) != spec_fingerprint(
+        assert body_fingerprint(module, "alpha_one", vx86) != body_fingerprint(
             module, "alpha_one", vriscv
         )
 
@@ -93,33 +80,9 @@ class TestSpecFingerprint:
         corpus = clone_corpus()
         module = corpus.build_module()
         vriscv = TvOptions(target="vriscv")
-        assert spec_fingerprint(module, "alpha_one", vriscv) == spec_fingerprint(
+        assert body_fingerprint(module, "alpha_one", vriscv) == body_fingerprint(
             module, "alpha_two", vriscv
         )
-
-    def test_unsupported_function_is_not_fingerprinted(self):
-        corpus = CorpusSpec(
-            functions=[
-                FunctionSpec(
-                    "weird",
-                    FunctionShape(unsupported=True),
-                    seed=1,
-                    expect="unsupported",
-                )
-            ]
-        )
-        module = corpus.build_module()
-        assert spec_fingerprint(module, "weird", TvOptions()) is None
-
-    def test_function_with_calls_is_not_fingerprinted(self):
-        """Call outcomes depend on callee bodies, which the fingerprint
-        does not cover — such functions validate individually."""
-        shape = dataclasses.replace(LOOPY, calls=1)
-        corpus = CorpusSpec(
-            functions=[FunctionSpec("caller", shape, seed=3, expect="succeeded")]
-        )
-        module = corpus.build_module()
-        assert spec_fingerprint(module, "caller", TvOptions()) is None
 
 
 CALLS_LL = """
@@ -161,68 +124,35 @@ entry:
 
 
 class TestCalleeRegion:
-    """Fingerprints extended over the reachable defined-callee region."""
+    """Callees enter a fingerprint by name: within one module a name
+    denotes one body, and a call is a cut state keyed on it."""
 
     def _module(self):
-        from repro.llvm import parse_module
-
         return parse_module(CALLS_LL)
 
     def test_same_callee_body_shares_fingerprint(self):
-        """caller_one/caller_two differ only in their own (canonicalised)
-        name; the shared helper body folds into one region hash.  (SSA
-        value names must coincide: sync-point payloads carry bare names,
-        the corpus-generator caveat in the module docstring.)"""
+        """caller_one/caller_two differ only in their own name."""
         module = self._module()
         base = TvOptions()
-        one = spec_fingerprint(module, "caller_one", base)
-        two = spec_fingerprint(module, "caller_two", base)
-        assert one is not None
+        one = body_fingerprint(module, "caller_one", base)
+        two = body_fingerprint(module, "caller_two", base)
         assert one == two
 
     def test_different_callee_body_splits_fingerprint(self):
-        """caller_three is textually caller_one modulo names, but its
-        callee computes sub instead of add — the region hash must differ."""
+        """caller_three is caller_one calling another callee (whose body
+        computes sub instead of add)."""
         module = self._module()
         base = TvOptions()
-        assert spec_fingerprint(module, "caller_one", base) != spec_fingerprint(
+        assert body_fingerprint(module, "caller_one", base) != body_fingerprint(
             module, "caller_three", base
         )
 
-    def test_missing_callee_disables_dedup(self):
-        module = self._module()
-        assert spec_fingerprint(module, "caller_ghost", TvOptions()) is None
-
     def test_declared_external_boundary_enables_dedup(self):
         module = self._module()
-        fingerprint = spec_fingerprint(
-            module,
-            "caller_ghost",
-            TvOptions(),
-            known_externals=frozenset({"ghost"}),
-        )
+        fingerprint = body_fingerprint(module, "caller_ghost", TvOptions())
         assert fingerprint is not None
 
     def test_corpus_external_calls_dedup_with_known_externals(self):
-        from repro.workloads import EXTERNAL_CALLEES
-
-        shape = dataclasses.replace(LOOPY, calls=1)
-        corpus = CorpusSpec(
-            functions=[
-                FunctionSpec("call_a", shape, seed=3, expect="succeeded"),
-                FunctionSpec("call_b", shape, seed=3, expect="succeeded"),
-            ]
-        )
-        module = corpus.build_module()
-        plan = plan_dedup(
-            module,
-            list(module.functions),
-            TvOptions(),
-            known_externals=frozenset(EXTERNAL_CALLEES),
-        )
-        assert plan.replay == {"call_b": "call_a"}
-
-    def test_corpus_external_calls_conservative_by_default(self):
         shape = dataclasses.replace(LOOPY, calls=1)
         corpus = CorpusSpec(
             functions=[
@@ -232,8 +162,7 @@ class TestCalleeRegion:
         )
         module = corpus.build_module()
         plan = plan_dedup(module, list(module.functions), TvOptions())
-        assert plan.replay == {}
-        assert plan.run_names == ["call_a", "call_b"]
+        assert plan.replay == {"call_b": "call_a"}
 
 
 class TestPlanDedup:
@@ -323,8 +252,8 @@ def oom_clone_corpus():
 
 
 class TestOverBudgetDedup:
-    """Over-budget specs are never built, so they are fingerprinted by
-    their size and point count."""
+    """An over-budget function's copy replays its OOM outcome, although
+    its spec is never built."""
 
     def test_clone_shares_the_class(self):
         corpus = oom_clone_corpus()
@@ -345,3 +274,181 @@ class TestOverBudgetDedup:
             assert outcome.sync_points == 98
             assert outcome.failure_class == "oom"
         assert by_name["fn_oom_0115"].detail == "sync point spec size 6803 > 4000"
+
+
+BODIES_LL = """
+define i32 @base(i32 %x) {
+entry:
+  %r = call i32 @helper(i32 %x)
+  %s = add i32 %r, 2
+  ret i32 %s
+}
+define i32 @base_copy(i32 %x) {
+entry:
+  %r = call i32 @helper(i32 %x)
+  %s = add i32 %r, 2
+  ret i32 %s
+}
+define i32 @renamed_value(i32 %x) {
+entry:
+  %r = call i32 @helper(i32 %x)
+  %t = add i32 %r, 2
+  ret i32 %t
+}
+define i32 @changed_constant(i32 %x) {
+entry:
+  %r = call i32 @helper(i32 %x)
+  %s = add i32 %r, 3
+  ret i32 %s
+}
+define i32 @changed_callee(i32 %x) {
+entry:
+  %r = call i32 @helper2(i32 %x)
+  %s = add i32 %r, 2
+  ret i32 %s
+}
+define i32 @count_a(i32 %x) {
+entry:
+  %c = icmp eq i32 %x, 0
+  br i1 %c, label %done, label %more
+more:
+  %y = sub i32 %x, 1
+  %r = call i32 @count_a(i32 %y)
+  ret i32 %r
+done:
+  ret i32 0
+}
+define i32 @count_b(i32 %x) {
+entry:
+  %c = icmp eq i32 %x, 0
+  br i1 %c, label %done, label %more
+more:
+  %y = sub i32 %x, 1
+  %r = call i32 @count_b(i32 %y)
+  ret i32 %r
+done:
+  ret i32 0
+}
+define i32 @calls_count_a(i32 %x) {
+entry:
+  %c = icmp eq i32 %x, 0
+  br i1 %c, label %done, label %more
+more:
+  %y = sub i32 %x, 1
+  %r = call i32 @count_a(i32 %y)
+  ret i32 %r
+done:
+  ret i32 0
+}
+"""
+
+
+class TestIdenticalBodies:
+    """The rule: a class is one body under any function name."""
+
+    def _plan(self):
+        module = parse_module(BODIES_LL)
+        return plan_dedup(module, list(module.functions), TvOptions())
+
+    def test_identical_bodies_share_a_class(self):
+        """Including a recursive self-call; a call to the other copy is a
+        different body."""
+        plan = self._plan()
+        assert plan.replay == {"base_copy": "base", "count_b": "count_a"}
+        assert "calls_count_a" in plan.run_names
+
+    @pytest.mark.parametrize(
+        "variant", ["renamed_value", "changed_constant", "changed_callee"]
+    )
+    def test_one_change_splits_the_class(self, variant):
+        plan = self._plan()
+        assert variant in plan.run_names
+        assert variant not in plan.replay
+
+
+UNSUPPORTED = FunctionShape(unsupported=True)
+
+GHOST_LL = CALLS_LL + """
+define i32 @caller_ghost_copy(i32 %x) {
+entry:
+  %r = call i32 @ghost(i32 %x)
+  %s = add i32 %r, 2
+  ret i32 %s
+}
+"""
+
+
+def _same_outcome(replayed, own):
+    assert (replayed.category, replayed.failure_class, replayed.sync_points) == (
+        own.category,
+        own.failure_class,
+        own.sync_points,
+    )
+
+
+class TestReplayWithoutIsel:
+    """Copies whose outcome ISel or an undefined callee decides replay
+    their representative's outcome, which is the copy's own."""
+
+    def test_unsupported_copy_replays(self):
+        corpus = CorpusSpec(
+            functions=[
+                FunctionSpec("weird", UNSUPPORTED, seed=1, expect="unsupported"),
+                FunctionSpec("weird_copy", UNSUPPORTED, seed=1, expect="unsupported"),
+            ]
+        )
+        deduped = {o.function: o for o in run_corpus(corpus, dedup=True).outcomes}
+        plain = {o.function: o for o in run_corpus(corpus, dedup=False).outcomes}
+        copy = deduped["weird_copy"]
+        assert copy.deduped and copy.dedup_of == "weird"
+        assert copy.category == Category.UNSUPPORTED
+        _same_outcome(copy, plain["weird_copy"])
+
+    def test_undefined_callee_copy_replays(self):
+        module = parse_module(GHOST_LL)
+        names = list(module.functions)
+        plan = plan_dedup(module, names, TvOptions())
+        assert plan.replay["caller_ghost_copy"] == "caller_ghost"
+        result = run_batch(module, TvOptions(), function_names=plan.run_names)
+        replayed = {
+            o.function: o for o in replay_outcomes(result.outcomes, plan.replay)
+        }
+        copy = replayed["caller_ghost_copy"]
+        assert copy.deduped and copy.dedup_of == "caller_ghost"
+        own = run_batch(module, TvOptions(), function_names=["caller_ghost_copy"])
+        _same_outcome(copy, own.outcomes[0])
+
+
+@pytest.fixture
+def forbid_isel_and_syncgen(monkeypatch):
+    """Make ISel (both targets) and sync-point generation raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("planning must not run ISel or syncgen")
+
+    for path in (
+        "repro.isel.lowering.select_function",
+        "repro.isel.riscv.select_function",
+        "repro.isel.select_function",
+        "repro.vcgen.syncgen.generate_sync_points",
+        "repro.vcgen.generate_sync_points",
+        "repro.tv.driver.generate_sync_points",
+    ):
+        monkeypatch.setattr(path, forbidden)
+    get_target.cache_clear()  # the registry caches the real bindings
+    yield
+    get_target.cache_clear()
+
+
+@pytest.mark.parametrize("target", ["vx86", "vriscv"])
+def test_figure6_corpus_plans_every_function(forbid_isel_and_syncgen, target):
+    """No two functions of the Figure 6 corpus share a body, and planning
+    calls neither ISel nor sync-point generation."""
+    corpus = gcc_like_corpus(120, 2021)
+    module = corpus.build_module()
+    base = TvOptions.for_campaign(target=target)
+    names = list(module.functions)
+    plan = plan_dedup(module, names, base, corpus_overrides(corpus, base))
+    assert plan.run_names == names
+    assert plan.replay == {}
+    assert plan.classes == len(names) == 141
