@@ -13,9 +13,9 @@ The supervisor adds one mode of its own: with ``halt_on_worker_death`` it
 stops at the first death — the mode CI uses to simulate a mid-campaign
 crash and assert that ``resume`` recovers cleanly.
 
-Workers run in the :class:`repro.tv.parallel.WorkerPool` (module shipped
-as text, hard deadline per function, per-worker query cache); the
-persistent ``cache_dir`` is the layer shards share.
+Workers run in the :class:`repro.tv.parallel.WorkerPool` (each task
+carries its function as text, hard deadline per function, per-worker
+query cache); the persistent ``cache_dir`` is the layer shards share.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.targets import DEFAULT_TARGET
 from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
 from repro.tv.driver import TvOptions
-from repro.tv.parallel import Worker, WorkerPool, hard_budget
+from repro.tv.parallel import Worker, WorkerPool, hard_budget, task_text
 from repro.workloads import gcc_like_corpus
 
 
@@ -149,18 +149,24 @@ def _resolve_validate(reference: str | None):
     return target
 
 
+def _task_texts(module) -> dict[str, str]:
+    return {name: task_text(module, name) for name in module.functions}
+
+
 @dataclass
 class PreparedCampaign:
     """Everything a driver — the in-process pool or the network
     coordinator (:mod:`repro.service`) — needs to run a campaign: the
-    published manifest, the module as spawn-safe text, resolved options,
-    and the journal state the run starts from (empty for a fresh
+    published manifest, each function's spawn-safe text, resolved
+    options, and the journal state the run starts from (empty for a fresh
     campaign), from which its :class:`~repro.campaign.schedule.Scheduler`
     takes the pending jobs and kill counts."""
 
     directory: str
     manifest: dict
-    module_text: str
+    #: function name → :func:`~repro.tv.parallel.task_text`, the text its
+    #: task carries to a worker.
+    texts: dict[str, str]
     base: TvOptions
     overrides: dict[str, TvOptions]
     state: JournalState
@@ -238,7 +244,7 @@ def prepare_campaign(
     return PreparedCampaign(
         directory=directory,
         manifest=manifest,
-        module_text=str(module),
+        texts=_task_texts(module),
         base=base,
         overrides=overrides,
         state=JournalState(),
@@ -296,7 +302,7 @@ def prepare_resume(
     prepared = PreparedCampaign(
         directory=directory,
         manifest=manifest,
-        module_text=str(module),
+        texts=_task_texts(module),
         base=base,
         overrides=overrides,
         state=state,
@@ -368,13 +374,7 @@ def _drive(scheduler: Scheduler, prepared: PreparedCampaign) -> None:
     # benchmark's tracer (perfbench/spans.py) rebinds both names in this
     # module to time worker spawns and waits.
     pool = WorkerPool(
-        lambda: Worker(
-            prepared.module_text,
-            base,
-            overrides,
-            prepared.cache_dir,
-            prepared.validate,
-        ),
+        lambda: Worker(base, overrides, prepared.cache_dir, prepared.validate),
         prepared.manifest["jobs"],
         clamp=prepared.validate is None,
         tasks=len(scheduler.unresolved),
@@ -386,7 +386,11 @@ def _drive(scheduler: Scheduler, prepared: PreparedCampaign) -> None:
                 job = scheduler.next_ready(now)
                 if job is None:
                     break
-                pool.assign(job, hard_budget(overrides.get(job.name, base)))
+                pool.assign(
+                    job,
+                    prepared.texts[job.name],
+                    hard_budget(overrides.get(job.name, base)),
+                )
                 scheduler.journal_event("start", job.name, job.attempt)
             for event in pool.poll(wait=mp_connection.wait):
                 job, outcome = event.task, event.outcome

@@ -67,8 +67,8 @@ class ConstGep(Operand):
 
     def __str__(self) -> str:
         # Printed in full LLVM syntax (pointer type, typed indices) so that
-        # ``str(module)`` re-parses — the parallel batch driver ships modules
-        # to worker processes as text.
+        # ``str(module)`` re-parses — worker processes receive each task's
+        # function as text (``repro.tv.parallel.task_text``).
         parts = ", ".join(f"{index.type} {index}" for index in self.indices)
         marker = "inbounds " if self.inbounds else ""
         return (

@@ -186,7 +186,6 @@ class Coordinator:
         return {
             "type": "welcome",
             "worker_id": info.worker_id,
-            "module_text": self.prepared.module_text,
             "wall_budget": manifest["wall_budget"],
             "incremental": manifest.get("incremental", True),
             "target": manifest.get("target", "vx86"),
@@ -220,6 +219,7 @@ class Coordinator:
         return {
             "type": "unit",
             "unit": job.name,
+            "text": self.prepared.texts[job.name],
             "lease_id": lease.lease_id,
             "attempt": job.attempt,
             "shard": job.shard,

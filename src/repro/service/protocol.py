@@ -12,12 +12,14 @@ Message types (worker → coordinator / coordinator → worker):
 
 ===============  ==============================================================
 ``hello``        register ``worker_id``/``host``; reply ``welcome`` carries the
-                 module text, budgets, the imprecise-liveness override list,
-                 the shared cache directory, the validate-hook reference, and
-                 the lease/heartbeat intervals
-``lease``        request one work unit; reply ``unit`` (name, lease id,
-                 attempt, shard), ``wait`` (queues backing off — retry after
-                 ``seconds``), or ``drain`` (campaign finished, disconnect)
+                 budgets, the imprecise-liveness override list, the shared
+                 cache directory, the validate-hook reference, and the
+                 lease/heartbeat intervals
+``lease``        request one work unit; reply ``unit`` (name, ``text``: the
+                 LLVM text of the module's globals and that one function,
+                 lease id, attempt, shard), ``wait`` (queues backing off —
+                 retry after ``seconds``), or ``drain`` (campaign finished,
+                 disconnect)
 ``heartbeat``    renew every lease the worker holds; reply ``ack`` (with
                  ``drain: true`` once the campaign is complete)
 ``result``       stream one ``TvOutcome`` (journal JSON form) back; reply
@@ -53,8 +55,8 @@ import socket
 import struct
 import threading
 
-#: Frame ceiling; the module text of a campaign corpus is the largest
-#: payload and stays far below this.
+#: Frame ceiling; a ``unit``'s function text or a ``result``'s outcome is
+#: the largest payload and stays far below this.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct("!I")

@@ -3,11 +3,12 @@
 A worker client is the distributed counterpart of the supervisor's local
 pool slot.  It dials the coordinator, registers with ``hello``, and runs
 its units in the same :class:`repro.tv.parallel.WorkerPool` as the
-single-host campaign (module re-parsed from text, hard deadline kill),
-so a unit validated here is structure-deterministic and byte-identical to
-one validated anywhere else.  This module adds only the messaging: one
-lease per free slot, a ``result`` per outcome, a ``worker_death`` per
-observed death.
+single-host campaign (each ``unit`` reply carries its function's text,
+which the pool hands to a subprocess; hard deadline kill), so a unit
+validated here is structure-deterministic and byte-identical to one
+validated anywhere else.  This module adds only the messaging: one lease
+per free slot, a ``result`` per outcome, a ``worker_death`` per observed
+death.
 
 Liveness is layered:
 
@@ -102,7 +103,8 @@ class WorkerSummary:
 
 @dataclass
 class _Unit:
-    """One leased unit (the pool sends ``name`` to a subprocess)."""
+    """One leased unit (the pool sends ``name`` and the unit's text to a
+    subprocess)."""
 
     name: str
     lease_id: str
@@ -236,12 +238,11 @@ class ServiceWorker:
         cache_dir = welcome.get("cache_dir")
         if config.cache_dir is not None:
             cache_dir = config.cache_dir or None
-        module_text = welcome["module_text"]
         heartbeat_seconds = float(welcome.get("heartbeat_seconds", 5.0))
         wait_seconds = float(welcome.get("wait_seconds", 0.25))
 
         pool = WorkerPool(
-            lambda: Worker(module_text, base, overrides, cache_dir, validate),
+            lambda: Worker(base, overrides, cache_dir, validate),
             config.jobs,
             clamp=validate is None,
         )
@@ -299,7 +300,9 @@ class ServiceWorker:
                     )
                     summary.leased += 1
                     pool.assign(
-                        unit, hard_budget(overrides.get(unit.name, base))
+                        unit,
+                        reply["text"],
+                        hard_budget(overrides.get(unit.name, base)),
                     )
                 # With nothing running, a "wait" reply paces the next lease.
                 timeout = wait_seconds if waited and not pool.busy else None

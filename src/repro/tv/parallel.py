@@ -8,10 +8,15 @@ the GIL).  The design constraints:
 - **Spawn safety.**  :class:`repro.smt.terms.Term` objects are interned in
   a per-process table; shipping them across a pipe would either break the
   ``is``-equality invariant or smuggle one process's table into another.
-  Workers therefore receive the module *as text* and re-parse it — the
-  printer/parser round-trip is exact (see ``ConstGep.__str__``) and
-  validation outcomes are structure-deterministic, so a worker reproduces
-  precisely the sequential result.
+  Each task therefore carries its function *as text* (:func:`task_text`:
+  the module's globals and that one function) and the worker parses it —
+  the printer/parser round-trip is exact (see ``ConstGep.__str__``) and
+  validation reads only the function, the globals and the options (a call
+  is a ``CALLING`` cut state; no step reads a callee's body, DESIGN.md
+  §6), so a worker reproduces precisely the sequential result.  A worker
+  is spawned with only the options, the overrides, the cache directory
+  and the validate hook, so its spawn arguments fit the spawn pipe and
+  every worker boots at once.
 - **Deterministic ordering.**  :func:`run_batch_parallel` returns its
   outcomes in input order no matter which worker finished first.
 - **Hard kill-and-reap.**  The per-function ``wall_budget_seconds`` is
@@ -51,7 +56,7 @@ from repro.util import available_cpus
 logger = logging.getLogger(__name__)
 
 #: Hard-kill deadline: the cooperative wall budget, plus headroom for one
-#: budget-check interval and the module re-parse.
+#: budget-check interval and the parse of the task's own text.
 _GRACE_FACTOR = 1.5
 _GRACE_SLACK = 5.0
 
@@ -71,17 +76,30 @@ def _task_options(options, overrides, name) -> TvOptions:
     return overrides.get(name, options) or TvOptions()
 
 
-def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
-    """Worker loop: re-parse the module, then serve tasks off the pipe."""
+def task_text(module: ir.Module, name: str) -> str:
+    """The text a task carries: the LLVM text of a module holding
+    ``module``'s globals and its function ``name``, nothing else."""
+    return str(
+        ir.Module(globals=module.globals, functions={name: module.function(name)})
+    )
+
+
+def _crash(name, target, detail) -> TvOutcome:
+    return TvOutcome(
+        name,
+        Category.OTHER,
+        target=target,
+        detail=detail,
+        failure_class=FAILURE_CLASS_CRASH,
+    )
+
+
+def _worker_main(conn, options, overrides, cache_dir, validate):
+    """Worker loop: serve tasks off the pipe, parsing each task's text."""
     from repro.llvm import parse_module
     from repro.smt import QueryCache
 
     validate = validate or default_validate
-    try:
-        module = parse_module(module_text)
-    except Exception:
-        detail = traceback.format_exc(limit=8)
-        module = None
     cache = QueryCache(cache_dir=cache_dir)
     while True:
         try:
@@ -90,29 +108,20 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
             return
         if message[0] == "stop":
             return
-        _, name = message
+        _, name, text = message
         target = _task_options(options, overrides, name).target
-        if module is None:
-            outcome = TvOutcome(
-                name,
-                Category.OTHER,
-                target=target,
-                detail=f"module re-parse failed:\n{detail}",
-                failure_class=FAILURE_CLASS_CRASH,
-            )
+        try:
+            module = parse_module(text)
+        except Exception:
+            detail = traceback.format_exc(limit=8)
+            outcome = _crash(name, target, f"module re-parse failed:\n{detail}")
         else:
             try:
                 outcome = validate(
                     module, name, overrides.get(name, options), cache
                 )
             except BaseException:
-                outcome = TvOutcome(
-                    name,
-                    Category.OTHER,
-                    target=target,
-                    detail=traceback.format_exc(limit=12),
-                    failure_class=FAILURE_CLASS_CRASH,
-                )
+                outcome = _crash(name, target, traceback.format_exc(limit=12))
         try:
             conn.send(("done", outcome))
         except (BrokenPipeError, OSError):
@@ -122,12 +131,12 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
 class Worker:
     """One spawned worker process plus its duplex pipe and current task."""
 
-    def __init__(self, module_text, options, overrides, cache_dir, validate):
+    def __init__(self, options, overrides, cache_dir, validate):
         ctx = mp.get_context("spawn")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, module_text, options, overrides, cache_dir, validate),
+            args=(child_conn, options, overrides, cache_dir, validate),
             daemon=True,
         )
         self.process.start()
@@ -138,10 +147,12 @@ class Worker:
         self.task = None
         self.started: float = 0.0
         self.deadline: float | None = None
+        self._stop_sent = False
 
-    def assign(self, task, hard_budget: float | None) -> None:
-        """Send ``task.name`` to the worker and start the task's clock."""
-        self.conn.send(("task", task.name))
+    def assign(self, task, text: str, hard_budget: float | None) -> None:
+        """Send ``task.name`` and its :func:`task_text` to the worker and
+        start the task's clock."""
+        self.conn.send(("task", task.name, text))
         self.task = task
         self.started = time.perf_counter()
         self.deadline = (
@@ -155,16 +166,24 @@ class Worker:
             and now > self.deadline
         )
 
+    def request_stop(self) -> None:
+        """Ask the worker to stop without waiting for it; :meth:`shutdown`
+        reaps it.  Sends at most once, and nothing to a closed worker."""
+        if self.conn.closed or self._stop_sent:
+            return
+        self._stop_sent = True
+        try:
+            self.conn.send(("stop",))
+        except (BrokenPipeError, OSError):
+            pass
+
     def shutdown(self) -> None:
         """Ask the worker to stop, terminating it if it does not.
 
         A no-op once the worker was shut down or killed."""
         if self.conn.closed:
             return
-        try:
-            self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
+        self.request_stop()
         self.conn.close()
         self.process.join(timeout=2.0)
         if self.process.is_alive():
@@ -204,9 +223,9 @@ class PoolEvent:
 class WorkerPool:
     """A fixed number of worker slots and the whole worker lifecycle.
 
-    Callers hand tasks (objects with a ``name``: the function to validate)
-    to :meth:`assign` and act on the :class:`PoolEvent` s :meth:`poll`
-    yields.  ``spawn`` is a zero-argument :class:`Worker` factory.  The
+    Callers hand tasks (objects with a ``name``: the function to validate),
+    each with its :func:`task_text`, to :meth:`assign` and act on the
+    :class:`PoolEvent` s :meth:`poll` yields.  ``spawn`` is a zero-argument :class:`Worker` factory.  The
     first assignment starts a worker in every slot; after that, a slot
     emptied by a death or a hard kill is refilled only when a task is
     assigned to it, so it stays empty while there is no work for it.
@@ -258,8 +277,9 @@ class WorkerPool:
         """Slots a task can be assigned to."""
         return self.size - self.busy
 
-    def assign(self, task, hard_budget: float | None) -> None:
-        """Start ``task`` in a free slot, spawning a worker if it is empty.
+    def assign(self, task, text: str, hard_budget: float | None) -> None:
+        """Start ``task`` (its function's :func:`task_text` is ``text``) in a
+        free slot, spawning a worker if it is empty.
 
         A worker that died before taking the task is replaced and the task
         handed to the fresh one: that is not the task's fault, so it
@@ -281,7 +301,7 @@ class WorkerPool:
             if worker is None:
                 worker = self._slots[slot] = self._spawn()
             try:
-                worker.assign(task, hard_budget)
+                worker.assign(task, text, hard_budget)
                 return
             except (BrokenPipeError, OSError):
                 self._slots[slot] = None
@@ -348,11 +368,16 @@ class WorkerPool:
         return PoolEvent(kind, task, outcome)
 
     def close(self) -> None:
-        """Stop every worker: idle ones gracefully, busy ones by kill."""
-        for slot, worker in enumerate(self._slots):
-            if worker is None:
-                continue
-            self._slots[slot] = None
+        """Stop every worker: idle ones gracefully, busy ones by kill.
+
+        Every idle worker is asked to stop before any is joined, so their
+        exits (interpreter teardown) overlap."""
+        workers = [w for w in self._slots if w is not None]
+        self._slots = [None] * self.size
+        for worker in workers:
+            if worker.task is None:
+                worker.request_stop()
+        for worker in workers:
             if worker.task is not None:
                 worker.kill()
             else:
@@ -398,9 +423,8 @@ def run_batch_parallel(
     """
     names = function_names if function_names is not None else list(module.functions)
     overrides = overrides or {}
-    module_text = str(module)
     pool = WorkerPool(
-        lambda: Worker(module_text, options, overrides, cache_dir, validate),
+        lambda: Worker(options, overrides, cache_dir, validate),
         jobs,
         # Injected ``validate`` hooks (test harnesses exercising pool
         # mechanics) keep the requested fan-out.
@@ -409,7 +433,7 @@ def run_batch_parallel(
     )
     if pool.size == 1 and validate is None:
         # One effective worker gains nothing from the pool but pays spawn
-        # and re-parse costs; run_batch is outcome-identical.
+        # and parse costs; run_batch is outcome-identical.
         logger.info("single effective worker: validating sequentially")
         return run_batch(
             module,
@@ -426,6 +450,7 @@ def run_batch_parallel(
                 task = pending.popleft()
                 pool.assign(
                     task,
+                    task_text(module, task.name),
                     hard_budget(
                         overrides.get(task.name, options),
                         grace_factor,

@@ -28,7 +28,7 @@ def prepared(shard_lists, state=None, max_kills=2, backoff_seconds=0.5):
     return PreparedCampaign(
         directory="",
         manifest=manifest,
-        module_text="",
+        texts={},
         base=TvOptions(),
         overrides={},
         state=state if state is not None else JournalState(),

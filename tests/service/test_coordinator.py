@@ -13,8 +13,10 @@ import pytest
 from repro.campaign import CampaignConfig, load_state, read_events
 from repro.campaign.journal import Journal, outcome_to_json
 from repro.campaign.supervisor import prepare_campaign
+from repro.llvm import parse_module
 from repro.service.coordinator import Coordinator, ServiceConfig
 from repro.tv.driver import Category, TvOutcome
+from repro.workloads import gcc_like_corpus
 
 
 @pytest.fixture
@@ -85,7 +87,7 @@ class TestHello:
     def test_welcome_carries_the_campaign(self, coordinator):
         welcome = hello(coordinator)
         assert welcome["type"] == "welcome"
-        assert "define" in welcome["module_text"]
+        assert "module_text" not in welcome
         assert welcome["lease_seconds"] == 30.0
         assert welcome["cache_dir"] == coordinator.prepared.manifest["cache_dir"]
         assert welcome["validate"] is None
@@ -98,6 +100,20 @@ class TestHello:
 
 
 class TestLeaseAndResult:
+    def test_grant_text_defines_exactly_its_unit(self, coordinator):
+        """A grant carries its unit's text: the corpus globals and that one
+        function, printed as the corpus module prints it."""
+        module = gcc_like_corpus(scale=4, seed=7).build_module()
+        hello(coordinator)
+        grant = lease(coordinator)
+        assert grant["type"] == "unit"
+        parsed = parse_module(grant["text"])
+        assert list(parsed.functions) == [grant["unit"]]
+        assert list(parsed.globals) == list(module.globals)
+        assert str(parsed.function(grant["unit"])) == str(
+            module.function(grant["unit"])
+        )
+
     def test_full_drain_completes_the_campaign(self, coordinator):
         hello(coordinator)
         grants = drain(coordinator)

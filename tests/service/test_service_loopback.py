@@ -342,12 +342,12 @@ class DeadOnFirstAssign(Worker):
 
     victims: list = []
 
-    def assign(self, task, hard_budget):
+    def assign(self, task, text, hard_budget):
         if not DeadOnFirstAssign.victims:
             DeadOnFirstAssign.victims.append(task.name)
             self.process.kill()
             self.process.join()
-        super().assign(task, hard_budget)
+        super().assign(task, text, hard_budget)
 
 
 class TestAssignTimeDeath:

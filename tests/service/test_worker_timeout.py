@@ -76,7 +76,6 @@ class FrozenCoordinator:
                         conn,
                         {
                             "type": "welcome",
-                            "module_text": "",
                             "heartbeat_seconds": 60.0,
                             "wait_seconds": 0.05,
                         },

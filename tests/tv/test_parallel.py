@@ -1,11 +1,15 @@
 """Tests for the parallel batch driver (fan-out, hard kill, determinism)."""
 
+import dataclasses
 import time
 
+import pytest
+
 from repro.keq import KeqOptions
-from repro.tv import Category, TvOptions
+from repro.llvm import parse_module
+from repro.tv import Category, TvOptions, validate_function
 from repro.tv.batch import corpus_overrides, run_batch, run_corpus
-from repro.tv.parallel import default_validate, run_batch_parallel
+from repro.tv.parallel import default_validate, run_batch_parallel, task_text
 from repro.workloads import FunctionShape, gcc_like_corpus, generate_module
 
 
@@ -258,3 +262,35 @@ class TestAffinityAwareSizing:
             "clamping jobs=4 to cpu_count=1" in r.getMessage()
             for r in caplog.records
         )
+
+
+def _verdict(outcome):
+    stats = dataclasses.asdict(outcome.solver_stats)
+    del stats["time_seconds"]
+    return (
+        outcome.category,
+        outcome.detail,
+        outcome.sync_points,
+        outcome.failure_class,
+        stats,
+    )
+
+
+class TestTaskText:
+    """A task carries only its function and the globals (``task_text``).
+    That is sound because validation reads nothing else of the module: a
+    call is a ``CALLING`` cut state and no step reads a callee's body."""
+
+    @pytest.mark.parametrize("target", ["vx86", "vriscv"])
+    def test_own_text_validates_as_the_whole_module(self, target):
+        corpus = gcc_like_corpus(scale=24, seed=2021)
+        module = corpus.build_module()
+        base = TvOptions(target=target)
+        overrides = corpus_overrides(corpus, base)
+        for name in module.functions:
+            options = overrides.get(name, base)
+            own = parse_module(task_text(module, name))
+            assert list(own.functions) == [name]
+            whole = validate_function(module, name, options)
+            alone = validate_function(own, name, options)
+            assert _verdict(alone) == _verdict(whole), name

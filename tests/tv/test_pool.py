@@ -39,13 +39,16 @@ def marked_validate(module, name, options, cache):
     return default_validate(module, name, options, cache)
 
 
-def _module():
-    return generate_module(
+#: The text every task here carries: the whole test module serves every
+#: name, the marked ones included.
+TEXT = str(
+    generate_module(
         [
             ("ok_one", FunctionShape(loops=0, diamonds=0), 1),
             ("ok_two", FunctionShape(loops=0, diamonds=0), 2),
         ]
     )
+)
 
 
 @dataclass
@@ -60,27 +63,14 @@ class Factory:
     before the pool sees it, so its first ``assign`` hits a broken pipe.
     """
 
-    def __init__(
-        self,
-        dead_on_arrival=False,
-        options=None,
-        overrides=None,
-        module_text=None,
-    ):
-        self.module_text = module_text or str(_module())
+    def __init__(self, dead_on_arrival=False, options=None, overrides=None):
         self.dead_on_arrival = dead_on_arrival
         self.options = TvOptions() if options is None else options
         self.overrides = overrides or {}
         self.spawned = []
 
     def __call__(self):
-        worker = Worker(
-            self.module_text,
-            self.options,
-            self.overrides,
-            None,
-            marked_validate,
-        )
+        worker = Worker(self.options, self.overrides, None, marked_validate)
         if self.dead_on_arrival and not self.spawned:
             worker.process.kill()
             worker.process.join()
@@ -105,7 +95,7 @@ class TestEvents:
     def test_sigkill_mid_task_is_a_died_event(self):
         factory = Factory()
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("sigkill_me"), None)
+            pool.assign(Task("sigkill_me"), TEXT, None)
             events = drain(pool)
         assert kinds(events) == [("died", "sigkill_me")]
         outcome = events[0].outcome
@@ -116,7 +106,7 @@ class TestEvents:
     def test_hang_past_hard_budget_is_overdue_timeout(self):
         factory = Factory()
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("hang_me"), 2.0)
+            pool.assign(Task("hang_me"), TEXT, 2.0)
             pid = factory.spawned[0].process.pid
             events = drain(pool)
             assert kinds(events) == [("overdue", "hang_me")]
@@ -132,7 +122,7 @@ class TestEvents:
     def test_done_event_carries_the_worker_outcome(self):
         factory = Factory()
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("ok_one"), None)
+            pool.assign(Task("ok_one"), TEXT, None)
             events = drain(pool)
         assert kinds(events) == [("done", "ok_one")]
         assert events[0].outcome.category == Category.SUCCEEDED
@@ -148,8 +138,8 @@ class TestTargetStamp:
     def test_died_and_overdue_outcomes(self):
         factory = Factory(options=VRISCV)
         with WorkerPool(factory, 2, clamp=False) as pool:
-            pool.assign(Task("sigkill_me"), None)
-            pool.assign(Task("hang_me"), 1.0)
+            pool.assign(Task("sigkill_me"), TEXT, None)
+            pool.assign(Task("hang_me"), TEXT, 1.0)
             events = drain(pool)
         assert sorted(kinds(events)) == [
             ("died", "sigkill_me"),
@@ -160,7 +150,7 @@ class TestTargetStamp:
     def test_override_options_name_the_target(self):
         factory = Factory(overrides={"sigkill_me": VRISCV})
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("sigkill_me"), None)
+            pool.assign(Task("sigkill_me"), TEXT, None)
             events = drain(pool)
         assert kinds(events) == [("died", "sigkill_me")]
         assert events[0].outcome.target == "vriscv"
@@ -168,7 +158,7 @@ class TestTargetStamp:
     def test_validation_exception_outcome(self):
         factory = Factory(options=VRISCV)
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("raise_me"), None)
+            pool.assign(Task("raise_me"), TEXT, None)
             events = drain(pool)
         assert kinds(events) == [("done", "raise_me")]
         outcome = events[0].outcome
@@ -178,14 +168,23 @@ class TestTargetStamp:
         assert outcome.target == "vriscv"
 
     def test_reparse_failure_outcome(self):
-        factory = Factory(options=VRISCV, module_text="not a module")
+        """An unparsable text fails its own task only: the same worker
+        then validates the next task, whose text is good."""
+        factory = Factory(options=VRISCV)
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("ok_one"), None)
+            pool.assign(Task("ok_one"), "not a module", None)
             events = drain(pool)
-        assert kinds(events) == [("done", "ok_one")]
-        outcome = events[0].outcome
-        assert outcome.detail.startswith("module re-parse failed")
-        assert outcome.target == "vriscv"
+            pool.assign(Task("ok_two"), TEXT, None)
+            events += drain(pool)
+        assert kinds(events) == [("done", "ok_one"), ("done", "ok_two")]
+        failed, validated = (event.outcome for event in events)
+        assert failed.category == Category.OTHER
+        assert failed.failure_class == "crash"
+        assert failed.detail.startswith("module re-parse failed")
+        assert failed.target == "vriscv"
+        assert validated.category == Category.SUCCEEDED
+        assert validated.target == "vriscv"
+        assert len(factory.spawned) == 1
 
 
 class TestSlots:
@@ -194,7 +193,7 @@ class TestSlots:
         runs on the fresh one: no event, nothing charged to the task."""
         factory = Factory(dead_on_arrival=True)
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("ok_one"), None)
+            pool.assign(Task("ok_one"), TEXT, None)
             events = drain(pool)
         assert kinds(events) == [("done", "ok_one")]
         assert events[0].outcome.category == Category.SUCCEEDED
@@ -203,28 +202,28 @@ class TestSlots:
     def test_slot_is_refilled_only_for_a_task(self):
         factory = Factory()
         with WorkerPool(factory, 1, clamp=False) as pool:
-            pool.assign(Task("sigkill_first"), None)
+            pool.assign(Task("sigkill_first"), TEXT, None)
             assert kinds(drain(pool)) == [("died", "sigkill_first")]
             assert len(factory.spawned) == 1
-            pool.assign(Task("ok_one"), None)
+            pool.assign(Task("ok_one"), TEXT, None)
             assert kinds(drain(pool)) == [("done", "ok_one")]
             assert len(factory.spawned) == 2
             # A death on the last task spawns no replacement.
-            pool.assign(Task("sigkill_last"), None)
+            pool.assign(Task("sigkill_last"), TEXT, None)
             assert kinds(drain(pool)) == [("died", "sigkill_last")]
         assert len(factory.spawned) == 2
 
     def test_all_slots_start_together_then_idle_workers_go_first(self):
         factory = Factory()
         with WorkerPool(factory, 2, clamp=False) as pool:
-            pool.assign(Task("sigkill_me"), None)
+            pool.assign(Task("sigkill_me"), TEXT, None)
             assert len(factory.spawned) == 2
-            pool.assign(Task("ok_one"), None)
+            pool.assign(Task("ok_one"), TEXT, None)
             assert sorted(kinds(drain(pool))) == [
                 ("died", "sigkill_me"),
                 ("done", "ok_one"),
             ]
-            pool.assign(Task("ok_two"), None)
+            pool.assign(Task("ok_two"), TEXT, None)
             assert kinds(drain(pool)) == [("done", "ok_two")]
         assert len(factory.spawned) == 2
 
@@ -250,11 +249,33 @@ class TestCleanup:
         killed.shutdown()
         assert multiprocessing.active_children() == []
 
+    def test_close_stops_idle_workers_before_joining_any(self, monkeypatch):
+        """By the time ``close`` shuts the first idle worker down, the other
+        has its stop already: it exits without a shutdown of its own."""
+        factory = Factory()
+        exited_early = []
+        original = Worker.shutdown
+
+        def shutdown(worker):
+            for other in factory.spawned:
+                if other is not worker and not other.conn.closed:
+                    other.process.join(timeout=10.0)
+                    exited_early.append(other.process.exitcode == 0)
+            original(worker)
+
+        monkeypatch.setattr(Worker, "shutdown", shutdown)
+        with WorkerPool(factory, 2, clamp=False) as pool:
+            pool.assign(Task("ok_one"), TEXT, None)
+            pool.assign(Task("ok_two"), TEXT, None)
+            drain(pool)
+        assert exited_early == [True]
+        assert multiprocessing.active_children() == []
+
     def test_close_after_a_kill_keeps_the_original_error(self):
         factory = Factory()
         with pytest.raises(RuntimeError, match="caller failed"):
             with WorkerPool(factory, 1, clamp=False) as pool:
-                pool.assign(Task("hang_me"), None)
+                pool.assign(Task("hang_me"), TEXT, None)
                 factory.spawned[0].kill()
                 raise RuntimeError("caller failed")
         assert multiprocessing.active_children() == []
